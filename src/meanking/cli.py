@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .mub import (
+    DIAGNOSE_MAX_N,
     EXACT,
     FLOAT,
     PrimeDim,
@@ -25,6 +26,7 @@ from .mub import (
     verify_unbiasedness,
 )
 from .protocol import (
+    RetrodictionSetup,
     simulate,
     verify_entangled_basis,
     verify_measurement_basis,
@@ -53,21 +55,25 @@ def _status(passed: bool) -> str:
     return word
 
 
+class InvalidInput(Exception):
+    """Invalid input; the CLI maps this to exit code 2."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        handle = open(out_path, "w")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write --out {out_path}: {exc.strerror}") from None
+    with handle:
+        handle.write(text)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
-
-
-class InvalidInput(Exception):
-    """Invalid input; the CLI maps this to exit code 2."""
 
 
 def _parse_prime(value: int, hint: str = "") -> PrimeDim:
@@ -78,21 +84,25 @@ def _parse_prime(value: int, hint: str = "") -> PrimeDim:
 
 
 def cmd_verify(args) -> int:
-    dim = _parse_prime(
-        args.p, hint=f"; for composite dimensions run `meanking diagnose --p {args.p}`"
-    )
+    hint = ""
+    if 4 <= args.p <= DIAGNOSE_MAX_N:
+        hint = f"; for composite dimensions run `meanking diagnose --p {args.p}`"
+    dim = _parse_prime(args.p, hint)
     ceiling = EXACT_VERIFY_MAX_P if args.backend == EXACT else FLOAT_VERIFY_MAX_P
     if dim.p > ceiling:
         raise InvalidInput(
             f"p={dim.p} exceeds the {args.backend}-backend verify ceiling of {ceiling}"
         )
-    fam = build_mub_family(dim, "object", args.backend)
     reports = [
-        verify_unbiasedness(fam),
+        verify_unbiasedness(build_mub_family(dim, "object", args.backend)),
         verify_trace_relations(dim, args.backend),
-        verify_entangled_basis(dim, args.backend),
-        verify_measurement_basis(dim, args.backend),
-        verify_retrodiction(dim, args.backend),
+    ]
+    # built after the operator checks, so their arrays are gone before it peaks
+    setup = RetrodictionSetup(dim, args.backend)
+    reports += [
+        verify_entangled_basis(setup),
+        verify_measurement_basis(setup),
+        verify_retrodiction(setup),
     ]
     passed = all(r.passed for r in reports)
     if args.json:

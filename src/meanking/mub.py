@@ -145,6 +145,45 @@ def root_amplitude(p: int, e: int) -> Amplitude:
     return Amplitude(CyclotomicInt.root_power(p, e))
 
 
+# --- unchecked float builders, shared with the composite diagnosis ---
+
+
+def _float_weyl_pair(n: int):
+    # U_0 = diag(q^1..q^n) and the cyclic shift, for any n >= 2
+    u0 = np.diag([np.exp(2j * np.pi * (i + 1) / n) for i in range(n)])
+    up = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        up[i][(i + 1) % n] = 1.0
+    return u0, up
+
+
+def _float_observable(n: int, m: int):
+    # U_0 for m = 0, else the bare product U_0^m U_n (no p = 2 phase)
+    u0, up = _float_weyl_pair(n)
+    if m == 0:
+        return u0
+    return np.linalg.matrix_power(u0, m) @ up
+
+
+def _ket_exponent(p: int, m: int, j: int, k: int) -> int:
+    # j-th computational amplitude of |m_k>, valid for odd p and m >= 1
+    return (j * k - m * (j * (j - 1) // 2)) % p
+
+
+def _float_bases(n: int):
+    # the computational basis, then bases 1..n from the odd-p ket formula
+    arr = np.zeros((n + 1, n, n), dtype=complex)
+    for k in range(n):
+        arr[0][k][k] = 1.0
+    scale = 1 / math.sqrt(n)
+    for m in range(1, n + 1):
+        for k in range(1, n + 1):
+            for j0 in range(n):
+                e = _ket_exponent(n, m, j0 + 1, k)
+                arr[m][k - 1][j0] = scale * np.exp(2j * np.pi * e / n)
+    return arr
+
+
 # --- operator construction ---
 
 
@@ -164,11 +203,7 @@ def build_weyl_pair(dim: PrimeDim, backend: str = EXACT):
             u0[i][i] = root_amplitude(p, i + 1)
             up[i][(i + 1) % p] = one
         return u0, up
-    u0 = np.diag([np.exp(2j * np.pi * (i + 1) / p) for i in range(p)])
-    up = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        up[i][(i + 1) % p] = 1.0
-    return u0, up
+    return _float_weyl_pair(p)
 
 
 def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
@@ -181,16 +216,16 @@ def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
     p = dim.p
     if not 0 <= m <= p:
         raise ValueError(f"observable label must be in 0..{p}, got {m}")
-    u0, up = build_weyl_pair(dim, backend)
-    if m == 0:
-        return u0
     if backend == EXACT:
+        u0, up = build_weyl_pair(dim, EXACT)
+        if m == 0:
+            return u0
         mat = exact_matmul(exact_mat_pow(u0, m), up)
         if p == 2 and m == 1:
             minus_i = Amplitude(-CyclotomicInt.imaginary_unit())
             mat = exact_scale(mat, minus_i)
         return mat
-    mat = np.linalg.matrix_power(u0, m) @ up
+    mat = _float_observable(p, m)
     if p == 2 and m == 1:
         mat = -1j * mat
     return mat
@@ -279,11 +314,6 @@ class MubFamily:
         return {"p": self.p, "side": self.side, "backend": self.backend, "bases": bases}
 
 
-def _ket_exponent(p: int, m: int, j: int, k: int) -> int:
-    # j-th computational amplitude of |m_k>, valid for odd p and m >= 1
-    return (j * k - m * (j * (j - 1) // 2)) % p
-
-
 def build_mub_family(dim: PrimeDim, side: str = "object", backend: str = EXACT) -> MubFamily:
     """All p+1 bases; ancilla side is the entrywise conjugate of the object side."""
     _check_backend(backend)
@@ -325,18 +355,9 @@ def build_mub_family(dim: PrimeDim, side: str = "object", backend: str = EXACT) 
             ]
         return MubFamily(p=p, side=side, backend=EXACT, bases=tuple(bases))
 
-    arr = np.zeros((p + 1, p, p), dtype=complex)
-    for k in range(1, p + 1):
-        arr[0][k - 1][k - 1] = 1.0
-    scale = 1 / math.sqrt(p)
-    for m in range(1, p + 1):
-        if p == 2 and m == 1:
-            arr[1] = np.array([[1, 1j], [1, -1j]]) * scale
-            continue
-        for k in range(1, p + 1):
-            for j0 in range(p):
-                e = _ket_exponent(p, m, j0 + 1, k)
-                arr[m][k - 1][j0] = scale * np.exp(2j * np.pi * e / p)
+    arr = _float_bases(p)
+    if p == 2:
+        arr[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
     if side == "ancilla":
         arr = arr.conj()
     return MubFamily(p=p, side=side, backend=FLOAT, bases=arr)
@@ -521,14 +542,13 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
                     )
         return report
 
-    # float backend
+    # float backend; powers[m, r] = U_m^r for r = 0..p
     eye = np.eye(p, dtype=complex)
-    powers = []
-    for mat in obs:
-        row = [eye]
-        for _ in range(p):
-            row.append(row[-1] @ mat)
-        powers.append(row)
+    powers = np.empty((p + 1, p + 1, p, p), dtype=complex)
+    for m, mat in enumerate(obs):
+        powers[m, 0] = eye
+        for r in range(1, p + 1):
+            powers[m, r] = powers[m, r - 1] @ mat
     for m, mat in enumerate(obs):
         report.checks += 1
         if np.max(np.abs(mat @ mat.conj().T - eye)) > atol:
@@ -545,20 +565,22 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
     report.checks += 1
     if np.max(np.abs(obs[0] @ obs[p] - q_inv * obs[p] @ obs[0])) > atol:
         report.violations.append({"kind": "commutation"})
+    # trace table: tr(A B) = sum_ij A_ij B_ji, so all of U_m1^r times every
+    # U_m2^s is one matrix product per m1 (per-m1 blocks bound the memory)
+    flat_t = powers[:, :p].transpose(0, 1, 3, 2).reshape((p + 1) * p, p * p)
+    exps = np.arange(p)
+    want_same = (exps[:, None] + exps[None, :]) % p == 0
+    want_other = np.outer(exps == 0, exps == 0)
     for m1 in range(p + 1):
-        for m2 in range(p + 1):
-            for r in range(p):
-                for s in range(p):
-                    tr = np.trace(powers[m1][r] @ powers[m2][s]) / p
-                    if m1 == m2:
-                        want = _periodic_delta(p, r, -s)
-                    else:
-                        want = _periodic_delta(p, r, 0) * _periodic_delta(p, s, 0)
-                    report.checks += 1
-                    if abs(tr - want) > atol:
-                        report.violations.append(
-                            {"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s}
-                        )
+        block = powers[m1, :p].reshape(p, p * p) @ flat_t.T
+        traces = block.reshape(p, p + 1, p).transpose(1, 0, 2) / p  # [m2, r, s]
+        want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
+        report.checks += want.size
+        for m2, r1, s1 in np.argwhere(np.abs(traces - want) > atol):
+            report.violations.append(
+                {"kind": "trace", "m": m1, "m2": int(m2), "r": int(r1), "s": int(s1)}
+            )
+    del flat_t  # free it before the monomial checks allocate theirs
     monomials = {
         (r, s): np.linalg.matrix_power(obs[0], r) @ np.linalg.matrix_power(obs[p], s)
         for r in range(1, p + 1)
@@ -659,11 +681,7 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
 
     witnesses = []
 
-    u0 = np.diag([np.exp(2j * np.pi * (i + 1) / n) for i in range(n)])
-    up = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        up[i][(i + 1) % n] = 1.0
-    obs = [u0] + [np.linalg.matrix_power(u0, m) @ up for m in range(1, n + 1)]
+    obs = [_float_observable(n, m) for m in range(n + 1)]
 
     # period: U_m^n should be the identity
     eye = np.eye(n)
@@ -691,16 +709,7 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
         )
 
     # unbiasedness of the formula-built family
-    scale = 1 / math.sqrt(n)
-    bases = np.zeros((n + 1, n, n), dtype=complex)
-    for k in range(1, n + 1):
-        bases[0][k - 1][k - 1] = 1.0
-    for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            for j0 in range(n):
-                j = j0 + 1
-                e = (j * k - m * (j * (j - 1) // 2)) % n
-                bases[m][k - 1][j0] = scale * np.exp(2j * np.pi * e / n)
+    bases = _float_bases(n)
     flagged = 0
     for m1 in range(n + 1):
         for m2 in range(m1 + 1, n + 1):

@@ -10,18 +10,20 @@ the measured observable.
 
 Exact-backend states store p^2 cyclotomic amplitudes and every orthogonality
 claim is a literal ring zero; the float backend mirrors the construction in
-ordinary complex arithmetic.  Sampling uses inverse-CDF over exactly computed
-rational probabilities where the exact backend is in play.
+ordinary complex arithmetic.  Everything is built once per (p, backend) by
+`RetrodictionSetup`, which every check and every round takes.  Sampling
+bisects precomputed CDFs: integer ones (exact rationals over a common
+denominator) where the exact backend is in play, floats otherwise.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .mub import (
     FLOAT,
     FLOAT_ATOL,
     CheckReport,
-    MubFamily,
     PrimeDim,
     build_mub_family,
     _check_backend,
@@ -41,6 +42,9 @@ from .mub import (
 SAMPLING_EXACT_MAX_P = 13
 
 PRNG_NAME = "random.Random (Mersenne Twister), per-round seed '<seed>:<round>'"
+
+# rows of a p^2 x p^2 Gram matrix formed per matrix product in the float checks
+_GRAM_BLOCK_ROWS = 64
 
 
 def residue_label(p: int, x: int) -> int:
@@ -110,123 +114,161 @@ class BipartiteState:
         return np.array([a.to_complex() for a in self.amps], dtype=complex)
 
 
-def _families(dim: PrimeDim, backend: str) -> tuple[MubFamily, MubFamily]:
-    return (
-        build_mub_family(dim, "object", backend),
-        build_mub_family(dim, "ancilla", backend),
-    )
+class RetrodictionSetup:
+    """The one construction per (p, backend) that every check and round reads.
+
+    It holds the object and ancilla families, the (p+1)p post-measurement
+    states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
+    |Phi> (`prepared`), the labeled measurement basis (`labels`, with the
+    states as the rows of `states`), the Born weights and their sampling
+    CDFs.  A row is a tuple of Amplitudes on the exact backend; on the float
+    backend `posts` and `states` are each one 2-D complex array.
+    """
+
+    def __init__(self, dim: PrimeDim, backend: str | None = None):
+        if backend is None:
+            backend = EXACT if dim.p <= SAMPLING_EXACT_MAX_P else FLOAT
+        _check_backend(backend)
+        self.dim = dim
+        self.backend = backend
+        p = dim.p
+        obj = build_mub_family(dim, "object", backend)
+        anc = build_mub_family(dim, "ancilla", backend)
+        self.families = (obj, anc)
+        exact = backend == EXACT
+        if exact:
+            self.posts = tuple(
+                tuple(a * b for a in obj.ket(m, k) for b in anc.ket(m, k))
+                for m in range(p + 1)
+                for k in range(1, p + 1)
+            )
+        else:
+            pairs = obj.bases[:, :, :, None] * anc.bases[:, :, None, :]
+            self.posts = pairs.reshape((p + 1) * p, p * p)
+        self.prepared = maximally_entangled_state(self).amps
+        basis = measurement_basis(self)
+        self.labels = [label for label, _ in basis]
+        rows = [state.amps for _, state in basis]
+        self.states = tuple(rows) if exact else np.array(rows)
+        self.king_weights = {
+            m: _born_weights(self.posts[m * p : (m + 1) * p], self.prepared, exact)
+            for m in range(p + 1)
+        }
+        self.outcome_weights = {
+            (m, k): _born_weights(self.states, self.post(m, k), exact)
+            for m in range(p + 1)
+            for k in range(1, p + 1)
+        }
+        self.king_cdfs = {m: _cdf(w) for m, w in self.king_weights.items()}
+        self.outcome_cdfs = {key: _cdf(w) for key, w in self.outcome_weights.items()}
+
+    def post(self, m: int, k: int):
+        """The amplitude row of |m_k m-bar_k>."""
+        return self.posts[m * self.dim.p + k - 1]
 
 
-def post_measurement_state(
-    dim: PrimeDim, m: int, k: int, backend: str = EXACT, families=None
-) -> BipartiteState:
+def _born_weights(bras, ket, exact: bool):
+    """|<bra|ket>|^2 for each bra, pair by pair: a list of Fractions on the
+    exact backend, a float array otherwise."""
+    if exact:
+        return [exact_overlap(bra, ket).squared_modulus().as_fraction() for bra in bras]
+    return np.array([abs(complex(np.vdot(bra, ket))) ** 2 for bra in bras])
+
+
+def _cdf(weights):
+    """Running sums for inverse-CDF sampling.  Exact weights are first scaled
+    to integers over their common denominator, so a draw is one randrange."""
+    if isinstance(weights, np.ndarray):
+        return np.cumsum(weights)
+    denom = math.lcm(*[w.denominator for w in weights])
+    return list(itertools.accumulate(int(w * denom) for w in weights))
+
+
+def _sample_index(cdf, rng: random.Random) -> int:
+    """Inverse-CDF draw: one randrange over an integer CDF, one random() over a float one."""
+    total = cdf[-1]
+    x = rng.randrange(total) if isinstance(total, int) else rng.random() * total
+    # a float draw can round up to the total; the last index takes it
+    return min(bisect.bisect_right(cdf, x), len(cdf) - 1)
+
+
+def post_measurement_state(setup: RetrodictionSetup, m: int, k: int) -> BipartiteState:
     """The product state |m_k> (x) |m-bar_k> left after the king's measurement."""
-    _check_backend(backend)
-    p = dim.p
-    obj_fam, anc_fam = families if families is not None else _families(dim, backend)
-    obj = obj_fam.ket(m, k)
-    anc = anc_fam.ket(m, k)
-    if backend == EXACT:
-        amps = tuple(obj[i] * anc[j] for i in range(p) for j in range(p))
-        return BipartiteState(p=p, backend=EXACT, amps=amps)
-    return BipartiteState(p=p, backend=FLOAT, amps=np.kron(obj, anc))
+    p = setup.dim.p
+    if not (0 <= m <= p and 1 <= k <= p):
+        raise ValueError(f"need 0 <= m <= {p} and 1 <= k <= {p}, got m={m}, k={k}")
+    return BipartiteState(p=p, backend=setup.backend, amps=setup.post(m, k))
 
 
-def maximally_entangled_state(
-    dim: PrimeDim, via_m: int = 0, backend: str = EXACT, families=None
-) -> BipartiteState:
+def maximally_entangled_state(setup: RetrodictionSetup, via_m: int = 0) -> BipartiteState:
     """The preparation state p^{-1/2} sum_k |m_k m-bar_k>; identical for every via_m."""
-    _check_backend(backend)
-    p = dim.p
+    p = setup.dim.p
     if not 0 <= via_m <= p:
         raise ValueError(f"via_m must be in 0..{p}, got {via_m}")
-    if families is None:
-        families = _families(dim, backend)
-    if backend == EXACT:
+    rows = setup.posts[via_m * p : (via_m + 1) * p]
+    if setup.backend == EXACT:
         half = Amplitude(CyclotomicInt.one(p), 1)
         total = [Amplitude.zero(p)] * (p * p)
-        for k in range(1, p + 1):
-            state = post_measurement_state(dim, via_m, k, EXACT, families)
-            total = [acc + amp for acc, amp in zip(total, state.amps)]
+        for row in rows:
+            total = [acc + amp for acc, amp in zip(total, row)]
         return BipartiteState(p=p, backend=EXACT, amps=tuple(a * half for a in total))
     total = np.zeros(p * p, dtype=complex)
-    for k in range(1, p + 1):
-        total += post_measurement_state(dim, via_m, k, FLOAT, families).amps
+    for row in rows:
+        total += row
     return BipartiteState(p=p, backend=FLOAT, amps=total / math.sqrt(p))
 
 
-def entangled_basis(
-    dim: PrimeDim, backend: str = EXACT, families=None
-) -> list[BipartiteState]:
+def entangled_basis(setup: RetrodictionSetup) -> list[BipartiteState]:
     """The p^2 orthonormal bipartite states: the entangled preparation state at
     index 0, then index (p-1)m + j holds p^{-1/2} sum_k q^{-jk} |m_k m-bar_k>
     for m = 0..p, j = 1..p-1."""
-    _check_backend(backend)
-    p = dim.p
-    if families is None:
-        families = _families(dim, backend)
-    states: list = [None] * (p * p)
-    states[0] = maximally_entangled_state(dim, 0, backend, families)
-    posts = {
-        (m, k): post_measurement_state(dim, m, k, backend, families)
-        for m in range(p + 1)
-        for k in range(1, p + 1)
-    }
-    if backend == EXACT:
+    p = setup.dim.p
+    states = [BipartiteState(p=p, backend=setup.backend, amps=setup.prepared)]
+    if setup.backend == EXACT:
         half = Amplitude(CyclotomicInt.one(p), 1)
         for m in range(p + 1):
             for j in range(1, p):
                 total = [Amplitude.zero(p)] * (p * p)
                 for k in range(1, p + 1):
                     phase = Amplitude(CyclotomicInt.root_power(p, -j * k))
-                    total = [
-                        acc + phase * amp
-                        for acc, amp in zip(total, posts[(m, k)].amps)
-                    ]
-                states[(p - 1) * m + j] = BipartiteState(
-                    p=p, backend=EXACT, amps=tuple(a * half for a in total)
+                    total = [acc + phase * amp for acc, amp in zip(total, setup.post(m, k))]
+                states.append(
+                    BipartiteState(p=p, backend=EXACT, amps=tuple(a * half for a in total))
                 )
         return states
     for m in range(p + 1):
         for j in range(1, p):
             total = np.zeros(p * p, dtype=complex)
             for k in range(1, p + 1):
-                total += np.exp(-2j * np.pi * j * k / p) * posts[(m, k)].amps
-            states[(p - 1) * m + j] = BipartiteState(
-                p=p, backend=FLOAT, amps=total / math.sqrt(p)
-            )
+                total += np.exp(-2j * np.pi * j * k / p) * setup.post(m, k)
+            states.append(BipartiteState(p=p, backend=FLOAT, amps=total / math.sqrt(p)))
     return states
 
 
-def bracket_state(
-    dim: PrimeDim, label: BracketLabel, backend: str = EXACT, basis=None
-) -> BipartiteState:
+def bracket_state(setup: RetrodictionSetup, label: BracketLabel) -> BipartiteState:
     """The unit state orthogonal to |m_k' m-bar_k'> whenever k' differs from
-    the label's slot k_m, expanded over the entangled basis."""
-    _check_backend(backend)
-    p = dim.p
+    the label's slot k_m, in closed form:
+
+        |[k]> = p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi>.
+
+    This is the entangled-basis expansion (1/p)(|Phi> + sum_{m,j} q^{j k_m}
+    |m, j>) with its phase series summed: sum_{j=1}^{p-1} q^{j(k_m - k)} is
+    p delta - 1, and sum_k |m_k m-bar_k> is sqrt(p) |Phi> for every m.
+    """
+    p = setup.dim.p
     if label.p != p:
         raise ValueError("label dimension mismatch")
-    if basis is None:
-        basis = entangled_basis(dim, backend)
-    if backend == EXACT:
-        total = list(basis[0].amps)
-        for m in range(p + 1):
-            km = label.k(m)
-            for j in range(1, p):
-                phase = Amplitude(CyclotomicInt.root_power(p, j * km))
-                total = [
-                    acc + phase * amp
-                    for acc, amp in zip(total, basis[(p - 1) * m + j].amps)
-                ]
-        inv_p = Amplitude(CyclotomicInt.one(p), 2)
-        return BipartiteState(p=p, backend=EXACT, amps=tuple(a * inv_p for a in total))
-    total = np.array(basis[0].amps, dtype=complex)
-    for m in range(p + 1):
-        km = label.k(m)
-        for j in range(1, p):
-            total += np.exp(2j * np.pi * j * km / p) * basis[(p - 1) * m + j].amps
-    return BipartiteState(p=p, backend=FLOAT, amps=total / p)
+    rows = [setup.post(m, label.k(m)) for m in range(p + 1)]
+    if setup.backend == EXACT:
+        half = Amplitude(CyclotomicInt.one(p), 1)
+        zero = Amplitude.zero(p)
+        amps = tuple(
+            half * sum(column, zero) - phi for column, phi in zip(zip(*rows), setup.prepared)
+        )
+        return BipartiteState(p=p, backend=EXACT, amps=amps)
+    return BipartiteState(
+        p=p, backend=FLOAT, amps=np.sum(rows, axis=0) / math.sqrt(p) - setup.prepared
+    )
 
 
 def bracket_overlap_closed_form(a: BracketLabel, b: BracketLabel) -> Fraction:
@@ -234,29 +276,26 @@ def bracket_overlap_closed_form(a: BracketLabel, b: BracketLabel) -> Fraction:
     return Fraction(a.agreements(b) - 1, a.p)
 
 
-def measurement_basis(
-    dim: PrimeDim, backend: str = EXACT
-) -> list[tuple[BracketLabel, BipartiteState]]:
+def measurement_basis(setup: RetrodictionSetup) -> list[tuple[BracketLabel, BipartiteState]]:
     """The physicist's p^2 labeled basis states, ordered by (k0-1)*p + (k1-1)."""
-    p = dim.p
-    basis = entangled_basis(dim, backend)
+    p = setup.dim.p
     out = []
     for k0 in range(1, p + 1):
         for k1 in range(1, p + 1):
-            label = measurement_label(dim, k0, k1)
-            out.append((label, bracket_state(dim, label, backend, basis)))
+            label = measurement_label(setup.dim, k0, k1)
+            out.append((label, bracket_state(setup, label)))
     return out
 
 
 # --- verification drivers ---
 
 
-def verify_entangled_basis(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_entangled_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
     report = CheckReport(name="entangled_basis")
-    basis = entangled_basis(dim, backend)
-    if backend == EXACT:
+    if setup.backend == EXACT:
         one = Fraction(1)
+        basis = entangled_basis(setup)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 ov = a.overlap(b)
@@ -265,36 +304,34 @@ def verify_entangled_basis(dim: PrimeDim, backend: str = EXACT, atol: float = FL
                 if not ok:
                     report.violations.append({"n": i, "n2": j})
         return report
-    mat = np.array([s.amps for s in basis])
-    gram = mat.conj() @ mat.T
-    report.checks = gram.size
-    bad = np.argwhere(np.abs(gram - np.eye(len(basis))) > atol)
-    for i, j in bad[:20]:
-        report.violations.append({"n": int(i), "n2": int(j), "actual": complex(gram[i, j]).real})
+    mat = np.array([s.amps for s in entangled_basis(setup)])
+    report.checks = len(mat) ** 2
+    for i, j, value in itertools.islice(_off_identity(mat, atol), 20):
+        report.violations.append({"n": i, "n2": j, "actual": value.real})
     return report
 
 
-def verify_measurement_basis(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
     report = CheckReport(name="measurement_basis")
-    p = dim.p
-    family = measurement_basis(dim, backend)
-    if backend == EXACT:
-        for i, (la, a) in enumerate(family):
-            for j, (lb, b) in enumerate(family):
-                ov = a.overlap(b)
+    p = setup.dim.p
+    labels, states = setup.labels, setup.states
+    if setup.backend == EXACT:
+        for i, (la, a) in enumerate(zip(labels, states)):
+            for j, (lb, b) in enumerate(zip(labels, states)):
+                ov = exact_overlap(a, b)
                 report.checks += 1
                 ok = ov.squared_modulus().as_fraction() == 1 if i == j else ov.is_zero()
                 if not ok:
                     report.violations.append({"label": la.to_json(), "label2": lb.to_json()})
         nsq = p * p
         total = [[Amplitude.zero(p) for _ in range(nsq)] for _ in range(nsq)]
-        for _, state in family:
+        for state in states:
             for r in range(nsq):
-                if state.amps[r].is_zero():
+                if state[r].is_zero():
                     continue
                 for c in range(nsq):
-                    total[r][c] = total[r][c] + state.amps[r] * state.amps[c].conjugate()
+                    total[r][c] = total[r][c] + state[r] * state[c].conjugate()
         for r in range(nsq):
             for c in range(nsq):
                 report.checks += 1
@@ -303,35 +340,42 @@ def verify_measurement_basis(dim: PrimeDim, backend: str = EXACT, atol: float = 
                 if not ok:
                     report.violations.append({"kind": "completeness", "row": r, "col": c})
         return report
-    mat = np.array([s.amps for _, s in family])
-    gram = mat.conj() @ mat.T
-    report.checks = gram.size
-    if np.max(np.abs(gram - np.eye(len(family)))) > atol:
-        bad = np.argwhere(np.abs(gram - np.eye(len(family))) > atol)
-        for i, j in bad[:20]:
-            report.violations.append(
-                {"label": family[i][0].to_json(), "label2": family[j][0].to_json()}
-            )
-    resolution = mat.T @ mat.conj()
-    report.checks += resolution.size
-    if np.max(np.abs(resolution - np.eye(p * p))) > atol:
+    report.checks = 2 * len(states) ** 2
+    for i, j, _ in itertools.islice(_off_identity(states, atol), 20):
+        report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
+    # completeness: sum_i |i><i| is the Gram matrix of the conjugated columns
+    if next(_off_identity(states.conj().T, atol), None) is not None:
         report.violations.append({"kind": "completeness"})
     return report
 
 
-def verify_retrodiction(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
+def _off_identity(rows: np.ndarray, atol: float):
+    """Yield (i, j, <row_i|row_j>) in row-major order wherever the Gram matrix
+    of `rows` is off the identity by more than atol.  The matrix is formed a
+    block of rows at a time, so no second n x n complex array is held."""
+    n = len(rows)
+    for start in range(0, n, _GRAM_BLOCK_ROWS):
+        gram = rows[start : start + _GRAM_BLOCK_ROWS].conj() @ rows.T
+        deviation = np.abs(gram)
+        diag = np.arange(len(gram))
+        deviation[diag, start + diag] = np.abs(gram[diag, start + diag] - 1)
+        for i, j in np.argwhere(deviation > atol):
+            yield start + int(i), int(j), complex(gram[i, j])
+
+
+def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
     report = CheckReport(name="retrodiction")
-    p = dim.p
-    setup = RetrodictionSetup(dim, backend)
-    uniform = Fraction(1, p) if backend == EXACT else 1.0 / p
+    p = setup.dim.p
+    exact = setup.backend == EXACT
+    uniform = Fraction(1, p) if exact else 1.0 / p
     for m in range(p + 1):
         for k in range(1, p + 1):
             for label, w in zip(setup.labels, setup.outcome_weights[(m, k)]):
                 report.checks += 1
                 want = uniform if label.k(m) == k else 0
-                ok = w == want if backend == EXACT else abs(w - want) <= atol
+                ok = w == want if exact else abs(w - want) <= atol
                 if not ok:
                     report.violations.append(
                         {"m": m, "k": k, "label": label.to_json(), "weight": float(w)}
@@ -340,8 +384,7 @@ def verify_retrodiction(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT
 
 
 def verify_bracket_closed_form(
-    dim: PrimeDim,
-    backend: str = EXACT,
+    setup: RetrodictionSetup,
     atol: float = FLOAT_ATOL,
     sample_pairs: int | None = None,
     seed: int = 0,
@@ -352,8 +395,7 @@ def verify_bracket_closed_form(
     (sensible only for p = 2, 3); otherwise that many random pairs.
     """
     report = CheckReport(name="bracket_closed_form")
-    p = dim.p
-    basis = entangled_basis(dim, backend)
+    p = setup.dim.p
     if sample_pairs is None:
         labels = [
             BracketLabel(p, slots)
@@ -371,14 +413,14 @@ def verify_bracket_closed_form(
 
     def state_of(label):
         if label not in cache:
-            cache[label] = bracket_state(dim, label, backend, basis)
+            cache[label] = bracket_state(setup, label)
         return cache[label]
 
     for a, b in pairs:
         want = bracket_overlap_closed_form(a, b)
         ov = state_of(a).overlap(state_of(b))
         report.checks += 1
-        if backend == EXACT:
+        if setup.backend == EXACT:
             ok = ov.as_fraction() == want
         else:
             ok = abs(ov - complex(want)) <= atol
@@ -412,82 +454,12 @@ class RoundRecord:
         }
 
 
-class RetrodictionSetup:
-    """Precomputed states and Born weights shared across protocol rounds."""
-
-    def __init__(self, dim: PrimeDim, backend: str | None = None):
-        if backend is None:
-            backend = EXACT if dim.p <= SAMPLING_EXACT_MAX_P else FLOAT
-        _check_backend(backend)
-        self.dim = dim
-        self.backend = backend
-        p = dim.p
-        families = _families(dim, backend)
-        self.prepared = maximally_entangled_state(dim, 0, backend, families)
-        self.posts = {
-            (m, k): post_measurement_state(dim, m, k, backend, families)
-            for m in range(p + 1)
-            for k in range(1, p + 1)
-        }
-        self.basis = measurement_basis(dim, backend)
-        self.labels = [label for label, _ in self.basis]
-        exact = backend == EXACT
-        self.king_weights = {
-            m: [
-                _born_weight(self.posts[(m, k)], self.prepared, exact)
-                for k in range(1, p + 1)
-            ]
-            for m in range(p + 1)
-        }
-        self.outcome_weights = {
-            (m, k): [
-                _born_weight(state, self.posts[(m, k)], exact)
-                for _, state in self.basis
-            ]
-            for m in range(p + 1)
-            for k in range(1, p + 1)
-        }
-
-
-def _born_weight(bra_state: BipartiteState, ket_state: BipartiteState, exact: bool):
-    if exact:
-        return bra_state.overlap(ket_state).squared_modulus().as_fraction()
-    return abs(bra_state.overlap(ket_state)) ** 2
-
-
-def _sample_index(weights: Sequence, rng: random.Random) -> int:
-    if isinstance(weights[0], Fraction):
-        denom = math.lcm(*[w.denominator for w in weights])
-        ints = [int(w * denom) for w in weights]
-        total = sum(ints)
-        x = rng.randrange(total)
-        acc = 0
-        for i, w in enumerate(ints):
-            acc += w
-            if x < acc:
-                return i
-        raise AssertionError("inverse CDF fell off the end of exact weights")
-    total = float(sum(weights))
-    x = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return len(weights) - 1
-
-
 def run_round(
-    dim: PrimeDim,
-    king_choice: int | None = None,
-    rng_seed: int | str = 0,
-    setup: RetrodictionSetup | None = None,
+    setup: RetrodictionSetup, king_choice: int | None = None, rng_seed: int | str = 0
 ) -> RoundRecord:
     """Play one round: sample the king's outcome and the physicist's outcome by
     the Born rule, announce the label slot of the measured observable."""
-    if setup is None:
-        setup = RetrodictionSetup(dim)
-    p = dim.p
+    p = setup.dim.p
     rng = random.Random(str(rng_seed))
     if king_choice is None:
         m = rng.randrange(p + 1)
@@ -495,8 +467,8 @@ def run_round(
         if not 0 <= king_choice <= p:
             raise ValueError(f"king_choice must be in 0..{p}, got {king_choice}")
         m = king_choice
-    k = 1 + _sample_index(setup.king_weights[m], rng)
-    outcome_idx = _sample_index(setup.outcome_weights[(m, k)], rng)
+    k = 1 + _sample_index(setup.king_cdfs[m], rng)
+    outcome_idx = _sample_index(setup.outcome_cdfs[(m, k)], rng)
     label = setup.labels[outcome_idx]
     announced = label.k(m)
     return RoundRecord(
@@ -579,7 +551,7 @@ def simulate(
     records = [] if keep_records else None
     successes = 0
     for i in range(rounds):
-        record = run_round(dim, fixed_m, f"{seed}:{i}", setup)
+        record = run_round(setup, fixed_m, f"{seed}:{i}")
         if record.correct:
             successes += 1
         row = histogram.setdefault(record.king_choice, {})

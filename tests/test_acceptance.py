@@ -19,6 +19,7 @@ from meanking.mub import (
     verify_unbiasedness,
 )
 from meanking.protocol import (
+    RetrodictionSetup,
     simulate,
     verify_bracket_closed_form,
     verify_entangled_basis,
@@ -61,7 +62,7 @@ def test_criterion_2_weyl_structure_all_primes():
 def test_criterion_3_entangled_basis_orthonormality():
     ok = True
     for p in BASIS_PRIMES:
-        report = verify_entangled_basis(PrimeDim(p), EXACT)
+        report = verify_entangled_basis(RetrodictionSetup(PrimeDim(p), EXACT))
         ok = ok and report.passed
         assert report.checks == p ** 4
     _report(3, "p^2 x p^2 entangled-basis Gram is the identity exactly, p in {2,3,5,7}", ok)
@@ -70,15 +71,15 @@ def test_criterion_3_entangled_basis_orthonormality():
 def test_criterion_4_bracket_closed_form():
     ok = True
     for p in [2, 3]:
-        report = verify_bracket_closed_form(PrimeDim(p), EXACT)
+        report = verify_bracket_closed_form(RetrodictionSetup(PrimeDim(p), EXACT))
         ok = ok and report.passed
         assert report.checks == (p ** (p + 1)) ** 2
     for p in [5, 7]:
         sampled = verify_bracket_closed_form(
-            PrimeDim(p), FLOAT, atol=FLOAT_ATOL, sample_pairs=10_000, seed=p
+            RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL, sample_pairs=10_000, seed=p
         )
         exact_sample = verify_bracket_closed_form(
-            PrimeDim(p), EXACT, sample_pairs=100, seed=p
+            RetrodictionSetup(PrimeDim(p), EXACT), sample_pairs=100, seed=p
         )
         ok = ok and sampled.passed and exact_sample.passed
         assert sampled.checks == 10_000
@@ -88,7 +89,7 @@ def test_criterion_4_bracket_closed_form():
 def test_criterion_5_measurement_basis():
     ok = True
     for p in BASIS_PRIMES:
-        report = verify_measurement_basis(PrimeDim(p), EXACT)
+        report = verify_measurement_basis(RetrodictionSetup(PrimeDim(p), EXACT))
         ok = ok and report.passed
     _report(5, "p^2 labeled states orthonormal and resolving the identity, p in {2,3,5,7}", ok)
 
@@ -96,7 +97,7 @@ def test_criterion_5_measurement_basis():
 def test_criterion_6a_certainty_static():
     ok = True
     for p in [2, 3, 5]:
-        report = verify_retrodiction(PrimeDim(p), EXACT)
+        report = verify_retrodiction(RetrodictionSetup(PrimeDim(p), EXACT))
         ok = ok and report.passed
         assert report.checks == (p + 1) * p * p * p
     _report(6, "static certainty: no Born weight outside compatible labels, p in {2,3,5}", ok)
@@ -142,12 +143,13 @@ def test_criterion_9_backend_agreement():
         ok = ok and verify_trace_relations(dim, FLOAT, atol=FLOAT_ATOL).passed
     for p in BASIS_PRIMES:
         dim = PrimeDim(p)
-        ok = ok and verify_entangled_basis(dim, FLOAT, atol=FLOAT_ATOL).passed
-        ok = ok and verify_measurement_basis(dim, FLOAT, atol=FLOAT_ATOL).passed
+        setup = RetrodictionSetup(dim, FLOAT)
+        ok = ok and verify_entangled_basis(setup, atol=FLOAT_ATOL).passed
+        ok = ok and verify_measurement_basis(setup, atol=FLOAT_ATOL).passed
     for p in [2, 3, 5]:
-        ok = ok and verify_retrodiction(PrimeDim(p), FLOAT, atol=FLOAT_ATOL).passed
+        ok = ok and verify_retrodiction(RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL).passed
     for p in [2, 3]:
         ok = ok and verify_bracket_closed_form(
-            PrimeDim(p), FLOAT, atol=FLOAT_ATOL
+            RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL
         ).passed
     _report(9, "every exact-backend identity re-evaluated in floats within 1e-10", ok)

@@ -46,6 +46,21 @@ class TestVerify:
         assert code == 0
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("p", ["0", "1", "20"])
+    def test_no_diagnose_hint_where_diagnose_refuses(self, capsys, p):
+        code, _, err = run_cli(capsys, "verify", "--p", p)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "diagnose" not in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "--p", "2", "--json", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not target.exists()
+
     def test_exact_ceiling_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "17")
         assert code == 2

@@ -1,7 +1,10 @@
 """Bipartite protocol: entangled basis, bracket states, certain retrodiction."""
 
+import functools
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family
 from meanking.protocol import (
     BracketLabel,
     RetrodictionSetup,
+    _sample_index,
     bracket_overlap_closed_form,
     bracket_state,
     entangled_basis,
@@ -28,6 +32,11 @@ from meanking.protocol import (
 PROTO_PRIMES = [2, 3, 5]
 
 
+@functools.lru_cache(maxsize=None)
+def setup_for(p, backend=EXACT):
+    return RetrodictionSetup(PrimeDim(p), backend)
+
+
 def one_over_sqrt_p(p):
     return Amplitude(CyclotomicInt.one(p), 1)
 
@@ -39,7 +48,7 @@ def one_over_p(p):
 class TestEntangledState:
     def test_via_computational_basis_is_diagonal(self):
         for p in PROTO_PRIMES:
-            state = maximally_entangled_state(PrimeDim(p), via_m=0)
+            state = maximally_entangled_state(setup_for(p), via_m=0)
             for i in range(p):
                 for j in range(p):
                     amp = state.component(i, j)
@@ -50,24 +59,24 @@ class TestEntangledState:
 
     def test_identical_for_every_via_m(self):
         for p in PROTO_PRIMES:
-            dim = PrimeDim(p)
-            reference = maximally_entangled_state(dim, via_m=0)
+            setup = setup_for(p)
+            reference = maximally_entangled_state(setup, via_m=0)
             for m in range(1, p + 1):
-                other = maximally_entangled_state(dim, via_m=m)
+                other = maximally_entangled_state(setup, via_m=m)
                 assert other.amps == reference.amps, (p, m)
 
     def test_overlap_with_every_post_state(self):
         for p in PROTO_PRIMES:
-            dim = PrimeDim(p)
-            prepared = maximally_entangled_state(dim)
+            setup = setup_for(p)
+            prepared = maximally_entangled_state(setup)
             for m in range(p + 1):
                 for k in range(1, p + 1):
-                    post = post_measurement_state(dim, m, k)
+                    post = post_measurement_state(setup, m, k)
                     assert prepared.overlap(post) == one_over_sqrt_p(p)
 
     def test_unit_norm(self):
         for p in PROTO_PRIMES:
-            state = maximally_entangled_state(PrimeDim(p))
+            state = maximally_entangled_state(setup_for(p))
             assert state.overlap(state).as_fraction() == 1
 
 
@@ -75,29 +84,29 @@ class TestPostMeasurementState:
     def test_cross_family_overlap_is_exactly_one_over_p(self):
         # the overlap amplitude itself, not its square, equals 1/p
         for p in PROTO_PRIMES:
-            dim = PrimeDim(p)
+            setup = setup_for(p)
             for m1 in range(p + 1):
                 for m2 in range(p + 1):
                     if m1 == m2:
                         continue
                     for k1 in range(1, p + 1):
                         for k2 in range(1, p + 1):
-                            a = post_measurement_state(dim, m1, k1)
-                            b = post_measurement_state(dim, m2, k2)
+                            a = post_measurement_state(setup, m1, k1)
+                            b = post_measurement_state(setup, m2, k2)
                             assert a.overlap(b) == one_over_p(p), (m1, k1, m2, k2)
 
     def test_unit_norm(self):
-        dim = PrimeDim(3)
+        setup = setup_for(3)
         for m in range(4):
             for k in range(1, 4):
-                state = post_measurement_state(dim, m, k)
+                state = post_measurement_state(setup, m, k)
                 assert state.overlap(state).as_fraction() == 1
 
 
 class TestEntangledBasis:
     @pytest.mark.parametrize("p", PROTO_PRIMES)
     def test_gram_matrix_is_identity(self, p):
-        basis = entangled_basis(PrimeDim(p))
+        basis = entangled_basis(setup_for(p))
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 ov = a.overlap(b)
@@ -107,12 +116,12 @@ class TestEntangledBasis:
                     assert ov.is_zero(), (i, j)
 
     def test_p2_has_four_states(self):
-        assert len(entangled_basis(PrimeDim(2))) == 4
+        assert len(entangled_basis(setup_for(2))) == 4
 
     def test_float_backend_matches_exact(self):
         p = 3
-        exact = entangled_basis(PrimeDim(p), EXACT)
-        floats = entangled_basis(PrimeDim(p), FLOAT)
+        exact = entangled_basis(setup_for(p, EXACT))
+        floats = entangled_basis(setup_for(p, FLOAT))
         for a, b in zip(exact, floats):
             assert np.max(np.abs(a.to_float() - b.amps)) < 1e-12
 
@@ -147,12 +156,12 @@ class TestBracketStates:
     def test_defining_orthogonality(self):
         for p in [2, 3]:
             dim = PrimeDim(p)
-            basis = entangled_basis(dim)
+            setup = setup_for(p)
             label = measurement_label(dim, 1, residue_label(p, 2))
-            state = bracket_state(dim, label, basis=basis)
+            state = bracket_state(setup, label)
             for m in range(p + 1):
                 for k in range(1, p + 1):
-                    post = post_measurement_state(dim, m, k)
+                    post = post_measurement_state(setup, m, k)
                     ov = state.overlap(post)
                     if k == label.k(m):
                         assert ov.squared_modulus().as_fraction() == Fraction(1, p)
@@ -162,17 +171,16 @@ class TestBracketStates:
     def test_self_overlap_is_one(self):
         dim = PrimeDim(3)
         label = measurement_label(dim, 2, 3)
-        state = bracket_state(dim, label)
+        state = bracket_state(setup_for(3), label)
         assert state.overlap(state).as_fraction() == 1
 
     def test_one_agreement_means_orthogonal(self):
-        dim = PrimeDim(3)
-        basis = entangled_basis(dim)
+        setup = setup_for(3)
         a = BracketLabel(3, (1, 1, 1, 1))
         b = BracketLabel(3, (1, 2, 3, 2))  # agrees only in slot 0
         assert a.agreements(b) == 1
-        sa = bracket_state(dim, a, basis=basis)
-        sb = bracket_state(dim, b, basis=basis)
+        sa = bracket_state(setup, a)
+        sb = bracket_state(setup, b)
         assert sa.overlap(sb).is_zero()
 
     def test_closed_form_values(self):
@@ -185,13 +193,12 @@ class TestBracketStates:
         assert bracket_overlap_closed_form(a, a) == 1
 
     def test_direct_inner_product_matches_closed_form_exhaustively_p2(self):
-        dim = PrimeDim(2)
-        basis = entangled_basis(dim)
+        setup = setup_for(2)
         labels = [
             BracketLabel(2, slots)
             for slots in itertools.product([1, 2], repeat=3)
         ]
-        states = {lab: bracket_state(dim, lab, basis=basis) for lab in labels}
+        states = {lab: bracket_state(setup, lab) for lab in labels}
         for a in labels:
             for b in labels:
                 direct = states[a].overlap(states[b]).as_fraction()
@@ -221,8 +228,7 @@ class TestMeasurementBasis:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_orthonormal_and_complete(self, p):
-        dim = PrimeDim(p)
-        family = measurement_basis(dim)
+        family = measurement_basis(setup_for(p))
         assert len(family) == p * p
         for i, (_, a) in enumerate(family):
             for j, (_, b) in enumerate(family):
@@ -264,19 +270,17 @@ class TestRetrodiction:
 
     def test_rounds_are_always_correct(self):
         for p in [2, 3]:
-            dim = PrimeDim(p)
-            setup = RetrodictionSetup(dim)
+            setup = RetrodictionSetup(PrimeDim(p))
             for m in list(range(p + 1)) + [None]:
                 for seed in range(25):
-                    record = run_round(dim, m, seed, setup)
+                    record = run_round(setup, m, seed)
                     assert record.correct
                     assert record.announced_answer == record.king_outcome
 
     def test_king_choice_validation(self):
-        dim = PrimeDim(3)
-        setup = RetrodictionSetup(dim)
+        setup = RetrodictionSetup(PrimeDim(3))
         with pytest.raises(ValueError):
-            run_round(dim, 4, 0, setup)
+            run_round(setup, 4, 0)
 
     def test_king_outcomes_look_uniform(self):
         summary = simulate(PrimeDim(3), rounds=3000, strategy="fixed:2", seed=7)
@@ -337,3 +341,79 @@ class TestSimulate:
     def test_float_backend_also_certain(self):
         summary = simulate(PrimeDim(3), rounds=300, seed=5, backend=FLOAT)
         assert summary.success_rate == 1.0
+
+
+def bracket_state_by_expansion(setup, basis, label):
+    """Reference: the bracket state expanded over the entangled basis,
+    (1/p)(|Phi> + sum_{m, j} q^{j k_m} |m, j>), term by term."""
+    p = setup.dim.p
+    if setup.backend == EXACT:
+        total = list(basis[0].amps)
+        for m in range(p + 1):
+            for j in range(1, p):
+                phase = Amplitude(CyclotomicInt.root_power(p, j * label.k(m)))
+                total = [acc + phase * amp for acc, amp in zip(total, basis[(p - 1) * m + j].amps)]
+        return tuple(a * one_over_p(p) for a in total)
+    total = np.array(basis[0].amps, dtype=complex)
+    for m in range(p + 1):
+        for j in range(1, p):
+            total += np.exp(2j * np.pi * j * label.k(m) / p) * basis[(p - 1) * m + j].amps
+    return total / p
+
+
+def sample_index_by_lcm(weights, rng):
+    """Reference: the inverse-CDF draw that rescales exact weights over their
+    lcm on every call and walks the running sum."""
+    if isinstance(weights[0], Fraction):
+        denom = math.lcm(*[w.denominator for w in weights])
+        ints = [int(w * denom) for w in weights]
+        x = rng.randrange(sum(ints))
+        acc = 0
+        for i, w in enumerate(ints):
+            acc += w
+            if x < acc:
+                return i
+        raise AssertionError("inverse CDF fell off the end of exact weights")
+    x = rng.random() * float(sum(weights))
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return len(weights) - 1
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_form_equals_expansion_for_every_label(self, p):
+        setup = setup_for(p)
+        basis = entangled_basis(setup)
+        for slots in itertools.product(range(1, p + 1), repeat=p + 1):
+            label = BracketLabel(p, slots)
+            assert bracket_state(setup, label).amps == bracket_state_by_expansion(setup, basis, label)
+
+    @pytest.mark.parametrize("p", PROTO_PRIMES)
+    def test_closed_form_equals_expansion_exactly(self, p):
+        setup = setup_for(p)
+        basis = entangled_basis(setup)
+        for label, state in measurement_basis(setup):
+            assert state.amps == bracket_state_by_expansion(setup, basis, label), label.slots
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_closed_form_matches_expansion_in_floats(self, p):
+        setup = RetrodictionSetup(PrimeDim(p), FLOAT)
+        basis = entangled_basis(setup)
+        for label, state in measurement_basis(setup):
+            reference = bracket_state_by_expansion(setup, basis, label)
+            assert np.max(np.abs(state.amps - reference)) <= 1e-12, label.slots
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_bisect_sampler_draws_what_the_lcm_loop_drew(self, backend):
+        setup = setup_for(5, backend)
+        tables = [(setup.king_weights[m], setup.king_cdfs[m]) for m in range(6)]
+        tables += [(setup.outcome_weights[key], setup.outcome_cdfs[key]) for key in setup.outcome_weights]
+        for seed in range(2000):
+            weights, cdf = tables[seed % len(tables)]
+            ref_rng, rng = random.Random(f"ref:{seed}"), random.Random(f"ref:{seed}")
+            assert _sample_index(cdf, rng) == sample_index_by_lcm(weights, ref_rng), seed
+            assert rng.getstate() == ref_rng.getstate(), seed
