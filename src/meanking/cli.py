@@ -9,6 +9,7 @@ NO_COLOR, which disables the PASS/FAIL coloring of text output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .mub import (
 )
 from .protocol import (
     RetrodictionSetup,
+    parse_strategy,
     simulate,
     verify_entangled_basis,
     verify_measurement_basis,
@@ -37,10 +39,12 @@ from .tomography import probabilities_of, random_density, reconstruct
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 
-# full exact verification is pure-Python ring arithmetic; beyond these the
-# p^2 x p^2 Gram checks stop being interactive
+# ceilings on p that keep every command interactive: the p^2 x p^2 Gram checks
+# of verify, simulate's O(p^4) set-up, the (p+1)p^2 amplitudes of bases and
+# the (p+1) x p x p arrays of tomography
 EXACT_VERIFY_MAX_P = 13
 FLOAT_VERIFY_MAX_P = 31
+TOMOGRAPHY_MAX_P = 127
 
 
 def _use_color() -> bool:
@@ -59,75 +63,83 @@ class InvalidInput(Exception):
     """Invalid input; the CLI maps this to exit code 2."""
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """stdout or the --out file, entered after validation and before any work."""
     if not out_path:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         handle = open(out_path, "w")
     except OSError as exc:
         raise InvalidInput(f"cannot write --out {out_path}: {exc.strerror}") from None
     with handle:
-        handle.write(text)
+        yield handle
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
+def _emit_json(payload: dict, out) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_prime(value: int, hint: str = "") -> PrimeDim:
+def _parse_prime(value: int, hint: str = "", ceiling: int | None = None, what: str = "") -> PrimeDim:
     try:
-        return PrimeDim(value)
+        dim = PrimeDim(value)
     except ValueError as exc:
         raise InvalidInput(f"{exc}{hint}") from None
+    if ceiling is not None and dim.p > ceiling:
+        raise InvalidInput(f"p={dim.p} exceeds the {what} ceiling of {ceiling}")
+    return dim
 
 
 def cmd_verify(args) -> int:
     hint = ""
     if 4 <= args.p <= DIAGNOSE_MAX_N:
         hint = f"; for composite dimensions run `meanking diagnose --p {args.p}`"
-    dim = _parse_prime(args.p, hint)
     ceiling = EXACT_VERIFY_MAX_P if args.backend == EXACT else FLOAT_VERIFY_MAX_P
-    if dim.p > ceiling:
-        raise InvalidInput(
-            f"p={dim.p} exceeds the {args.backend}-backend verify ceiling of {ceiling}"
-        )
-    reports = [
-        verify_unbiasedness(build_mub_family(dim, "object", args.backend)),
-        verify_trace_relations(dim, args.backend),
-    ]
-    # built after the operator checks, so their arrays are gone before it peaks
-    setup = RetrodictionSetup(dim, args.backend)
-    reports += [
-        verify_entangled_basis(setup),
-        verify_measurement_basis(setup),
-        verify_retrodiction(setup),
-    ]
-    passed = all(r.passed for r in reports)
-    if args.json:
-        _emit_json(
-            {
-                "command": "verify",
-                "p": dim.p,
-                "backend": args.backend,
-                "passed": passed,
-                "checks": [r.to_json() for r in reports],
-            },
-            args.out,
-        )
-    else:
-        lines = [f"verify p={dim.p} backend={args.backend}"]
-        for r in reports:
-            lines.append(f"  {r.name:<20} {_status(r.passed)} ({r.checks} checks)")
-        lines.append("all identities hold" if passed else "violations found")
-        _emit("\n".join(lines) + "\n", args.out)
+    dim = _parse_prime(args.p, hint, ceiling, f"{args.backend}-backend verify")
+    with _output(args.out) as out:
+        reports = [
+            verify_unbiasedness(build_mub_family(dim, "object", args.backend)),
+            verify_trace_relations(dim, args.backend),
+        ]
+        # built after the operator checks, so their arrays are gone before it peaks
+        setup = RetrodictionSetup(dim, args.backend)
+        reports += [
+            verify_entangled_basis(setup),
+            verify_measurement_basis(setup),
+            verify_retrodiction(setup),
+        ]
+        passed = all(r.passed for r in reports)
+        if args.json:
+            _emit_json(
+                {
+                    "command": "verify",
+                    "p": dim.p,
+                    "backend": args.backend,
+                    "passed": passed,
+                    "checks": [r.to_json() for r in reports],
+                },
+                out,
+            )
+        else:
+            lines = [f"verify p={dim.p} backend={args.backend}"]
+            for r in reports:
+                lines.append(f"  {r.name:<20} {_status(r.passed)} ({r.checks} checks)")
+            lines.append("all identities hold" if passed else "violations found")
+            out.write("\n".join(lines) + "\n")
     return 0 if passed else 1
 
 
 def cmd_simulate(args) -> int:
-    dim = _parse_prime(args.p)
+    dim = _parse_prime(args.p, ceiling=FLOAT_VERIFY_MAX_P, what="simulate")
     try:
+        parse_strategy(args.king_strategy, dim.p)
+        if args.rounds < 1:
+            raise ValueError("rounds must be at least 1")
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+    with _output(args.out) as out:
         summary = simulate(
             dim,
             rounds=args.rounds,
@@ -135,65 +147,63 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             keep_records=args.emit_rounds,
         )
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
-    if args.json:
-        _emit_json(
-            {"command": "simulate", **summary.to_json(include_records=args.emit_rounds)},
-            args.out,
-        )
-    else:
-        _emit(
-            f"simulate p={dim.p} rounds={summary.rounds} seed={summary.seed} "
-            f"strategy={summary.strategy}\n"
-            f"successes={summary.successes} success_rate={summary.success_rate}\n",
-            args.out,
-        )
+        if args.json:
+            _emit_json(
+                {"command": "simulate", **summary.to_json(include_records=args.emit_rounds)},
+                out,
+            )
+        else:
+            out.write(
+                f"simulate p={dim.p} rounds={summary.rounds} seed={summary.seed} "
+                f"strategy={summary.strategy}\n"
+                f"successes={summary.successes} success_rate={summary.success_rate}\n"
+            )
     return 0 if summary.success_rate == 1.0 else 1
 
 
 def cmd_bases(args) -> int:
-    dim = _parse_prime(args.p)
-    fam = build_mub_family(dim, args.side, args.backend)
-    if args.format == "json":
-        _emit_json({"command": "bases", **fam.to_json()}, args.out)
-    else:
-        float_fam = fam.as_float()
-        lines = [f"bases p={dim.p} side={args.side} backend={args.backend}"]
-        for m in range(dim.p + 1):
-            lines.append(f"basis m={m}")
-            for k in range(1, dim.p + 1):
-                ket = float_fam.ket(m, k)
-                comps = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in ket)
-                lines.append(f"  k={k}: {comps}")
-        _emit("\n".join(lines) + "\n", args.out)
+    dim = _parse_prime(args.p, ceiling=FLOAT_VERIFY_MAX_P, what="bases")
+    with _output(args.out) as out:
+        fam = build_mub_family(dim, args.side, args.backend)
+        if args.format == "json":
+            _emit_json({"command": "bases", **fam.to_json()}, out)
+        else:
+            float_fam = fam.as_float()
+            lines = [f"bases p={dim.p} side={args.side} backend={args.backend}"]
+            for m in range(dim.p + 1):
+                lines.append(f"basis m={m}")
+                for k in range(1, dim.p + 1):
+                    ket = float_fam.ket(m, k)
+                    comps = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in ket)
+                    lines.append(f"  k={k}: {comps}")
+            out.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_tomography(args) -> int:
-    dim = _parse_prime(args.p)
-    fam = build_mub_family(dim, "object", FLOAT)
-    rho = random_density(dim, args.seed)
-    table = probabilities_of(rho, fam)
-    rebuilt = reconstruct(table, fam)
-    error = float(np.linalg.norm(rebuilt.matrix - rho.matrix))
-    payload = {
-        "command": "tomography",
-        "p": dim.p,
-        "seed": args.seed,
-        "rho": rho.to_json(),
-        "table": table.to_json(),
-        "reconstruction": rebuilt.to_json(),
-        "frobenius_error": error,
-    }
-    if args.json:
-        _emit_json(payload, args.out)
-    else:
-        _emit(
-            f"tomography p={dim.p} seed={args.seed}\n"
-            f"frobenius_error={error:.3e} {_status(error <= 1e-9)}\n",
-            args.out,
-        )
+    dim = _parse_prime(args.p, ceiling=TOMOGRAPHY_MAX_P, what="tomography")
+    with _output(args.out) as out:
+        fam = build_mub_family(dim, "object", FLOAT)
+        rho = random_density(dim, args.seed)
+        table = probabilities_of(rho, fam)
+        rebuilt = reconstruct(table, fam)
+        error = float(np.linalg.norm(rebuilt.matrix - rho.matrix))
+        payload = {
+            "command": "tomography",
+            "p": dim.p,
+            "seed": args.seed,
+            "rho": rho.to_json(),
+            "table": table.to_json(),
+            "reconstruction": rebuilt.to_json(),
+            "frobenius_error": error,
+        }
+        if args.json:
+            _emit_json(payload, out)
+        else:
+            out.write(
+                f"tomography p={dim.p} seed={args.seed}\n"
+                f"frobenius_error={error:.3e} {_status(error <= 1e-9)}\n"
+            )
     return 0 if error <= 1e-9 else 1
 
 
@@ -202,16 +212,17 @@ def cmd_diagnose(args) -> int:
         diag = diagnose_composite(args.p)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
-    if args.json:
-        _emit_json({"command": "diagnose", **diag.to_json()}, args.out)
-    else:
-        lines = [
-            f"diagnose n={diag.n}: {len(diag.witnesses)} violated-invariant witnesses",
-            f"first failure: {diag.first_failure}",
-        ]
-        for w in diag.witnesses[:8]:
-            lines.append(f"  {w}")
-        _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:  # after the diagnosis, which validates n
+        if args.json:
+            _emit_json({"command": "diagnose", **diag.to_json()}, out)
+        else:
+            lines = [
+                f"diagnose n={diag.n}: {len(diag.witnesses)} violated-invariant witnesses",
+                f"first failure: {diag.first_failure}",
+            ]
+            for w in diag.witnesses[:8]:
+                lines.append(f"  {w}")
+            out.write("\n".join(lines) + "\n")
     return 0 if diag.witnesses else 1
 
 
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
-    sim = sub.add_parser("simulate", help="play seeded protocol rounds")
+    sim = sub.add_parser("simulate", help=f"play seeded protocol rounds (p up to {FLOAT_VERIFY_MAX_P})")
     sim.add_argument("--p", type=int, required=True)
     sim.add_argument("--rounds", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    bases = sub.add_parser("bases", help="emit the p+1 orthonormal bases")
+    bases = sub.add_parser("bases", help=f"emit the p+1 orthonormal bases (p up to {FLOAT_VERIFY_MAX_P})")
     bases.add_argument("--p", type=int, required=True)
     bases.add_argument("--side", choices=["object", "ancilla"], default="object")
     bases.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT)
@@ -255,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     bases.add_argument("--out", default=None)
     bases.set_defaults(func=cmd_bases)
 
-    tomo = sub.add_parser("tomography", help="round-trip a random state through its probability table")
+    tomo = sub.add_parser(
+        "tomography",
+        help=f"round-trip a random state through its probability table (p up to {TOMOGRAPHY_MAX_P})",
+    )
     tomo.add_argument("--p", type=int, required=True)
     tomo.add_argument("--seed", type=int, default=DEFAULT_SEED)
     tomo.add_argument("--json", action="store_true")

@@ -15,6 +15,9 @@ and powers of q degenerate to signs.
 Amplitudes carry an extra global factor p^(-t/2) as an integer exponent t,
 kept outside the ring (sqrt(p) is not an element); squared magnitudes, the
 only physically compared quantities, come back rational.
+
+`CyclotomicInt` and `Amplitude` (one object per value) are the reference;
+the verification checks read them as int64 numpy arrays through `_ExactRing`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def _canonical(p: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -274,3 +279,161 @@ def exact_overlap(bra: Sequence[Amplitude], ket: Sequence[Amplitude]) -> Amplitu
             continue
         total = total + a.conjugate() * b
     return total
+
+
+# --- the integer-array kernel: p^(-t/2) sum_e c_e zeta_N^e, N = p for odd p
+# and N = 4 for p = 2 (zeta_4 = i gives the Gaussian integers).  The value is
+# zero exactly when the cyclotomic polynomial divides sum_e c_e x^e: when all
+# c_e are equal for odd p, when c_0 = c_2 and c_1 = c_3 for N = 4.
+
+
+def _check_int64(bound: int) -> None:
+    if bound >= 2**63:
+        raise OverflowError(f"ring arithmetic would reach {bound}, past the int64 range")
+
+
+def _absmax(c) -> int:
+    return int(np.abs(c).max(initial=0))
+
+
+def _canonicalize(p: int, c: np.ndarray) -> np.ndarray:
+    """In place: the last coefficient zero for odd p, c_2 = c_3 = 0 for N = 4."""
+    if p == 2:
+        c[..., :2] -= c[..., 2:]
+        c[..., 2:] = 0
+    else:
+        c -= c[..., -1:].copy()
+    return c
+
+
+def _is_zero_array(p: int, c: np.ndarray) -> np.ndarray:
+    if p == 2:
+        return (c[..., 0] == c[..., 2]) & (c[..., 1] == c[..., 3])
+    return (c == c[..., :1]).all(axis=-1)
+
+
+class _RingArray:
+    """Ring values: int64 coefficients `c` on a trailing axis of N, a scale `t` per
+    entry.  Indexing, reshapes and axis swaps act on the entry axes of both."""
+
+    __slots__ = ("p", "c", "t")
+
+    def __init__(self, p: int, c: np.ndarray, t):
+        self.p, self.c, self.t = p, c, np.broadcast_to(t, c.shape[:-1])
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index) -> "_RingArray":
+        return _RingArray(self.p, self.c[index], self.t[index])
+
+    def reshape(self, *shape) -> "_RingArray":
+        return _RingArray(self.p, self.c.reshape(*shape, self.c.shape[-1]), self.t.reshape(shape))
+
+    def swapaxes(self, a: int, b: int) -> "_RingArray":
+        a, b = a % self.t.ndim, b % self.t.ndim
+        return _RingArray(self.p, self.c.swapaxes(a, b), self.t.swapaxes(a, b))
+
+    def conj(self) -> "_RingArray":
+        n = self.c.shape[-1]  # zeta^e -> zeta^(-e) reverses the coefficient index
+        return _RingArray(self.p, self.c[..., -np.arange(n) % n], self.t)
+
+    def __sub__(self, other: "_RingArray") -> "_RingArray":
+        if not np.array_equal(self.t, other.t):
+            raise ValueError("subtraction needs equal scales")
+        _check_int64(_absmax(self.c) + _absmax(other.c))
+        return _RingArray(self.p, self.c - other.c, self.t)
+
+
+class _ExactRing:
+    """The checks' arithmetic on `_RingArray`s, deciding by a literal ring zero.
+    Each product's int64 bound is checked first, doubled for the subtraction
+    that then canonicalises it."""
+
+    def __init__(self, p: int):
+        self.p, self.n = p, 4 if p == 2 else p
+
+    def rows(self, nested) -> _RingArray:
+        """Nested sequences of Amplitudes as one array of the same shape."""
+        amps = np.array(nested, dtype=object)
+        c = np.zeros((amps.size, self.n), dtype=np.int64)
+        c[:, : self.p] = [amp.value.coeffs for amp in amps.flat]
+        t = np.reshape([amp.scale_pow for amp in amps.flat], amps.shape)
+        return _RingArray(self.p, c.reshape(*amps.shape, self.n), t)
+
+    def integers(self, values) -> _RingArray:
+        values = np.asarray(values, dtype=np.int64)
+        c = np.zeros((*values.shape, self.n), dtype=np.int64)
+        c[..., 0] = values
+        return _RingArray(self.p, c, 0)
+
+    def stack(self, items) -> _RingArray:
+        return _RingArray(self.p, np.stack([a.c for a in items]), np.stack([a.t for a in items]))
+
+    def _aligned(self, a: _RingArray):
+        """Coefficients of a 2-D array with each row at its largest scale, and that scale."""
+        nonzero = ~_is_zero_array(self.p, a.c)
+        t = np.where(nonzero, a.t, 0)
+        top = t.max(axis=1)
+        shift = top[:, None] - t
+        if (shift[nonzero] % 2).any():
+            raise ValueError("a row mixes odd and even powers of 1/sqrt(p)")
+        if not shift.any():
+            return a.c, top
+        _check_int64(_absmax(a.c) * self.p ** int(shift.max() // 2))
+        return a.c * self.p ** (shift // 2)[..., None], top
+
+    def gram(self, a: _RingArray, b: _RingArray) -> _RingArray:
+        """<a_i|b_k> for the rows of two 2-D arrays."""
+        (ca, ta), (cb, tb) = self._aligned(a), self._aligned(b)
+        (rows_a, d, n), rows_b = ca.shape, len(cb)
+        _check_int64(2 * d * n * _absmax(ca) * _absmax(cb))
+        # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E
+        # against b with its coefficient axis rolled by E
+        flat_a = ca.reshape(rows_a, d * n)
+        out = np.empty((rows_a, rows_b, n), dtype=np.int64)
+        for e in range(n):
+            out[:, :, e] = flat_a @ np.roll(cb, -e, axis=-1).reshape(rows_b, d * n).T
+        return _RingArray(self.p, _canonicalize(self.p, out), ta[:, None] + tb)
+
+    def matmul(self, a: _RingArray, b: _RingArray) -> _RingArray:
+        return self.gram(a.conj(), b.swapaxes(0, 1))
+
+    def abs2(self, g: _RingArray) -> _RingArray:
+        """|g|^2 entry by entry: the cyclic autocorrelation of the coefficients."""
+        c = g.c
+        _check_int64(2 * self.n * _absmax(c) ** 2)
+        out = np.empty_like(c)
+        for e in range(self.n):
+            out[..., e] = (c * np.roll(c, e, axis=-1)).sum(axis=-1)
+        return _RingArray(self.p, _canonicalize(self.p, out), 2 * g.t)
+
+    def phase(self, a: _RingArray, e: int) -> _RingArray:
+        """q^e a for the p-th root of unity q (zeta_4^2 = -1 at p = 2)."""
+        return _RingArray(self.p, np.roll(a.c, e * self.n // self.p, axis=-1), a.t)
+
+    def deviates(self, values: _RingArray, want, denom: int = 1) -> np.ndarray:
+        """Where c * denom - want * p^(t/2) is not the literal ring zero."""
+        want = np.broadcast_to(want, values.t.shape)
+        if (values.t[want != 0] % 2).any():
+            raise ValueError("a nonzero want needs an even power of 1/sqrt(p)")
+        half = np.where(want != 0, values.t // 2, 0)
+        _check_int64(_absmax(values.c) * denom + _absmax(want) * self.p ** int(half.max(initial=0)))
+        diff = values.c * denom
+        diff[..., 0] -= want * self.p**half
+        return ~_is_zero_array(self.p, diff)
+
+    def actual(self, value: _RingArray) -> dict:
+        """One entry in the JSON encoding of the reference Amplitude."""
+        c = value.c[:2] - value.c[2:] if self.p == 2 else value.c
+        return Amplitude(CyclotomicInt(self.p, [int(x) for x in c]), int(value.t)).to_json()
+
+    def weights(self, values: _RingArray) -> list:
+        """A 2-D array of squared moduli as rows of Fractions."""
+        c = _canonicalize(self.p, values.c.copy())
+        if c[..., 1:].any() or (values.t % 2).any():
+            raise ValueError("a Born weight is not rational")
+        return [
+            [Fraction(int(x), self.p ** int(t // 2)) for x, t in zip(xs, ts)]
+            for xs, ts in zip(c[..., 0], values.t)
+        ]

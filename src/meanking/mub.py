@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Amplitude, CyclotomicInt, exact_overlap
+from .cyclotomic import Amplitude, CyclotomicInt, _ExactRing
 
 FLOAT_ATOL = 1e-10
 
@@ -95,11 +95,6 @@ def exact_mat_pow(a, r: int) -> list[list[Amplitude]]:
     return out
 
 
-def exact_dagger(a) -> list[list[Amplitude]]:
-    p = len(a)
-    return [[a[j][i].conjugate() for j in range(p)] for i in range(p)]
-
-
 def exact_scale(a, factor: Amplitude) -> list[list[Amplitude]]:
     return [[entry * factor for entry in row] for row in a]
 
@@ -121,24 +116,6 @@ def exact_apply(a, vec: Sequence[Amplitude]) -> list[Amplitude]:
             acc = acc + a[i][j] * vec[j]
         out.append(acc)
     return out
-
-
-def _nonzeros(a) -> list[tuple[int, int, Amplitude]]:
-    return [
-        (i, j, entry)
-        for i, row in enumerate(a)
-        for j, entry in enumerate(row)
-        if not entry.is_zero()
-    ]
-
-
-def exact_trace_product(a, b) -> Amplitude:
-    """tr(a @ b) using the sparsity of a."""
-    acc = Amplitude.zero(a[0][0].p)
-    for i, j, entry in _nonzeros(a):
-        if not b[j][i].is_zero():
-            acc = acc + entry * b[j][i]
-    return acc
 
 
 def root_amplitude(p: int, e: int) -> Amplitude:
@@ -165,22 +142,20 @@ def _float_observable(n: int, m: int):
     return np.linalg.matrix_power(u0, m) @ up
 
 
-def _ket_exponent(p: int, m: int, j: int, k: int) -> int:
-    # j-th computational amplitude of |m_k>, valid for odd p and m >= 1
+def _ket_exponent(p: int, m: int, j, k):
+    # j-th computational amplitude of |m_k> (j, k ints or arrays), for odd p and m >= 1
     return (j * k - m * (j * (j - 1) // 2)) % p
 
 
 def _float_bases(n: int):
-    # the computational basis, then bases 1..n from the odd-p ket formula
+    # the computational basis, then bases 1..n from the odd-p formula, one at a time
     arr = np.zeros((n + 1, n, n), dtype=complex)
-    for k in range(n):
-        arr[0][k][k] = 1.0
+    arr[0] = np.eye(n)
     scale = 1 / math.sqrt(n)
+    j = np.arange(1, n + 1)
     for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            for j0 in range(n):
-                e = _ket_exponent(n, m, j0 + 1, k)
-                arr[m][k - 1][j0] = scale * np.exp(2j * np.pi * e / n)
+        e = _ket_exponent(n, m, j[None, :], j[:, None])
+        arr[m] = scale * np.exp(1j * (2 * np.pi * e / n))
     return arr
 
 
@@ -387,226 +362,129 @@ class CheckReport:
         }
 
 
+class _FloatRing:
+    """`_ExactRing`'s operations on complex numpy arrays, deciding by atol."""
+
+    def __init__(self, p: int, atol: float):
+        self.p, self.atol = p, atol
+
+    rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
+    stack = staticmethod(np.array)
+    gram = staticmethod(lambda a, b: a.conj() @ b.T)
+    matmul = staticmethod(np.matmul)
+    abs2 = staticmethod(lambda g: np.abs(g) ** 2)
+    actual = staticmethod(float)
+    weights = staticmethod(lambda values: values)
+
+    def phase(self, a: np.ndarray, e: int) -> np.ndarray:
+        return np.exp(2j * np.pi * e / self.p) * a
+
+    def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
+        return np.abs(values - np.asarray(want) / denom) > self.atol
+
+
+def _ring(backend: str, p: int, atol: float = FLOAT_ATOL):
+    """The arithmetic the checks are written against: exact ring zero or float atol."""
+    _check_backend(backend)
+    return _ExactRing(p) if backend == EXACT else _FloatRing(p, atol)
+
+
 def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check every squared overlap: delta within a basis, exactly 1/p across bases."""
     p = fam.p
+    ring = _ring(fam.backend, p, atol)
     report = CheckReport(name="unbiasedness")
-    if fam.backend == EXACT:
-        one = Amplitude.one(p)
-        inv_p = Amplitude(CyclotomicInt.one(p), 2)
-        zero = Amplitude.zero(p)
-        for m1 in range(p + 1):
-            for k1 in range(1, p + 1):
-                bra = fam.ket(m1, k1)
-                for m2 in range(p + 1):
-                    for k2 in range(1, p + 1):
-                        sq = exact_overlap(bra, fam.ket(m2, k2)).squared_modulus()
-                        if m1 == m2:
-                            expected = one if k1 == k2 else zero
-                        else:
-                            expected = inv_p
-                        report.checks += 1
-                        if not (sq - expected).is_zero():
-                            report.violations.append(
-                                {
-                                    "m": m1,
-                                    "k": k1,
-                                    "m2": m2,
-                                    "k2": k2,
-                                    "actual": sq.to_json(),
-                                }
-                            )
-        return report
-
-    flat = fam.bases.reshape((p + 1) * p, p)
-    gram_sq = np.abs(flat.conj() @ flat.T) ** 2
-    expected = np.full_like(gram_sq, 1.0 / p)
+    flat = ring.rows(fam.bases).reshape((p + 1) * p, p)
+    sq = ring.abs2(ring.gram(flat, flat))
+    # wants over the denominator p: p * delta within a basis, 1 across bases
+    want = np.ones((len(flat), len(flat)), dtype=int)
     for m in range(p + 1):
-        block = slice(m * p, (m + 1) * p)
-        expected[block, block] = np.eye(p)
-    report.checks = gram_sq.size
-    bad = np.argwhere(np.abs(gram_sq - expected) > atol)
-    for idx1, idx2 in bad:
+        want[m * p : (m + 1) * p, m * p : (m + 1) * p] = p * np.eye(p, dtype=int)
+    report.checks = want.size
+    for i, j in np.argwhere(ring.deviates(sq, want, p)):
+        (m, k), (m2, k2) = divmod(int(i), p), divmod(int(j), p)
         report.violations.append(
-            {
-                "m": int(idx1 // p),
-                "k": int(idx1 % p) + 1,
-                "m2": int(idx2 // p),
-                "k2": int(idx2 % p) + 1,
-                "actual": float(gram_sq[idx1, idx2]),
-            }
+            {"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(sq[i, j])}
         )
     return report
-
-
-def _periodic_delta(p: int, r: int, s: int) -> int:
-    return 1 if (r - s) % p == 0 else 0
 
 
 def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
     """Operator-level identities: periods, the commutation relation, the trace
     table, tracelessness of the non-identity basis operators, and completeness
     (trace-orthogonality) of both operator bases."""
-    _check_backend(backend)
     p = dim.p
+    ring = _ring(backend, p, atol)
     report = CheckReport(name="trace_relations")
-    obs = [build_observable(dim, m, backend) for m in range(p + 1)]
+    obs = [ring.rows(build_observable(dim, m, backend)) for m in range(p + 1)]
+    ident = np.eye(p, dtype=int)
+    eye = ring.integers(ident)
 
-    if backend == EXACT:
-        eye = exact_eye(p)
-        powers = []
-        for mat in obs:
-            row = [eye]
-            for _ in range(p):
-                row.append(exact_matmul(row[-1], mat))
-            powers.append(row)
+    def power_row(mat):
+        row = [eye]
+        for _ in range(p):
+            row.append(ring.matmul(row[-1], mat))
+        return ring.stack(row)
 
-        # unitarity: U_m U_m-dagger = 1
-        for m, mat in enumerate(obs):
-            report.checks += 1
-            if not exact_mat_equal(exact_matmul(mat, exact_dagger(mat)), eye):
-                report.violations.append({"kind": "unitarity", "m": m})
+    powers = ring.stack([power_row(mat) for mat in obs])  # [m, r] = U_m^r, r = 0..p
 
-        # period p exactly: U_m^p = 1 and no smaller power is
-        for m, row in enumerate(powers):
-            report.checks += 1
-            if not exact_mat_equal(row[p], eye):
-                report.violations.append({"kind": "period", "m": m, "r": p})
-            for r in range(1, p):
-                report.checks += 1
-                if exact_mat_equal(row[r], eye):
-                    report.violations.append({"kind": "premature_period", "m": m, "r": r})
-
-        # U_0 U_p = q^{-1} U_p U_0
-        u0, up = obs[0], obs[p]
-        lhs = exact_matmul(u0, up)
-        rhs = exact_scale(exact_matmul(up, u0), root_amplitude(p, p - 1))
-        report.checks += 1
-        if not exact_mat_equal(lhs, rhs):
-            report.violations.append({"kind": "commutation"})
-
-        # trace table over all m, m' and r, s in 0..p-1
-        for m1 in range(p + 1):
-            for m2 in range(p + 1):
-                for r in range(p):
-                    for s in range(p):
-                        tr = exact_trace_product(powers[m1][r], powers[m2][s])
-                        if m1 == m2:
-                            want = _periodic_delta(p, r, -s)
-                        else:
-                            want = _periodic_delta(p, r, 0) * _periodic_delta(p, s, 0)
-                        report.checks += 1
-                        diff = tr - Amplitude(CyclotomicInt.integer(p, want * p))
-                        if not diff.is_zero():
-                            report.violations.append(
-                                {"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s}
-                            )
-
-        # clock/shift monomials U_0^r U_p^s: traceless except identity,
-        # and trace-orthogonal (Gram = p * identity)
-        monomials = {}
-        for r in range(1, p + 1):
-            for s in range(1, p + 1):
-                monomials[(r, s)] = exact_matmul(powers[0][r % p], powers[p][s % p])
-        for (r, s), mat in monomials.items():
-            tr = exact_trace_product(mat, eye)
-            want = p if (r % p == 0 and s % p == 0) else 0
-            report.checks += 1
-            if not (tr - Amplitude(CyclotomicInt.integer(p, want))).is_zero():
-                report.violations.append({"kind": "monomial_trace", "r": r, "s": s})
-        keys = sorted(monomials)
-        for i, key1 in enumerate(keys):
-            dag = exact_dagger(monomials[key1])
-            for key2 in keys:
-                tr = exact_trace_product(dag, monomials[key2])
-                want = p if key1 == key2 else 0
-                report.checks += 1
-                if not (tr - Amplitude(CyclotomicInt.integer(p, want))).is_zero():
-                    report.violations.append(
-                        {"kind": "monomial_gram", "pair": [list(key1), list(key2)]}
-                    )
-
-        # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
-        family = [("id", 0, eye)] + [
-            (m, r, powers[m][r]) for m in range(p + 1) for r in range(1, p)
-        ]
-        for m1, r1, mat1 in family:
-            dag = exact_dagger(mat1)
-            for m2, r2, mat2 in family:
-                tr = exact_trace_product(dag, mat2)
-                want = p if (m1, r1) == (m2, r2) else 0
-                report.checks += 1
-                if not (tr - Amplitude(CyclotomicInt.integer(p, want))).is_zero():
-                    report.violations.append(
-                        {"kind": "power_gram", "pair": [[m1, r1], [m2, r2]]}
-                    )
-        return report
-
-    # float backend; powers[m, r] = U_m^r for r = 0..p
-    eye = np.eye(p, dtype=complex)
-    powers = np.empty((p + 1, p + 1, p, p), dtype=complex)
-    for m, mat in enumerate(obs):
-        powers[m, 0] = eye
-        for r in range(1, p + 1):
-            powers[m, r] = powers[m, r - 1] @ mat
+    # unitarity: the rows of U_m are orthonormal
     for m, mat in enumerate(obs):
         report.checks += 1
-        if np.max(np.abs(mat @ mat.conj().T - eye)) > atol:
+        if ring.deviates(ring.gram(mat, mat), ident).any():
             report.violations.append({"kind": "unitarity", "m": m})
-    for m, row in enumerate(powers):
+
+    # period p exactly: U_m^p = 1 and no smaller power is
+    for m in range(p + 1):
         report.checks += 1
-        if np.max(np.abs(row[p] - eye)) > atol:
+        if ring.deviates(powers[m, p], ident).any():
             report.violations.append({"kind": "period", "m": m, "r": p})
         for r in range(1, p):
             report.checks += 1
-            if np.max(np.abs(row[r] - eye)) <= atol:
+            if not ring.deviates(powers[m, r], ident).any():
                 report.violations.append({"kind": "premature_period", "m": m, "r": r})
-    q_inv = np.exp(-2j * np.pi / p)
+
+    # U_0 U_p = q^{-1} U_p U_0
     report.checks += 1
-    if np.max(np.abs(obs[0] @ obs[p] - q_inv * obs[p] @ obs[0])) > atol:
+    lhs = ring.matmul(obs[0], obs[p])
+    if ring.deviates(lhs - ring.phase(ring.matmul(obs[p], obs[0]), -1), 0).any():
         report.violations.append({"kind": "commutation"})
-    # trace table: tr(A B) = sum_ij A_ij B_ji, so all of U_m1^r times every
-    # U_m2^s is one matrix product per m1 (per-m1 blocks bound the memory)
-    flat_t = powers[:, :p].transpose(0, 1, 3, 2).reshape((p + 1) * p, p * p)
+
+    # trace table over all m, m' and r, s in 0..p-1: tr(A B) = <conj vec A|vec B^T>,
+    # one product per m1 (per-m1 blocks bound the memory)
+    flat_t = powers[:, :p].swapaxes(-1, -2).reshape((p + 1) * p, p * p)
     exps = np.arange(p)
-    want_same = (exps[:, None] + exps[None, :]) % p == 0
-    want_other = np.outer(exps == 0, exps == 0)
+    want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
+    want_other = p * np.outer(exps == 0, exps == 0)
     for m1 in range(p + 1):
-        block = powers[m1, :p].reshape(p, p * p) @ flat_t.T
-        traces = block.reshape(p, p + 1, p).transpose(1, 0, 2) / p  # [m2, r, s]
+        block = ring.gram(powers[m1, :p].reshape(p, p * p).conj(), flat_t)
+        traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
         want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
         report.checks += want.size
-        for m2, r1, s1 in np.argwhere(np.abs(traces - want) > atol):
-            report.violations.append(
-                {"kind": "trace", "m": m1, "m2": int(m2), "r": int(r1), "s": int(s1)}
-            )
-    del flat_t  # free it before the monomial checks allocate theirs
-    monomials = {
-        (r, s): np.linalg.matrix_power(obs[0], r) @ np.linalg.matrix_power(obs[p], s)
-        for r in range(1, p + 1)
-        for s in range(1, p + 1)
-    }
-    for (r, s), mat in monomials.items():
-        want = p if (r % p == 0 and s % p == 0) else 0
-        report.checks += 1
-        if abs(np.trace(mat) - want) > atol:
-            report.violations.append({"kind": "monomial_trace", "r": r, "s": s})
-    keys = sorted(monomials)
-    stack = np.array([monomials[key] for key in keys])
-    gram = np.einsum("aji,bji->ab", stack.conj(), stack)
-    report.checks += gram.size
-    if np.max(np.abs(gram - p * np.eye(len(keys)))) > atol:
-        bad = np.argwhere(np.abs(gram - p * np.eye(len(keys))) > atol)
-        for i1, i2 in bad[:10]:
-            report.violations.append(
-                {"kind": "monomial_gram", "pair": [list(keys[i1]), list(keys[i2])]}
-            )
-    family = [eye] + [powers[m][r] for m in range(p + 1) for r in range(1, p)]
-    stack = np.array(family)
-    gram = np.einsum("aji,bji->ab", stack.conj(), stack)
-    report.checks += gram.size
-    if np.max(np.abs(gram - p * np.eye(len(family)))) > atol:
-        report.violations.append({"kind": "power_gram"})
+        for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
+            report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
+    del flat_t  # free it before the Gram checks allocate theirs
+
+    def trace_orthogonal(family, labels, kind):
+        # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
+        vec = family.reshape(len(labels), p * p)
+        report.checks += len(labels) ** 2
+        for i, j in np.argwhere(ring.deviates(ring.gram(vec, vec), p * np.eye(len(labels), dtype=int))):
+            report.violations.append({"kind": kind, "pair": [labels[i], labels[j]]})
+
+    # clock/shift monomials U_0^r U_p^s: traceless except identity, trace-orthogonal
+    keys = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
+    monomials = ring.stack([ring.matmul(powers[0, r % p], powers[p, s % p]) for r, s in keys])
+    traces = ring.gram(monomials.reshape(len(keys), p * p).conj(), eye.reshape(1, p * p))
+    report.checks += len(keys)
+    for i in np.flatnonzero(ring.deviates(traces[:, 0], [p * (r % p == s % p == 0) for r, s in keys])):
+        report.violations.append({"kind": "monomial_trace", "r": keys[i][0], "s": keys[i][1]})
+    trace_orthogonal(monomials, keys, "monomial_gram")
+    del monomials
+
+    # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
+    labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
+    trace_orthogonal(ring.stack([eye] + [powers[m, r] for m, r in labels[1:]]), labels, "power_gram")
     return report
 
 
@@ -708,26 +586,16 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
             }
         )
 
-    # unbiasedness of the formula-built family
-    bases = _float_bases(n)
-    flagged = 0
+    # unbiasedness of the formula-built family, the first five witnesses kept
+    ring, bases, flagged = _FloatRing(n, atol), _float_bases(n), 0
     for m1 in range(n + 1):
         for m2 in range(m1 + 1, n + 1):
-            overlaps = np.abs(bases[m1].conj() @ bases[m2].T) ** 2
-            bad = np.argwhere(np.abs(overlaps - 1.0 / n) > atol)
-            for k1, k2 in bad:
-                if flagged < 5:
-                    witnesses.append(
-                        {
-                            "kind": "unbiasedness",
-                            "m": m1,
-                            "k": int(k1) + 1,
-                            "m2": m2,
-                            "k2": int(k2) + 1,
-                            "actual": float(overlaps[k1, k2]),
-                        }
-                    )
-                flagged += 1
+            sq = ring.abs2(ring.gram(bases[m1], bases[m2]))
+            bad = np.argwhere(ring.deviates(sq, 1, n))
+            for k1, k2 in bad[: max(0, 5 - flagged)]:
+                witness = {"kind": "unbiasedness", "m": m1, "k": int(k1) + 1, "m2": m2}
+                witnesses.append({**witness, "k2": int(k2) + 1, "actual": ring.actual(sq[k1, k2])})
+            flagged += len(bad)
     if flagged > 5:
         witnesses.append({"kind": "unbiasedness_summary", "violations": flagged})
 

@@ -36,6 +36,7 @@ from .mub import (
     PrimeDim,
     build_mub_family,
     _check_backend,
+    _ring,
 )
 
 # largest p for which sampling probabilities are computed in exact rationals
@@ -43,7 +44,7 @@ SAMPLING_EXACT_MAX_P = 13
 
 PRNG_NAME = "random.Random (Mersenne Twister), per-round seed '<seed>:<round>'"
 
-# rows of a p^2 x p^2 Gram matrix formed per matrix product in the float checks
+# rows of a p^2 x p^2 Gram matrix formed per product in the basis checks
 _GRAM_BLOCK_ROWS = 64
 
 
@@ -150,14 +151,14 @@ class RetrodictionSetup:
         self.labels = [label for label, _ in basis]
         rows = [state.amps for _, state in basis]
         self.states = tuple(rows) if exact else np.array(rows)
-        self.king_weights = {
-            m: _born_weights(self.posts[m * p : (m + 1) * p], self.prepared, exact)
-            for m in range(p + 1)
-        }
+        # Born weights, one product per table; rows are |m_k m-bar_k> in the second
+        ring = _ring(backend, p)
+        posts = ring.rows(self.posts)
+        king = ring.weights(ring.abs2(ring.gram(ring.rows([self.prepared]), posts)))[0]
+        outcome = ring.weights(ring.abs2(ring.gram(posts, ring.rows(self.states))))
+        self.king_weights = {m: king[m * p : (m + 1) * p] for m in range(p + 1)}
         self.outcome_weights = {
-            (m, k): _born_weights(self.states, self.post(m, k), exact)
-            for m in range(p + 1)
-            for k in range(1, p + 1)
+            (m, k): outcome[m * p + k - 1] for m in range(p + 1) for k in range(1, p + 1)
         }
         self.king_cdfs = {m: _cdf(w) for m, w in self.king_weights.items()}
         self.outcome_cdfs = {key: _cdf(w) for key, w in self.outcome_weights.items()}
@@ -165,14 +166,6 @@ class RetrodictionSetup:
     def post(self, m: int, k: int):
         """The amplitude row of |m_k m-bar_k>."""
         return self.posts[m * self.dim.p + k - 1]
-
-
-def _born_weights(bras, ket, exact: bool):
-    """|<bra|ket>|^2 for each bra, pair by pair: a list of Fractions on the
-    exact backend, a float array otherwise."""
-    if exact:
-        return [exact_overlap(bra, ket).squared_modulus().as_fraction() for bra in bras]
-    return np.array([abs(complex(np.vdot(bra, ket))) ** 2 for bra in bras])
 
 
 def _cdf(weights):
@@ -290,77 +283,38 @@ def measurement_basis(setup: RetrodictionSetup) -> list[tuple[BracketLabel, Bipa
 # --- verification drivers ---
 
 
+def _non_orthonormal(ring, rows):
+    """Yield (i, j) in row-major order wherever <row_i|row_j> is not delta_ij,
+    forming the Gram matrix a block of rows at a time to bound the memory."""
+    n = len(rows)
+    for start in range(0, n, _GRAM_BLOCK_ROWS):
+        block = rows[start : start + _GRAM_BLOCK_ROWS]
+        want = np.eye(len(block), n, start, dtype=int)
+        for i, j in np.argwhere(ring.deviates(ring.gram(block, rows), want)):
+            yield start + int(i), int(j)
+
+
 def verify_entangled_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
-    report = CheckReport(name="entangled_basis")
-    if setup.backend == EXACT:
-        one = Fraction(1)
-        basis = entangled_basis(setup)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                ov = a.overlap(b)
-                report.checks += 1
-                ok = ov.squared_modulus().as_fraction() == one if i == j else ov.is_zero()
-                if not ok:
-                    report.violations.append({"n": i, "n2": j})
-        return report
-    mat = np.array([s.amps for s in entangled_basis(setup)])
-    report.checks = len(mat) ** 2
-    for i, j, value in itertools.islice(_off_identity(mat, atol), 20):
-        report.violations.append({"n": i, "n2": j, "actual": value.real})
+    ring = _ring(setup.backend, setup.dim.p, atol)
+    rows = ring.rows([state.amps for state in entangled_basis(setup)])
+    report = CheckReport(name="entangled_basis", checks=len(rows) ** 2)
+    for i, j in _non_orthonormal(ring, rows):
+        report.violations.append({"n": i, "n2": j})
     return report
 
 
 def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
-    report = CheckReport(name="measurement_basis")
-    p = setup.dim.p
-    labels, states = setup.labels, setup.states
-    if setup.backend == EXACT:
-        for i, (la, a) in enumerate(zip(labels, states)):
-            for j, (lb, b) in enumerate(zip(labels, states)):
-                ov = exact_overlap(a, b)
-                report.checks += 1
-                ok = ov.squared_modulus().as_fraction() == 1 if i == j else ov.is_zero()
-                if not ok:
-                    report.violations.append({"label": la.to_json(), "label2": lb.to_json()})
-        nsq = p * p
-        total = [[Amplitude.zero(p) for _ in range(nsq)] for _ in range(nsq)]
-        for state in states:
-            for r in range(nsq):
-                if state[r].is_zero():
-                    continue
-                for c in range(nsq):
-                    total[r][c] = total[r][c] + state[r] * state[c].conjugate()
-        for r in range(nsq):
-            for c in range(nsq):
-                report.checks += 1
-                entry = total[r][c]
-                ok = entry.as_fraction() == 1 if r == c else entry.is_zero()
-                if not ok:
-                    report.violations.append({"kind": "completeness", "row": r, "col": c})
-        return report
-    report.checks = 2 * len(states) ** 2
-    for i, j, _ in itertools.islice(_off_identity(states, atol), 20):
+    ring = _ring(setup.backend, setup.dim.p, atol)
+    rows, labels = ring.rows(setup.states), setup.labels
+    report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
+    for i, j in _non_orthonormal(ring, rows):
         report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
-    # completeness: sum_i |i><i| is the Gram matrix of the conjugated columns
-    if next(_off_identity(states.conj().T, atol), None) is not None:
-        report.violations.append({"kind": "completeness"})
+    # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
+    for r, c in _non_orthonormal(ring, rows.swapaxes(0, 1)):
+        report.violations.append({"kind": "completeness", "row": r, "col": c})
     return report
-
-
-def _off_identity(rows: np.ndarray, atol: float):
-    """Yield (i, j, <row_i|row_j>) in row-major order wherever the Gram matrix
-    of `rows` is off the identity by more than atol.  The matrix is formed a
-    block of rows at a time, so no second n x n complex array is held."""
-    n = len(rows)
-    for start in range(0, n, _GRAM_BLOCK_ROWS):
-        gram = rows[start : start + _GRAM_BLOCK_ROWS].conj() @ rows.T
-        deviation = np.abs(gram)
-        diag = np.arange(len(gram))
-        deviation[diag, start + diag] = np.abs(gram[diag, start + diag] - 1)
-        for i, j in np.argwhere(deviation > atol):
-            yield start + int(i), int(j), complex(gram[i, j])
 
 
 def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:

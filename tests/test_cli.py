@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from meanking import cli
 from meanking.cli import main
 
 
@@ -58,6 +59,36 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--p", "2", "--json", "--out", str(target))
         assert code == 2
         assert out == ""
+        assert err.startswith("error:")
+        assert not target.exists()
+
+    def test_unwritable_out_fails_before_any_family_is_built(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built before --out was opened")
+
+        monkeypatch.setattr(cli, "build_mub_family", refuse)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "--p", "7", "--json", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "6"],
+            ["verify", "--p", "17"],
+            ["simulate", "--p", "3", "--king-strategy", "fixed:7"],
+            ["simulate", "--p", "3", "--rounds", "0"],
+            ["bases", "--p", "4"],
+            ["tomography", "--p", "1"],
+            ["diagnose", "--p", "7"],
+        ],
+    )
+    def test_invalid_input_leaves_no_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
         assert err.startswith("error:")
         assert not target.exists()
 
@@ -120,6 +151,12 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--p", "4")
         assert code == 2
 
+    def test_ceiling_enforced(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p", "37", "--rounds", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "ceiling of 31" in err
+
 
 class TestBases:
     def test_p2_has_three_bases_of_two_kets(self, capsys):
@@ -153,6 +190,12 @@ class TestBases:
         doc = json.loads(target.read_text())
         assert doc["p"] == 2
 
+    def test_ceiling_enforced(self, capsys):
+        code, out, err = run_cli(capsys, "bases", "--p", "127", "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "ceiling of 31" in err
+
 
 class TestTomography:
     def test_round_trip_error_is_tiny(self, capsys):
@@ -169,6 +212,12 @@ class TestTomography:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    def test_ceiling_enforced(self, capsys):
+        code, out, err = run_cli(capsys, "tomography", "--p", "131")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "ceiling of 127" in err
 
 
 class TestDiagnose:
@@ -187,3 +236,15 @@ class TestDiagnose:
         code, out, _ = run_cli(capsys, "diagnose", "--p", "4")
         assert code == 0
         assert "witness" in out
+
+
+def test_help_names_every_ceiling(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"exact backend up to p={cli.EXACT_VERIFY_MAX_P}" in text
+    assert f"float up to p={cli.FLOAT_VERIFY_MAX_P}" in text
+    assert f"play seeded protocol rounds (p up to {cli.FLOAT_VERIFY_MAX_P})" in text
+    assert f"emit the p+1 orthonormal bases (p up to {cli.FLOAT_VERIFY_MAX_P})" in text
+    assert f"probability table (p up to {cli.TOMOGRAPHY_MAX_P})" in text
