@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -22,13 +23,14 @@ from .mub import (
     FLOAT,
     PrimeDim,
     build_mub_family,
+    check_composite,
     diagnose_composite,
     verify_trace_relations,
     verify_unbiasedness,
 )
 from .protocol import (
     RetrodictionSetup,
-    parse_strategy,
+    check_simulate_args,
     simulate,
     verify_entangled_basis,
     verify_measurement_basis,
@@ -65,16 +67,26 @@ class InvalidInput(Exception):
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """stdout or the --out file, entered after validation and before any work."""
+    """stdout, or a buffer for --out.  The file is opened after validation and
+    before any work, without emptying it, and written only once the command has
+    finished: a failed run leaves it as it was."""
     if not out_path:
         yield sys.stdout
         return
+    existed = os.path.exists(out_path)
     try:
-        handle = open(out_path, "w")
+        open(out_path, "a").close()
     except OSError as exc:
         raise InvalidInput(f"cannot write --out {out_path}: {exc.strerror}") from None
-    with handle:
-        yield handle
+    buffer = io.StringIO()
+    try:
+        yield buffer
+    except BaseException:
+        if not existed:
+            os.remove(out_path)
+        raise
+    with open(out_path, "w") as handle:
+        handle.write(buffer.getvalue())
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -134,9 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     dim = _parse_prime(args.p, ceiling=FLOAT_VERIFY_MAX_P, what="simulate")
     try:
-        parse_strategy(args.king_strategy, dim.p)
-        if args.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        check_simulate_args(dim.p, args.rounds, args.king_strategy)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     with _output(args.out) as out:
@@ -209,10 +219,11 @@ def cmd_tomography(args) -> int:
 
 def cmd_diagnose(args) -> int:
     try:
-        diag = diagnose_composite(args.p)
+        check_composite(args.p)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
-    with _output(args.out) as out:  # after the diagnosis, which validates n
+    with _output(args.out) as out:
+        diag = diagnose_composite(args.p)
         if args.json:
             _emit_json({"command": "diagnose", **diag.to_json()}, out)
         else:

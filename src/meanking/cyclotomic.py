@@ -17,7 +17,8 @@ kept outside the ring (sqrt(p) is not an element); squared magnitudes, the
 only physically compared quantities, come back rational.
 
 `CyclotomicInt` and `Amplitude` (one object per value) are the reference;
-the verification checks read them as int64 numpy arrays through `_ExactRing`.
+the verification checks read them as int64 numpy arrays through `_ExactRing`,
+or as complex arrays through `_FloatRing` on the float backend.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+EXACT = "exact"
+FLOAT = "float"
 
 
 def _canonical(p: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -269,8 +273,12 @@ class Amplitude:
         return f"Amplitude({self.value!r}, scale_pow={self.scale_pow})"
 
 
-def exact_overlap(bra: Sequence[Amplitude], ket: Sequence[Amplitude]) -> Amplitude:
-    """Inner product <bra|ket> = sum_j conj(bra_j) * ket_j of amplitude vectors."""
+def exact_overlap(bra, ket):
+    """Inner product <bra|ket> = sum_j conj(bra_j) * ket_j of amplitude vectors, summed
+    entry by entry (the reference); of two 2-D `_RingArray`s, the Gram matrix
+    <bra_i|ket_k> of their rows, by the integer-array kernel below."""
+    if isinstance(bra, _RingArray):
+        return _gram(bra, ket)
     if len(bra) != len(ket):
         raise ValueError("vector length mismatch")
     total = Amplitude.zero(bra[0].p)
@@ -345,6 +353,34 @@ class _RingArray:
         return _RingArray(self.p, self.c - other.c, self.t)
 
 
+def _aligned(a: _RingArray):
+    """Coefficients of a 2-D array with each row at its largest scale, and that scale."""
+    nonzero = ~_is_zero_array(a.p, a.c)
+    t = np.where(nonzero, a.t, 0)
+    top = t.max(axis=1)
+    shift = top[:, None] - t
+    if (shift[nonzero] % 2).any():
+        raise ValueError("a row mixes odd and even powers of 1/sqrt(p)")
+    if not shift.any():
+        return a.c, top
+    _check_int64(_absmax(a.c) * a.p ** int(shift.max() // 2))
+    return a.c * a.p ** (shift // 2)[..., None], top
+
+
+def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
+    """<a_i|b_k> for the rows of two 2-D arrays."""
+    (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
+    (rows_a, d, n), rows_b = ca.shape, len(cb)
+    _check_int64(2 * d * n * _absmax(ca) * _absmax(cb))
+    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E
+    # against b with its coefficient axis rolled by E
+    flat_a = ca.reshape(rows_a, d * n)
+    out = np.empty((rows_a, rows_b, n), dtype=np.int64)
+    for e in range(n):
+        out[:, :, e] = flat_a @ np.roll(cb, -e, axis=-1).reshape(rows_b, d * n).T
+    return _RingArray(a.p, _canonicalize(a.p, out), ta[:, None] + tb)
+
+
 class _ExactRing:
     """The checks' arithmetic on `_RingArray`s, deciding by a literal ring zero.
     Each product's int64 bound is checked first, doubled for the subtraction
@@ -370,31 +406,7 @@ class _ExactRing:
     def stack(self, items) -> _RingArray:
         return _RingArray(self.p, np.stack([a.c for a in items]), np.stack([a.t for a in items]))
 
-    def _aligned(self, a: _RingArray):
-        """Coefficients of a 2-D array with each row at its largest scale, and that scale."""
-        nonzero = ~_is_zero_array(self.p, a.c)
-        t = np.where(nonzero, a.t, 0)
-        top = t.max(axis=1)
-        shift = top[:, None] - t
-        if (shift[nonzero] % 2).any():
-            raise ValueError("a row mixes odd and even powers of 1/sqrt(p)")
-        if not shift.any():
-            return a.c, top
-        _check_int64(_absmax(a.c) * self.p ** int(shift.max() // 2))
-        return a.c * self.p ** (shift // 2)[..., None], top
-
-    def gram(self, a: _RingArray, b: _RingArray) -> _RingArray:
-        """<a_i|b_k> for the rows of two 2-D arrays."""
-        (ca, ta), (cb, tb) = self._aligned(a), self._aligned(b)
-        (rows_a, d, n), rows_b = ca.shape, len(cb)
-        _check_int64(2 * d * n * _absmax(ca) * _absmax(cb))
-        # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E
-        # against b with its coefficient axis rolled by E
-        flat_a = ca.reshape(rows_a, d * n)
-        out = np.empty((rows_a, rows_b, n), dtype=np.int64)
-        for e in range(n):
-            out[:, :, e] = flat_a @ np.roll(cb, -e, axis=-1).reshape(rows_b, d * n).T
-        return _RingArray(self.p, _canonicalize(self.p, out), ta[:, None] + tb)
+    gram = staticmethod(lambda a, b: exact_overlap(a, b))  # the public name, looked up per call
 
     def matmul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         return self.gram(a.conj(), b.swapaxes(0, 1))
@@ -437,3 +449,29 @@ class _ExactRing:
             [Fraction(int(x), self.p ** int(t // 2)) for x, t in zip(xs, ts)]
             for xs, ts in zip(c[..., 0], values.t)
         ]
+
+
+class _FloatRing:
+    """`_ExactRing`'s operations on complex numpy arrays, deciding by atol."""
+
+    def __init__(self, p: int, atol: float):
+        self.p, self.atol = p, atol
+
+    rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
+    stack = staticmethod(np.array)
+    gram = staticmethod(lambda a, b: a.conj() @ b.T)
+    matmul = staticmethod(np.matmul)
+    abs2 = staticmethod(lambda g: np.abs(g) ** 2)
+    actual = staticmethod(float)
+    weights = staticmethod(lambda values: values)
+
+    def phase(self, a: np.ndarray, e: int) -> np.ndarray:
+        return np.exp(2j * np.pi * e / self.p) * a
+
+    def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
+        return np.abs(values - np.asarray(want) / denom) > self.atol
+
+
+def _ring(backend: str, p: int, atol: float):
+    """The arithmetic the checks are written against: exact ring zero or float atol."""
+    return _ExactRing(p) if backend == EXACT else _FloatRing(p, atol)

@@ -20,12 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Amplitude, CyclotomicInt, _ExactRing
+from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring
 
 FLOAT_ATOL = 1e-10
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 def _is_prime(n: int) -> bool:
@@ -128,10 +125,7 @@ def root_amplitude(p: int, e: int) -> Amplitude:
 def _float_weyl_pair(n: int):
     # U_0 = diag(q^1..q^n) and the cyclic shift, for any n >= 2
     u0 = np.diag([np.exp(2j * np.pi * (i + 1) / n) for i in range(n)])
-    up = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        up[i][(i + 1) % n] = 1.0
-    return u0, up
+    return u0, np.roll(np.eye(n, dtype=complex), 1, axis=1)
 
 
 def _float_observable(n: int, m: int):
@@ -193,26 +187,26 @@ def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
         raise ValueError(f"observable label must be in 0..{p}, got {m}")
     if backend == EXACT:
         u0, up = build_weyl_pair(dim, EXACT)
-        if m == 0:
-            return u0
-        mat = exact_matmul(exact_mat_pow(u0, m), up)
-        if p == 2 and m == 1:
-            minus_i = Amplitude(-CyclotomicInt.imaginary_unit())
-            mat = exact_scale(mat, minus_i)
+        mat = u0 if m == 0 else exact_matmul(exact_mat_pow(u0, m), up)
+    else:
+        mat = _float_observable(p, m)
+    return _phase_p2(p, m, mat, backend)
+
+
+def _phase_p2(p: int, m: int, mat, backend: str):
+    # at p = 2 the bare product for m = 1 squares to -1; a factor -i restores period 2
+    if p != 2 or m != 1:
         return mat
-    mat = _float_observable(p, m)
-    if p == 2 and m == 1:
-        mat = -1j * mat
-    return mat
+    if backend == EXACT:
+        return exact_scale(mat, Amplitude(-CyclotomicInt.imaginary_unit()))
+    return -1j * mat
 
 
 def build_ancilla_weyl_pair(dim: PrimeDim, backend: str = EXACT):
     """The ancilla pair with interchanged roles: the shift moves kets, not bras."""
     u0, up = build_weyl_pair(dim, backend)
     if backend == EXACT:
-        p = dim.p
-        up_t = [[up[j][i] for j in range(p)] for i in range(p)]
-        return u0, up_t
+        return u0, [list(column) for column in zip(*up)]
     return u0, up.T.copy()
 
 
@@ -227,14 +221,9 @@ def build_ancilla_observable(dim: PrimeDim, m: int, backend: str = EXACT):
         return au0
     if backend == EXACT:
         mat = exact_matmul(aup, exact_mat_pow(au0, m))
-        if p == 2 and m == 1:
-            minus_i = Amplitude(-CyclotomicInt.imaginary_unit())
-            mat = exact_scale(mat, minus_i)
-        return mat
-    mat = aup @ np.linalg.matrix_power(au0, m)
-    if p == 2 and m == 1:
-        mat = -1j * mat
-    return mat
+    else:
+        mat = aup @ np.linalg.matrix_power(au0, m)
+    return _phase_p2(p, m, mat, backend)
 
 
 # --- eigenbasis family ---
@@ -360,33 +349,6 @@ class CheckReport:
             "passed": self.passed,
             "violations": self.violations,
         }
-
-
-class _FloatRing:
-    """`_ExactRing`'s operations on complex numpy arrays, deciding by atol."""
-
-    def __init__(self, p: int, atol: float):
-        self.p, self.atol = p, atol
-
-    rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
-    stack = staticmethod(np.array)
-    gram = staticmethod(lambda a, b: a.conj() @ b.T)
-    matmul = staticmethod(np.matmul)
-    abs2 = staticmethod(lambda g: np.abs(g) ** 2)
-    actual = staticmethod(float)
-    weights = staticmethod(lambda values: values)
-
-    def phase(self, a: np.ndarray, e: int) -> np.ndarray:
-        return np.exp(2j * np.pi * e / self.p) * a
-
-    def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
-        return np.abs(values - np.asarray(want) / denom) > self.atol
-
-
-def _ring(backend: str, p: int, atol: float = FLOAT_ATOL):
-    """The arithmetic the checks are written against: exact ring zero or float atol."""
-    _check_backend(backend)
-    return _ExactRing(p) if backend == EXACT else _FloatRing(p, atol)
 
 
 def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
@@ -545,9 +507,8 @@ class CompositeDiagnosis:
         }
 
 
-def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
-    """Run the construction at composite n with primality enforcement bypassed
-    and report every invariant that breaks, with concrete witnesses."""
+def check_composite(n: int) -> None:
+    """Raise ValueError unless `diagnose_composite` accepts n."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an integer, got {n!r}")
     if _is_prime(n):
@@ -557,6 +518,11 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
     if n < 4 or n > DIAGNOSE_MAX_N:
         raise ValueError(f"composite diagnosis supports 4 <= n <= {DIAGNOSE_MAX_N}")
 
+
+def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
+    """Run the construction at composite n with primality enforcement bypassed
+    and report every invariant that breaks, with concrete witnesses."""
+    check_composite(n)
     witnesses = []
 
     obs = [_float_observable(n, m) for m in range(n + 1)]
@@ -587,14 +553,14 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
         )
 
     # unbiasedness of the formula-built family, the first five witnesses kept
-    ring, bases, flagged = _FloatRing(n, atol), _float_bases(n), 0
+    bases, flagged = _float_bases(n), 0
     for m1 in range(n + 1):
         for m2 in range(m1 + 1, n + 1):
-            sq = ring.abs2(ring.gram(bases[m1], bases[m2]))
-            bad = np.argwhere(ring.deviates(sq, 1, n))
+            overlaps = np.abs(bases[m1].conj() @ bases[m2].T) ** 2
+            bad = np.argwhere(np.abs(overlaps - 1.0 / n) > atol)
             for k1, k2 in bad[: max(0, 5 - flagged)]:
                 witness = {"kind": "unbiasedness", "m": m1, "k": int(k1) + 1, "m2": m2}
-                witnesses.append({**witness, "k2": int(k2) + 1, "actual": ring.actual(sq[k1, k2])})
+                witnesses.append({**witness, "k2": int(k2) + 1, "actual": float(overlaps[k1, k2])})
             flagged += len(bad)
     if flagged > 5:
         witnesses.append({"kind": "unbiasedness_summary", "violations": flagged})

@@ -27,17 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Amplitude, CyclotomicInt, exact_overlap
-from .mub import (
-    EXACT,
-    FLOAT,
-    FLOAT_ATOL,
-    CheckReport,
-    PrimeDim,
-    build_mub_family,
-    _check_backend,
-    _ring,
-)
+from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, exact_overlap
+from .mub import FLOAT_ATOL, CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
 SAMPLING_EXACT_MAX_P = 13
@@ -120,10 +111,10 @@ class RetrodictionSetup:
 
     It holds the object and ancilla families, the (p+1)p post-measurement
     states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
-    |Phi> (`prepared`), the labeled measurement basis (`labels`, with the
-    states as the rows of `states`), the Born weights and their sampling
-    CDFs.  A row is a tuple of Amplitudes on the exact backend; on the float
-    backend `posts` and `states` are each one 2-D complex array.
+    |Phi> (`prepared`), the labeled measurement basis (`labels`; `states`),
+    the Born weights (outcome weights also as ring values, `outcome_table`)
+    and their sampling CDFs.  Rows are tuples of Amplitudes on the exact
+    backend; on the float one `posts` and `states` are 2-D complex arrays.
     """
 
     def __init__(self, dim: PrimeDim, backend: str | None = None):
@@ -152,10 +143,11 @@ class RetrodictionSetup:
         rows = [state.amps for _, state in basis]
         self.states = tuple(rows) if exact else np.array(rows)
         # Born weights, one product per table; rows are |m_k m-bar_k> in the second
-        ring = _ring(backend, p)
+        ring = _ring(backend, p, FLOAT_ATOL)
         posts = ring.rows(self.posts)
         king = ring.weights(ring.abs2(ring.gram(ring.rows([self.prepared]), posts)))[0]
-        outcome = ring.weights(ring.abs2(ring.gram(posts, ring.rows(self.states))))
+        self.outcome_table = ring.abs2(ring.gram(posts, ring.rows(self.states)))  # [m*p + k - 1, label]
+        outcome = ring.weights(self.outcome_table)
         self.king_weights = {m: king[m * p : (m + 1) * p] for m in range(p + 1)}
         self.outcome_weights = {
             (m, k): outcome[m * p + k - 1] for m in range(p + 1) for k in range(1, p + 1)
@@ -320,20 +312,16 @@ def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL)
 def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
-    report = CheckReport(name="retrodiction")
     p = setup.dim.p
-    exact = setup.backend == EXACT
-    uniform = Fraction(1, p) if exact else 1.0 / p
-    for m in range(p + 1):
-        for k in range(1, p + 1):
-            for label, w in zip(setup.labels, setup.outcome_weights[(m, k)]):
-                report.checks += 1
-                want = uniform if label.k(m) == k else 0
-                ok = w == want if exact else abs(w - want) <= atol
-                if not ok:
-                    report.violations.append(
-                        {"m": m, "k": k, "label": label.to_json(), "weight": float(w)}
-                    )
+    ring = _ring(setup.backend, p, atol)
+    keys = list(setup.outcome_weights)  # (m, k) for the rows of outcome_table
+    # wants over the denominator p: 1 where the label's slot k_m is k, else 0
+    want = np.array([[label.k(m) == k for label in setup.labels] for m, k in keys], dtype=int)
+    report = CheckReport(name="retrodiction", checks=want.size)
+    for row, i in np.argwhere(ring.deviates(setup.outcome_table, want, p)).tolist():
+        (m, k), label = keys[row], setup.labels[i].to_json()
+        weight = float(setup.outcome_weights[(m, k)][i])
+        report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
     return report
 
 
@@ -363,22 +351,14 @@ def verify_bracket_closed_form(
             a = BracketLabel(p, tuple(rng.randint(1, p) for _ in range(p + 1)))
             b = BracketLabel(p, tuple(rng.randint(1, p) for _ in range(p + 1)))
             pairs.append((a, b))
-    cache: dict[BracketLabel, BipartiteState] = {}
-
-    def state_of(label):
-        if label not in cache:
-            cache[label] = bracket_state(setup, label)
-        return cache[label]
-
+    ring, rows = _ring(setup.backend, p, atol), {}
     for a, b in pairs:
-        want = bracket_overlap_closed_form(a, b)
-        ov = state_of(a).overlap(state_of(b))
+        for label in (a, b):
+            if label not in rows:
+                rows[label] = ring.rows([bracket_state(setup, label).amps])
         report.checks += 1
-        if setup.backend == EXACT:
-            ok = ov.as_fraction() == want
-        else:
-            ok = abs(ov - complex(want)) <= atol
-        if not ok:
+        want = bracket_overlap_closed_form(a, b) * p  # an integer over the denominator p
+        if ring.deviates(ring.gram(rows[a], rows[b]), int(want), p).any():
             report.violations.append({"label": a.to_json(), "label2": b.to_json()})
     return report
 
@@ -487,6 +467,13 @@ def parse_strategy(strategy: str, p: int) -> int | None:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def check_simulate_args(p: int, rounds: int, strategy: str) -> int | None:
+    """Validate a simulation request; returns `parse_strategy`'s king choice."""
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    return parse_strategy(strategy, p)
+
+
 def simulate(
     dim: PrimeDim,
     rounds: int,
@@ -496,10 +483,8 @@ def simulate(
     keep_records: bool = False,
 ) -> SimulationSummary:
     """Play many rounds with per-round seeds derived from the master seed."""
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     p = dim.p
-    fixed_m = parse_strategy(strategy, p)
+    fixed_m = check_simulate_args(p, rounds, strategy)
     setup = RetrodictionSetup(dim, backend)
     histogram: dict[int, dict[int, int]] = {}
     records = [] if keep_records else None

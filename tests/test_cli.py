@@ -92,6 +92,19 @@ class TestVerify:
         assert err.startswith("error:")
         assert not target.exists()
 
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_run_failing_after_validation_leaves_out_as_it_was(self, tmp_path, monkeypatch, existed):
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted mid-run")
+
+        monkeypatch.setattr(cli, "build_mub_family", fail)
+        target = tmp_path / "x.json"
+        if existed:
+            target.write_text("earlier report\n")
+        with pytest.raises(RuntimeError):
+            main(["verify", "--p", "3", "--json", "--out", str(target)])
+        assert (target.read_text() == "earlier report\n") if existed else not target.exists()
+
     def test_exact_ceiling_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "17")
         assert code == 2
@@ -236,6 +249,16 @@ class TestDiagnose:
         code, out, _ = run_cli(capsys, "diagnose", "--p", "4")
         assert code == 0
         assert "witness" in out
+
+    def test_unwritable_out_fails_before_the_diagnosis(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagnosed before --out was opened")
+
+        monkeypatch.setattr(cli, "diagnose_composite", refuse)
+        code, out, err = run_cli(capsys, "diagnose", "--p", "6", "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
 
 
 def test_help_names_every_ceiling(capsys):

@@ -26,6 +26,7 @@ from meanking.mub import (
 from meanking.protocol import (
     RetrodictionSetup,
     bracket_state,
+    verify_bracket_closed_form,
     verify_entangled_basis,
     verify_measurement_basis,
     verify_retrodiction,
@@ -77,12 +78,19 @@ def labels_0_and_1_swapped(backend, monkeypatch):
     return verify_retrodiction(setup)
 
 
+def post_0_1_is_post_1_1(backend, monkeypatch):
+    setup = RetrodictionSetup(PrimeDim(P), backend)
+    setup.posts = _replace_row(setup.posts, 0, setup.post(1, 1))
+    return verify_bracket_closed_form(setup, sample_pairs=40, seed=3)
+
+
 CASES = {
     "unbiasedness_p3.json": computational_ket_in_basis_2,
     "trace_relations_p3.json": observable_1_is_observable_2,
     "entangled_basis_p3.json": prepared_is_bracket_state_0,
     "measurement_basis_p3.json": measurement_row_1_is_row_0,
     "retrodiction_p3.json": labels_0_and_1_swapped,
+    "bracket_closed_form_p3.json": post_0_1_is_post_1_1,
 }
 
 
