@@ -192,6 +192,8 @@ def cmd_bases(args) -> int:
 
 def cmd_tomography(args) -> int:
     dim = _parse_prime(args.p, ceiling=TOMOGRAPHY_MAX_P, what="tomography")
+    if args.seed < 0:  # numpy's generator takes only non-negative seeds
+        raise InvalidInput(f"seed must be non-negative, got {args.seed}")
     with _output(args.out) as out:
         fam = build_mub_family(dim, "object", FLOAT)
         rho = random_density(dim, args.seed)

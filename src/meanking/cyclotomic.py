@@ -17,8 +17,9 @@ kept outside the ring (sqrt(p) is not an element); squared magnitudes, the
 only physically compared quantities, come back rational.
 
 `CyclotomicInt` and `Amplitude` (one object per value) are the reference;
-the verification checks read them as int64 numpy arrays through `_ExactRing`,
-or as complex arrays through `_FloatRing` on the float backend.
+the protocol states are built and checked as int64 numpy arrays through
+`_ExactRing`, or as complex arrays through `_FloatRing` on the float backend,
+and read back as Amplitudes only at the public accessors.
 """
 
 from __future__ import annotations
@@ -346,45 +347,60 @@ class _RingArray:
         n = self.c.shape[-1]  # zeta^e -> zeta^(-e) reverses the coefficient index
         return _RingArray(self.p, self.c[..., -np.arange(n) % n], self.t)
 
+    def __add__(self, other: "_RingArray") -> "_RingArray":
+        """The entrywise sum (broadcasting), each entry at the larger of its two
+        scales; bounded by max|a| + max|b| after the lift."""
+        top = np.maximum(_scales(self), _scales(other))
+        a, b = _lifted(self, top), _lifted(other, top)
+        _check_int64(_absmax(a) + _absmax(b))
+        return _RingArray(self.p, a + b, top)
+
     def __sub__(self, other: "_RingArray") -> "_RingArray":
-        if not np.array_equal(self.t, other.t):
-            raise ValueError("subtraction needs equal scales")
-        _check_int64(_absmax(self.c) + _absmax(other.c))
-        return _RingArray(self.p, self.c - other.c, self.t)
+        return self + _RingArray(self.p, -other.c, other.t)
+
+
+def _scales(a: _RingArray) -> np.ndarray:
+    # the scale of each nonzero entry; a zero is 0 at every scale
+    return np.where(_is_zero_array(a.p, a.c), 0, a.t)
+
+
+def _lifted(a: _RingArray, top) -> np.ndarray:
+    """a's coefficients at the scales `top` (broadcast against its entries): each
+    nonzero entry times p^((top - t)/2), which must be a whole power."""
+    shift = np.where(_is_zero_array(a.p, a.c), 0, top - a.t)
+    if (shift % 2).any():
+        raise ValueError("entries mix odd and even powers of 1/sqrt(p)")
+    if not shift.any():
+        return a.c
+    _check_int64(_absmax(a.c) * a.p ** int(shift.max() // 2))
+    return a.c * (a.p ** (shift // 2))[..., None]
 
 
 def _aligned(a: _RingArray):
     """Coefficients of a 2-D array with each row at its largest scale, and that scale."""
-    nonzero = ~_is_zero_array(a.p, a.c)
-    t = np.where(nonzero, a.t, 0)
-    top = t.max(axis=1)
-    shift = top[:, None] - t
-    if (shift[nonzero] % 2).any():
-        raise ValueError("a row mixes odd and even powers of 1/sqrt(p)")
-    if not shift.any():
-        return a.c, top
-    _check_int64(_absmax(a.c) * a.p ** int(shift.max() // 2))
-    return a.c * a.p ** (shift // 2)[..., None], top
+    top = _scales(a).max(axis=1)
+    return _lifted(a, top[:, None]), top
 
 
-def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
-    """<a_i|b_k> for the rows of two 2-D arrays."""
+def _gram(a: _RingArray, b: _RingArray, paired: bool = False) -> _RingArray:
+    """<a_i|b_k> for the rows of two 2-D arrays; only <a_i|b_i> when paired."""
     (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
     (rows_a, d, n), rows_b = ca.shape, len(cb)
     _check_int64(2 * d * n * _absmax(ca) * _absmax(cb))
-    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E
-    # against b with its coefficient axis rolled by E
+    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul (a row-wise
+    # product when paired) per E against b with its coefficient axis rolled by E
     flat_a = ca.reshape(rows_a, d * n)
-    out = np.empty((rows_a, rows_b, n), dtype=np.int64)
+    out = np.empty((rows_a, n) if paired else (rows_a, rows_b, n), dtype=np.int64)
     for e in range(n):
-        out[:, :, e] = flat_a @ np.roll(cb, -e, axis=-1).reshape(rows_b, d * n).T
-    return _RingArray(a.p, _canonicalize(a.p, out), ta[:, None] + tb)
+        flat_b = np.roll(cb, -e, axis=-1).reshape(rows_b, d * n)
+        out[..., e] = (flat_a * flat_b).sum(axis=1) if paired else flat_a @ flat_b.T
+    return _RingArray(a.p, _canonicalize(a.p, out), ta + tb if paired else ta[:, None] + tb)
 
 
 class _ExactRing:
-    """The checks' arithmetic on `_RingArray`s, deciding by a literal ring zero.
-    Each product's int64 bound is checked first, doubled for the subtraction
-    that then canonicalises it."""
+    """The protocol's construction and the checks' arithmetic on `_RingArray`s,
+    deciding by a literal ring zero.  Each operation's int64 bound is checked
+    first; a product's is doubled for the subtraction that then canonicalises it."""
 
     def __init__(self, p: int):
         self.p, self.n = p, 4 if p == 2 else p
@@ -406,10 +422,24 @@ class _ExactRing:
     def stack(self, items) -> _RingArray:
         return _RingArray(self.p, np.stack([a.c for a in items]), np.stack([a.t for a in items]))
 
+    def concat(self, items) -> _RingArray:
+        return _RingArray(self.p, np.concatenate([a.c for a in items]), np.concatenate([a.t for a in items]))
+
     gram = staticmethod(lambda a, b: exact_overlap(a, b))  # the public name, looked up per call
+
+    dots = staticmethod(lambda a, b: _gram(a, b, paired=True))  # <a_i|b_i> of paired rows
 
     def matmul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         return self.gram(a.conj(), b.swapaxes(0, 1))
+
+    def mul(self, a: _RingArray, b: _RingArray) -> _RingArray:
+        """a * b entry by entry (broadcasting): the cyclic convolution of the
+        coefficients, N terms of at most max|a| max|b| each."""
+        _check_int64(2 * self.n * _absmax(a.c) * _absmax(b.c))
+        out = 0
+        for f in range(self.n):
+            out = out + a.c[..., f : f + 1] * np.roll(b.c, f, axis=-1)
+        return _RingArray(self.p, _canonicalize(self.p, out), a.t + b.t)
 
     def abs2(self, g: _RingArray) -> _RingArray:
         """|g|^2 entry by entry: the cyclic autocorrelation of the coefficients."""
@@ -420,9 +450,16 @@ class _ExactRing:
             out[..., e] = (c * np.roll(c, e, axis=-1)).sum(axis=-1)
         return _RingArray(self.p, _canonicalize(self.p, out), 2 * g.t)
 
-    def phase(self, a: _RingArray, e: int) -> _RingArray:
-        """q^e a for the p-th root of unity q (zeta_4^2 = -1 at p = 2)."""
-        return _RingArray(self.p, np.roll(a.c, e * self.n // self.p, axis=-1), a.t)
+    def phase(self, a: _RingArray, e) -> _RingArray:
+        """q^e a for the p-th root of unity q (zeta_4^2 = -1 at p = 2); an array
+        of exponents broadcasts against a's entries."""
+        shape = np.broadcast_shapes(np.shape(e), a.t.shape) + (self.n,)
+        index = (np.arange(self.n) - np.multiply(e, self.n // self.p)[..., None]) % self.n
+        c = np.take_along_axis(np.broadcast_to(a.c, shape), np.broadcast_to(index, shape), axis=-1)
+        return _RingArray(self.p, c, a.t)
+
+    def over_sqrt_p(self, a: _RingArray) -> _RingArray:
+        return _RingArray(self.p, a.c, a.t + 1)
 
     def deviates(self, values: _RingArray, want, denom: int = 1) -> np.ndarray:
         """Where c * denom - want * p^(t/2) is not the literal ring zero."""
@@ -435,10 +472,14 @@ class _ExactRing:
         diff[..., 0] -= want * self.p**half
         return ~_is_zero_array(self.p, diff)
 
+    def amps(self, row: _RingArray) -> tuple:
+        """A 1-D array as the reference Amplitudes, one per entry."""
+        c = row.c[:, :2] - row.c[:, 2:] if self.p == 2 else row.c
+        return tuple(Amplitude(CyclotomicInt(self.p, x), t) for x, t in zip(c.tolist(), row.t.tolist()))
+
     def actual(self, value: _RingArray) -> dict:
         """One entry in the JSON encoding of the reference Amplitude."""
-        c = value.c[:2] - value.c[2:] if self.p == 2 else value.c
-        return Amplitude(CyclotomicInt(self.p, [int(x) for x in c]), int(value.t)).to_json()
+        return self.amps(value[None])[0].to_json()
 
     def weights(self, values: _RingArray) -> list:
         """A 2-D array of squared moduli as rows of Fractions."""
@@ -459,14 +500,20 @@ class _FloatRing:
 
     rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
     stack = staticmethod(np.array)
+    concat = staticmethod(np.concatenate)
     gram = staticmethod(lambda a, b: a.conj() @ b.T)
+    dots = staticmethod(lambda a, b: np.einsum("ij,ij->i", a.conj(), b))
     matmul = staticmethod(np.matmul)
+    mul = staticmethod(np.multiply)
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)
-    weights = staticmethod(lambda values: values)
+    amps = weights = staticmethod(lambda values: values)
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
+
+    def over_sqrt_p(self, a: np.ndarray) -> np.ndarray:
+        return a / np.sqrt(self.p)
 
     def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
         return np.abs(values - np.asarray(want) / denom) > self.atol

@@ -8,9 +8,11 @@ compatible with.  Orthogonality to every incompatible post-measurement state
 makes the inference certain: the announced answer is just the label slot of
 the measured observable.
 
-Exact-backend states store p^2 cyclotomic amplitudes and every orthogonality
-claim is a literal ring zero; the float backend mirrors the construction in
-ordinary complex arithmetic.  Everything is built once per (p, backend) by
+Exact-backend states are int64 coefficient arrays over the cyclotomic ring
+(`_ExactRing`; every ket of bases 1..p is a monomial q^e/sqrt(p)), read back as
+`Amplitude` tuples only by the public accessors, and every orthogonality claim
+is a literal ring zero; the float backend runs the same construction in
+complex arithmetic.  Everything is built once per (p, backend) by
 `RetrodictionSetup`, which every check and every round takes.  Sampling
 bisects precomputed CDFs: integer ones (exact rationals over a common
 denominator) where the exact backend is in play, floats otherwise.
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, exact_overlap
+from .cyclotomic import EXACT, FLOAT, _ring, exact_overlap
 from .mub import FLOAT_ATOL, CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
@@ -35,7 +37,7 @@ SAMPLING_EXACT_MAX_P = 13
 
 PRNG_NAME = "random.Random (Mersenne Twister), per-round seed '<seed>:<round>'"
 
-# rows of a p^2 x p^2 Gram matrix formed per product in the basis checks
+# rows of a Gram matrix (or pairs of rows) formed per product in the checks
 _GRAM_BLOCK_ROWS = 64
 
 
@@ -113,8 +115,9 @@ class RetrodictionSetup:
     states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
     |Phi> (`prepared`), the labeled measurement basis (`labels`; `states`),
     the Born weights (outcome weights also as ring values, `outcome_table`)
-    and their sampling CDFs.  Rows are tuples of Amplitudes on the exact
-    backend; on the float one `posts` and `states` are 2-D complex arrays.
+    and their sampling CDFs.  `posts` and `states` are 2-D arrays and
+    `prepared` a 1-D one: `_RingArray`s on the exact backend, complex on the
+    float one.
     """
 
     def __init__(self, dim: PrimeDim, backend: str | None = None):
@@ -127,26 +130,16 @@ class RetrodictionSetup:
         obj = build_mub_family(dim, "object", backend)
         anc = build_mub_family(dim, "ancilla", backend)
         self.families = (obj, anc)
-        exact = backend == EXACT
-        if exact:
-            self.posts = tuple(
-                tuple(a * b for a in obj.ket(m, k) for b in anc.ket(m, k))
-                for m in range(p + 1)
-                for k in range(1, p + 1)
-            )
-        else:
-            pairs = obj.bases[:, :, :, None] * anc.bases[:, :, None, :]
-            self.posts = pairs.reshape((p + 1) * p, p * p)
-        self.prepared = maximally_entangled_state(self).amps
-        basis = measurement_basis(self)
-        self.labels = [label for label, _ in basis]
-        rows = [state.amps for _, state in basis]
-        self.states = tuple(rows) if exact else np.array(rows)
-        # Born weights, one product per table; rows are |m_k m-bar_k> in the second
         ring = _ring(backend, p, FLOAT_ATOL)
-        posts = ring.rows(self.posts)
-        king = ring.weights(ring.abs2(ring.gram(ring.rows([self.prepared]), posts)))[0]
-        self.outcome_table = ring.abs2(ring.gram(posts, ring.rows(self.states)))  # [m*p + k - 1, label]
+        kets, bars = ring.rows(obj.bases), ring.rows(anc.bases)
+        pairs = ring.mul(kets[:, :, :, None], bars[:, :, None, :])  # [m, k-1, j_obj, j_anc]
+        self.posts = pairs.reshape((p + 1) * p, p * p)
+        self.prepared = _phi(self, 0)
+        self.labels = [measurement_label(dim, k0, k1) for k0 in range(1, p + 1) for k1 in range(1, p + 1)]
+        self.states = _bracket_rows(self, [label.slots for label in self.labels])
+        # Born weights, one product per table; rows are |m_k m-bar_k> in the second
+        king = ring.weights(ring.abs2(ring.gram(self.prepared[None], self.posts)))[0]
+        self.outcome_table = ring.abs2(ring.gram(self.posts, self.states))  # [m*p + k - 1, label]
         outcome = ring.weights(self.outcome_table)
         self.king_weights = {m: king[m * p : (m + 1) * p] for m in range(p + 1)}
         self.outcome_weights = {
@@ -156,8 +149,50 @@ class RetrodictionSetup:
         self.outcome_cdfs = {key: _cdf(w) for key, w in self.outcome_weights.items()}
 
     def post(self, m: int, k: int):
-        """The amplitude row of |m_k m-bar_k>."""
+        """The row of |m_k m-bar_k> in `posts`."""
         return self.posts[m * self.dim.p + k - 1]
+
+
+def _phi(setup: RetrodictionSetup, m: int):
+    """|Phi> = p^{-1/2} sum_k |m_k m-bar_k>, summed over the basis m."""
+    p = setup.dim.p
+    rows = setup.posts[m * p : (m + 1) * p]
+    return _ring(setup.backend, p, FLOAT_ATOL).over_sqrt_p(sum(rows[1:], rows[0]))
+
+
+def _bracket_rows(setup: RetrodictionSetup, slots):
+    """The bracket states p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi> of a table
+    of label slots, one row each: a gather of post rows per m, summed."""
+    p = setup.dim.p
+    ring = _ring(setup.backend, p, FLOAT_ATOL)
+    index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> row of posts
+    terms = (setup.posts[index[:, m]] for m in range(p + 1))  # one at a time bounds the memory
+    return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
+
+
+def _entangled_rows(setup: RetrodictionSetup):
+    """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
+    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
+    p = setup.dim.p
+    ring = _ring(setup.backend, p, FLOAT_ATOL)
+    by_k = setup.posts.reshape(p + 1, p, p * p)
+    if setup.backend == FLOAT:  # the float oracle's phases, each one scalar expression
+        phases = np.array([[np.exp(-2j * np.pi * j * k / p) for k in range(1, p + 1)] for j in range(1, p)])
+        term = lambda m, k: phases[:, k - 1, None] * by_k[m, k - 1]
+    else:
+        j = np.arange(1, p)[:, None]
+        term = lambda m, k: ring.phase(by_k[m, k - 1], -j * k)
+    blocks = [setup.prepared[None]]
+    for m in range(p + 1):  # one m at a time bounds the memory
+        terms = (term(m, k) for k in range(1, p + 1))  # [j-1, entry]
+        blocks.append(ring.over_sqrt_p(sum(terms, next(terms))))
+    return ring.concat(blocks)
+
+
+def _state(setup: RetrodictionSetup, row) -> BipartiteState:
+    """One row of the setup's arrays as a state: Amplitudes on the exact backend."""
+    amps = _ring(setup.backend, setup.dim.p, FLOAT_ATOL).amps(row)
+    return BipartiteState(p=setup.dim.p, backend=setup.backend, amps=amps)
 
 
 def _cdf(weights):
@@ -182,7 +217,7 @@ def post_measurement_state(setup: RetrodictionSetup, m: int, k: int) -> Bipartit
     p = setup.dim.p
     if not (0 <= m <= p and 1 <= k <= p):
         raise ValueError(f"need 0 <= m <= {p} and 1 <= k <= {p}, got m={m}, k={k}")
-    return BipartiteState(p=p, backend=setup.backend, amps=setup.post(m, k))
+    return _state(setup, setup.post(m, k))
 
 
 def maximally_entangled_state(setup: RetrodictionSetup, via_m: int = 0) -> BipartiteState:
@@ -190,44 +225,14 @@ def maximally_entangled_state(setup: RetrodictionSetup, via_m: int = 0) -> Bipar
     p = setup.dim.p
     if not 0 <= via_m <= p:
         raise ValueError(f"via_m must be in 0..{p}, got {via_m}")
-    rows = setup.posts[via_m * p : (via_m + 1) * p]
-    if setup.backend == EXACT:
-        half = Amplitude(CyclotomicInt.one(p), 1)
-        total = [Amplitude.zero(p)] * (p * p)
-        for row in rows:
-            total = [acc + amp for acc, amp in zip(total, row)]
-        return BipartiteState(p=p, backend=EXACT, amps=tuple(a * half for a in total))
-    total = np.zeros(p * p, dtype=complex)
-    for row in rows:
-        total += row
-    return BipartiteState(p=p, backend=FLOAT, amps=total / math.sqrt(p))
+    return _state(setup, _phi(setup, via_m))
 
 
 def entangled_basis(setup: RetrodictionSetup) -> list[BipartiteState]:
     """The p^2 orthonormal bipartite states: the entangled preparation state at
     index 0, then index (p-1)m + j holds p^{-1/2} sum_k q^{-jk} |m_k m-bar_k>
     for m = 0..p, j = 1..p-1."""
-    p = setup.dim.p
-    states = [BipartiteState(p=p, backend=setup.backend, amps=setup.prepared)]
-    if setup.backend == EXACT:
-        half = Amplitude(CyclotomicInt.one(p), 1)
-        for m in range(p + 1):
-            for j in range(1, p):
-                total = [Amplitude.zero(p)] * (p * p)
-                for k in range(1, p + 1):
-                    phase = Amplitude(CyclotomicInt.root_power(p, -j * k))
-                    total = [acc + phase * amp for acc, amp in zip(total, setup.post(m, k))]
-                states.append(
-                    BipartiteState(p=p, backend=EXACT, amps=tuple(a * half for a in total))
-                )
-        return states
-    for m in range(p + 1):
-        for j in range(1, p):
-            total = np.zeros(p * p, dtype=complex)
-            for k in range(1, p + 1):
-                total += np.exp(-2j * np.pi * j * k / p) * setup.post(m, k)
-            states.append(BipartiteState(p=p, backend=FLOAT, amps=total / math.sqrt(p)))
-    return states
+    return [_state(setup, row) for row in _entangled_rows(setup)]
 
 
 def bracket_state(setup: RetrodictionSetup, label: BracketLabel) -> BipartiteState:
@@ -240,20 +245,9 @@ def bracket_state(setup: RetrodictionSetup, label: BracketLabel) -> BipartiteSta
     |m, j>) with its phase series summed: sum_{j=1}^{p-1} q^{j(k_m - k)} is
     p delta - 1, and sum_k |m_k m-bar_k> is sqrt(p) |Phi> for every m.
     """
-    p = setup.dim.p
-    if label.p != p:
+    if label.p != setup.dim.p:
         raise ValueError("label dimension mismatch")
-    rows = [setup.post(m, label.k(m)) for m in range(p + 1)]
-    if setup.backend == EXACT:
-        half = Amplitude(CyclotomicInt.one(p), 1)
-        zero = Amplitude.zero(p)
-        amps = tuple(
-            half * sum(column, zero) - phi for column, phi in zip(zip(*rows), setup.prepared)
-        )
-        return BipartiteState(p=p, backend=EXACT, amps=amps)
-    return BipartiteState(
-        p=p, backend=FLOAT, amps=np.sum(rows, axis=0) / math.sqrt(p) - setup.prepared
-    )
+    return _state(setup, _bracket_rows(setup, [label.slots])[0])
 
 
 def bracket_overlap_closed_form(a: BracketLabel, b: BracketLabel) -> Fraction:
@@ -263,13 +257,7 @@ def bracket_overlap_closed_form(a: BracketLabel, b: BracketLabel) -> Fraction:
 
 def measurement_basis(setup: RetrodictionSetup) -> list[tuple[BracketLabel, BipartiteState]]:
     """The physicist's p^2 labeled basis states, ordered by (k0-1)*p + (k1-1)."""
-    p = setup.dim.p
-    out = []
-    for k0 in range(1, p + 1):
-        for k1 in range(1, p + 1):
-            label = measurement_label(setup.dim, k0, k1)
-            out.append((label, bracket_state(setup, label)))
-    return out
+    return [(label, _state(setup, row)) for label, row in zip(setup.labels, setup.states)]
 
 
 # --- verification drivers ---
@@ -289,7 +277,7 @@ def _non_orthonormal(ring, rows):
 def verify_entangled_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
     ring = _ring(setup.backend, setup.dim.p, atol)
-    rows = ring.rows([state.amps for state in entangled_basis(setup)])
+    rows = _entangled_rows(setup)
     report = CheckReport(name="entangled_basis", checks=len(rows) ** 2)
     for i, j in _non_orthonormal(ring, rows):
         report.violations.append({"n": i, "n2": j})
@@ -299,7 +287,7 @@ def verify_entangled_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -
 def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
     ring = _ring(setup.backend, setup.dim.p, atol)
-    rows, labels = ring.rows(setup.states), setup.labels
+    rows, labels = setup.states, setup.labels
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
     for i, j in _non_orthonormal(ring, rows):
         report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
@@ -336,30 +324,34 @@ def verify_bracket_closed_form(
     Exhaustive over all (p^(p+1))^2 label pairs when sample_pairs is None
     (sensible only for p = 2, 3); otherwise that many random pairs.
     """
-    report = CheckReport(name="bracket_closed_form")
     p = setup.dim.p
+    ring = _ring(setup.backend, p, atol)
+    report = CheckReport(name="bracket_closed_form")
+
+    def check(a, b, overlaps):  # rows a against rows b (broadcast), in row-major order
+        a, b = np.broadcast_arrays(a, b)
+        want = (slots[a] == slots[b]).sum(axis=-1) - 1  # (agreements - 1)/p over the denominator p
+        report.checks += want.size
+        for index in map(tuple, np.argwhere(ring.deviates(overlaps, want, p))):
+            report.violations.append({"label": slots[a[index]].tolist(), "label2": slots[b[index]].tolist()})
+
     if sample_pairs is None:
-        labels = [
-            BracketLabel(p, slots)
-            for slots in itertools.product(range(1, p + 1), repeat=p + 1)
-        ]
-        pairs = [(a, b) for a in labels for b in labels]
+        labels = list(itertools.product(range(1, p + 1), repeat=p + 1))
     else:
         rng = random.Random(seed)
-        pairs = []
-        for _ in range(sample_pairs):
-            a = BracketLabel(p, tuple(rng.randint(1, p) for _ in range(p + 1)))
-            b = BracketLabel(p, tuple(rng.randint(1, p) for _ in range(p + 1)))
-            pairs.append((a, b))
-    ring, rows = _ring(setup.backend, p, atol), {}
-    for a, b in pairs:
-        for label in (a, b):
-            if label not in rows:
-                rows[label] = ring.rows([bracket_state(setup, label).amps])
-        report.checks += 1
-        want = bracket_overlap_closed_form(a, b) * p  # an integer over the denominator p
-        if ring.deviates(ring.gram(rows[a], rows[b]), int(want), p).any():
-            report.violations.append({"label": a.to_json(), "label2": b.to_json()})
+        drawn = [tuple(rng.randint(1, p) for _ in range(p + 1)) for _ in range(2 * sample_pairs)]
+        labels = list(dict.fromkeys(drawn))  # each distinct label's row is built once
+    slots, rows = np.array(labels, dtype=int).reshape(-1, p + 1), _bracket_rows(setup, labels)
+    if sample_pairs is None:  # all pairs: a block of rows against every row per product
+        for start in range(0, len(labels), _GRAM_BLOCK_ROWS):
+            a = np.arange(start, min(start + _GRAM_BLOCK_ROWS, len(labels)))
+            check(a[:, None], np.arange(len(labels)), ring.gram(rows[a], rows))
+        return report
+    row_of = {label: i for i, label in enumerate(labels)}
+    pairs = np.array([row_of[label] for label in drawn], dtype=int).reshape(-1, 2)  # (drawn[2i], drawn[2i+1])
+    for start in range(0, len(pairs), _GRAM_BLOCK_ROWS):
+        a, b = pairs[start : start + _GRAM_BLOCK_ROWS].T
+        check(a, b, ring.dots(rows[a], rows[b]))
     return report
 
 

@@ -82,6 +82,7 @@ class TestVerify:
             ["simulate", "--p", "3", "--rounds", "0"],
             ["bases", "--p", "4"],
             ["tomography", "--p", "1"],
+            ["tomography", "--p", "5", "--seed", "-1"],
             ["diagnose", "--p", "7"],
         ],
     )

@@ -27,6 +27,9 @@ from meanking.protocol import (
     residue_label,
     run_round,
     simulate,
+    verify_entangled_basis,
+    verify_measurement_basis,
+    verify_retrodiction,
 )
 
 PROTO_PRIMES = [2, 3, 5]
@@ -361,6 +364,51 @@ def bracket_state_by_expansion(setup, basis, label):
     return total / p
 
 
+def posts_by_amplitudes(setup):
+    """Reference: the post-measurement rows |m_k m-bar_k>, one Amplitude product
+    per entry, from the families' Amplitude kets."""
+    p = setup.dim.p
+    obj, anc = setup.families
+    return tuple(
+        tuple(a * b for a in obj.ket(m, k) for b in anc.ket(m, k))
+        for m in range(p + 1)
+        for k in range(1, p + 1)
+    )
+
+
+def maximally_entangled_by_amplitudes(posts, p, via_m):
+    """Reference: p^{-1/2} sum_k |m_k m-bar_k>, summed entry by entry."""
+    total = [Amplitude.zero(p)] * (p * p)
+    for row in posts[via_m * p : (via_m + 1) * p]:
+        total = [acc + amp for acc, amp in zip(total, row)]
+    return tuple(a * one_over_sqrt_p(p) for a in total)
+
+
+def bracket_state_by_amplitudes(posts, prepared, label):
+    """Reference: the closed form p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi>,
+    entry by entry."""
+    p = label.p
+    rows = [posts[m * p + label.k(m) - 1] for m in range(p + 1)]
+    zero = Amplitude.zero(p)
+    return tuple(
+        one_over_sqrt_p(p) * sum(column, zero) - phi for column, phi in zip(zip(*rows), prepared)
+    )
+
+
+def entangled_basis_by_amplitudes(posts, prepared, p):
+    """Reference: |Phi>, then p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> at index
+    (p-1)m + j, entry by entry."""
+    states = [prepared]
+    for m in range(p + 1):
+        for j in range(1, p):
+            total = [Amplitude.zero(p)] * (p * p)
+            for k in range(1, p + 1):
+                phase = Amplitude(CyclotomicInt.root_power(p, -j * k))
+                total = [acc + phase * amp for acc, amp in zip(total, posts[m * p + k - 1])]
+            states.append(tuple(a * one_over_sqrt_p(p) for a in total))
+    return states
+
+
 def sample_index_by_lcm(weights, rng):
     """Reference: the inverse-CDF draw that rescales exact weights over their
     lcm on every call and walks the running sum."""
@@ -417,3 +465,38 @@ class TestAgainstReferences:
             ref_rng, rng = random.Random(f"ref:{seed}"), random.Random(f"ref:{seed}")
             assert _sample_index(cdf, rng) == sample_index_by_lcm(weights, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate(), seed
+
+
+class TestArrayConstructionAgainstAmplitudes:
+    """The exact states are built as ring arrays; the accessors must hand out
+    the Amplitudes the entry-by-entry construction gives."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_states_equal_the_amplitude_construction(self, p):
+        setup = setup_for(p)
+        posts = posts_by_amplitudes(setup)
+        assert [post_measurement_state(setup, m, k).amps for m in range(p + 1) for k in range(1, p + 1)] == list(posts)
+        prepared = maximally_entangled_by_amplitudes(posts, p, 0)
+        for via_m in range(p + 1):
+            reference = maximally_entangled_by_amplitudes(posts, p, via_m)
+            assert maximally_entangled_state(setup, via_m).amps == reference, via_m
+        for label, state in measurement_basis(setup):
+            assert state.amps == bracket_state_by_amplitudes(posts, prepared, label), label.slots
+        rng = random.Random(p)
+        for _ in range(5):  # labels outside the measurement basis too
+            label = BracketLabel(p, tuple(rng.randint(1, p) for _ in range(p + 1)))
+            assert bracket_state(setup, label).amps == bracket_state_by_amplitudes(posts, prepared, label)
+        reference = entangled_basis_by_amplitudes(posts, prepared, p)
+        assert [state.amps for state in entangled_basis(setup)] == reference
+
+
+def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
+    # structural: the set-up and the protocol checks stay on the ring arrays
+    def refuse(*args):
+        raise AssertionError("per-entry Amplitude arithmetic in the exact set-up or checks")
+
+    monkeypatch.setattr(Amplitude, "__add__", refuse)
+    monkeypatch.setattr(Amplitude, "__mul__", refuse)
+    setup = RetrodictionSetup(PrimeDim(7), EXACT)
+    for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction):
+        assert check(setup).passed, check.__name__

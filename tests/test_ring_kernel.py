@@ -16,11 +16,17 @@ from meanking.cyclotomic import (
     Amplitude,
     CyclotomicInt,
     _ExactRing,
+    _RingArray,
     _is_zero_array,
     exact_overlap,
 )
 from meanking.mub import EXACT, FLOAT, PrimeDim
-from meanking.protocol import RetrodictionSetup
+from meanking.protocol import (
+    RetrodictionSetup,
+    maximally_entangled_state,
+    measurement_basis,
+    post_measurement_state,
+)
 
 KERNEL_PRIMES = [2, 3, 5, 7]
 
@@ -72,6 +78,67 @@ def test_abs2_equals_squared_modulus(case):
     for i, row in enumerate(rows):
         for j, amp in enumerate(row):
             assert ring.actual(sq[i, j]) == amp.squared_modulus().to_json()
+
+
+@st.composite
+def entry_pairs(draw):
+    """Two equal-shape lists of Amplitude rows, entries of one parity per position
+    (sums need it), scales drawn apart so sums must lift one side."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    parities = [[draw(st.integers(0, 1)) for _ in range(d)] for _ in range(rows)]
+    return p, *[[[draw(amplitude(p, parity)) for parity in row] for row in parities] for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_pairs())
+def test_entrywise_sum_difference_and_product_equal_amplitude(case):
+    p, a, b = case
+    ring = _ExactRing(p)
+    ra, rb = ring.rows(a), ring.rows(b)
+    for i, (row_a, row_b) in enumerate(zip(a, b)):
+        assert ring.amps((ra + rb)[i]) == tuple(x + y for x, y in zip(row_a, row_b))
+        assert ring.amps((ra - rb)[i]) == tuple(x - y for x, y in zip(row_a, row_b))
+        assert ring.amps(ring.mul(ra, rb)[i]) == tuple(x * y for x, y in zip(row_a, row_b))
+        assert ring.amps(ring.over_sqrt_p(ra)[i]) == tuple(x * Amplitude(CyclotomicInt.one(p), 1) for x in row_a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_pairs(), st.data())
+def test_broadcast_product_and_array_phase_equal_amplitude(case, data):
+    p, bras, kets = case
+    ring = _ExactRing(p)
+    # every bra row times every ket row, entry by entry, as the posts are built
+    outer = ring.mul(ring.rows(bras)[:, None], ring.rows(kets)[None, :])
+    exps = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=len(kets), max_size=len(kets))))
+    phased = ring.phase(ring.rows(kets)[None, :], exps[:, None, None])  # [exponent, ket, entry]
+    for i, bra in enumerate(bras):
+        for k, ket in enumerate(kets):
+            assert ring.amps(outer[i, k]) == tuple(x * y for x, y in zip(bra, ket))
+    for n, e in enumerate(exps.tolist()):
+        root = Amplitude(CyclotomicInt.root_power(p, e))
+        for k, ket in enumerate(kets):
+            assert ring.amps(phased[n, k]) == tuple(root * x for x in ket)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_pairs())
+def test_paired_row_products_equal_exact_overlap(case):
+    p, bras, kets = case
+    bras, kets = bras[: len(kets)], kets[: len(bras)]
+    ring = _ExactRing(p)
+    dots = ring.dots(ring.rows(bras), ring.rows(kets))
+    for i, (bra, ket) in enumerate(zip(bras, kets)):
+        assert ring.actual(dots[i]) == exact_overlap(bra, ket).to_json()
+    both = ring.concat([ring.rows(bras), ring.rows(kets)])
+    assert [ring.amps(row) for row in both] == [tuple(row) for row in bras + kets]
+
+
+def test_sum_across_scale_parities_is_refused():
+    ring = _ExactRing(3)
+    half = ring.rows([[Amplitude(CyclotomicInt.one(3), 1)]])
+    with pytest.raises(ValueError):
+        half + ring.rows([[Amplitude.one(3)]])
 
 
 def _order(p):
@@ -127,6 +194,17 @@ def test_over_range_operand_raises_overflow_error():
     with pytest.raises(OverflowError):
         ring.abs2(big)
     ring.gram(ring.integers(np.full((2, 3), 2**20)), ring.integers(np.full((2, 3), 2**20)))
+    with pytest.raises(OverflowError):
+        ring.dots(big, big)
+    with pytest.raises(OverflowError):
+        ring.mul(big, big)
+    ring.mul(ring.integers(np.full((2, 3), 2**29)), ring.integers(np.full((2, 3), 2**29)))
+    with pytest.raises(OverflowError):
+        ring.integers(np.full(3, 2**62)) + ring.integers(np.full(3, 2**62))
+    # lifting to a common scale multiplies by p^(shift/2) first
+    deep = _RingArray(3, ring.integers(np.full(3, 2**60)).c, 0)
+    with pytest.raises(OverflowError):
+        deep + _RingArray(3, ring.integers(np.ones(3)).c, 4)
 
 
 def test_nonzero_want_at_odd_scale_is_refused():
@@ -142,14 +220,16 @@ def test_nonzero_want_at_odd_scale_is_refused():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_exact_born_weights_equal_per_pair_overlaps(p):
     setup = RetrodictionSetup(PrimeDim(p), EXACT)
+    prepared = maximally_entangled_state(setup).amps
+    states = [state.amps for _, state in measurement_basis(setup)]
     for m in range(p + 1):
-        rows = setup.posts[m * p : (m + 1) * p]
-        reference = [exact_overlap(row, setup.prepared).squared_modulus().as_fraction() for row in rows]
+        rows = [post_measurement_state(setup, m, k).amps for k in range(1, p + 1)]
+        reference = [exact_overlap(row, prepared).squared_modulus().as_fraction() for row in rows]
         assert setup.king_weights[m] == reference
         for k in range(1, p + 1):
             reference = [
-                exact_overlap(state, setup.post(m, k)).squared_modulus().as_fraction()
-                for state in setup.states
+                exact_overlap(state, post_measurement_state(setup, m, k).amps).squared_modulus().as_fraction()
+                for state in states
             ]
             assert setup.outcome_weights[(m, k)] == reference
 

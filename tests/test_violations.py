@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from meanking import mub
+from meanking.cyclotomic import _RingArray
 from meanking.mub import (
     EXACT,
     FLOAT,
@@ -25,7 +26,6 @@ from meanking.mub import (
 )
 from meanking.protocol import (
     RetrodictionSetup,
-    bracket_state,
     verify_bracket_closed_form,
     verify_entangled_basis,
     verify_measurement_basis,
@@ -39,6 +39,8 @@ P = 3
 def _replace_row(rows, index, row):
     if isinstance(rows, tuple):
         return rows[:index] + (row,) + rows[index + 1 :]
+    if isinstance(rows, _RingArray):
+        return _RingArray(rows.p, _replace_row(rows.c, index, row.c), _replace_row(rows.t, index, row.t))
     rows = rows.copy()
     rows[index] = row
     return rows
@@ -62,7 +64,7 @@ def observable_1_is_observable_2(backend, monkeypatch):
 
 def prepared_is_bracket_state_0(backend, monkeypatch):
     setup = RetrodictionSetup(PrimeDim(P), backend)
-    setup.prepared = bracket_state(setup, setup.labels[0]).amps
+    setup.prepared = setup.states[0]  # the bracket state of labels[0]
     return verify_entangled_basis(setup)
 
 
