@@ -14,14 +14,10 @@ from .mub import (
     CompositeDiagnosis,
     MubFamily,
     PrimeDim,
-    build_ancilla_observable,
-    build_ancilla_weyl_pair,
     build_mub_family,
     build_observable,
     build_weyl_pair,
     diagnose_composite,
-    ket_projector,
-    projector_power_sum,
     verify_trace_relations,
     verify_unbiasedness,
 )
@@ -74,21 +70,17 @@ __all__ = [
     "SimulationSummary",
     "bracket_overlap_closed_form",
     "bracket_state",
-    "build_ancilla_observable",
-    "build_ancilla_weyl_pair",
     "build_mub_family",
     "build_observable",
     "build_weyl_pair",
     "diagnose_composite",
     "entangled_basis",
     "exact_overlap",
-    "ket_projector",
     "maximally_entangled_state",
     "measurement_basis",
     "measurement_label",
     "post_measurement_state",
     "probabilities_of",
-    "projector_power_sum",
     "random_density",
     "reconstruct",
     "reconstruction_matrix",

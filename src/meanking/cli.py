@@ -94,14 +94,17 @@ def _emit_json(payload: dict, out) -> None:
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_prime(value: int, hint: str = "", ceiling: int | None = None, what: str = "") -> PrimeDim:
-    try:
-        dim = PrimeDim(value)
-    except ValueError as exc:
-        raise InvalidInput(f"{exc}{hint}") from None
-    if ceiling is not None and dim.p > ceiling:
-        raise InvalidInput(f"p={dim.p} exceeds the {what} ceiling of {ceiling}")
-    return dim
+def _parse_prime(value: int, ceiling: int, what: str, hint: str = "") -> PrimeDim:
+    # past the ceiling and the dimensions diagnose takes, refuse without the
+    # primality test: its trial division takes 10^9 steps at p ~ 10^18
+    if value <= max(ceiling, DIAGNOSE_MAX_N):
+        try:
+            dim = PrimeDim(value)
+        except ValueError as exc:
+            raise InvalidInput(f"{exc}{hint}") from None
+        if dim.p <= ceiling:
+            return dim
+    raise InvalidInput(f"p={value} exceeds the {what} ceiling of {ceiling}")
 
 
 def cmd_verify(args) -> int:
@@ -109,7 +112,7 @@ def cmd_verify(args) -> int:
     if 4 <= args.p <= DIAGNOSE_MAX_N:
         hint = f"; for composite dimensions run `meanking diagnose --p {args.p}`"
     ceiling = EXACT_VERIFY_MAX_P if args.backend == EXACT else FLOAT_VERIFY_MAX_P
-    dim = _parse_prime(args.p, hint, ceiling, f"{args.backend}-backend verify")
+    dim = _parse_prime(args.p, ceiling, f"{args.backend}-backend verify", hint)
     with _output(args.out) as out:
         reports = [
             verify_unbiasedness(build_mub_family(dim, "object", args.backend)),
@@ -144,7 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dim = _parse_prime(args.p, ceiling=FLOAT_VERIFY_MAX_P, what="simulate")
+    dim = _parse_prime(args.p, FLOAT_VERIFY_MAX_P, "simulate")
     try:
         check_simulate_args(dim.p, args.rounds, args.king_strategy)
     except ValueError as exc:
@@ -172,7 +175,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    dim = _parse_prime(args.p, ceiling=FLOAT_VERIFY_MAX_P, what="bases")
+    dim = _parse_prime(args.p, FLOAT_VERIFY_MAX_P, "bases")
     with _output(args.out) as out:
         fam = build_mub_family(dim, args.side, args.backend)
         if args.format == "json":
@@ -191,7 +194,7 @@ def cmd_bases(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    dim = _parse_prime(args.p, ceiling=TOMOGRAPHY_MAX_P, what="tomography")
+    dim = _parse_prime(args.p, TOMOGRAPHY_MAX_P, "tomography")
     if args.seed < 0:  # numpy's generator takes only non-negative seeds
         raise InvalidInput(f"seed must be non-negative, got {args.seed}")
     with _output(args.out) as out:

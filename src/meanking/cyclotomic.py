@@ -429,8 +429,14 @@ class _ExactRing:
 
     dots = staticmethod(lambda a, b: _gram(a, b, paired=True))  # <a_i|b_i> of paired rows
 
-    def matmul(self, a: _RingArray, b: _RingArray) -> _RingArray:
-        return self.gram(a.conj(), b.swapaxes(0, 1))
+    def scatter(self, values: _RingArray, index, size: int) -> _RingArray:
+        """`values` at the positions `index` (of values' shape) along a last entry
+        axis of `size`, zeros elsewhere."""
+        c = np.zeros((*index.shape[:-1], size, self.n), dtype=np.int64)
+        t = np.zeros(c.shape[:-1], dtype=np.int64)
+        np.put_along_axis(c, index[..., None], values.c, axis=-2)
+        np.put_along_axis(t, index, values.t, axis=-1)
+        return _RingArray(self.p, c, t)
 
     def mul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         """a * b entry by entry (broadcasting): the cyclic convolution of the
@@ -462,11 +468,13 @@ class _ExactRing:
         return _RingArray(self.p, a.c, a.t + 1)
 
     def deviates(self, values: _RingArray, want, denom: int = 1) -> np.ndarray:
-        """Where c * denom - want * p^(t/2) is not the literal ring zero."""
-        want = np.broadcast_to(want, values.t.shape)
-        if (values.t[want != 0] % 2).any():
+        """Where c * denom - want * p^(t/2) is not the literal ring zero; a zero
+        value is taken at t = 0, since it is 0 at every scale."""
+        t = _scales(values)
+        want = np.broadcast_to(want, t.shape)
+        if (t[want != 0] % 2).any():
             raise ValueError("a nonzero want needs an even power of 1/sqrt(p)")
-        half = np.where(want != 0, values.t // 2, 0)
+        half = np.where(want != 0, t // 2, 0)
         _check_int64(_absmax(values.c) * denom + _absmax(want) * self.p ** int(half.max(initial=0)))
         diff = values.c * denom
         diff[..., 0] -= want * self.p**half
@@ -503,7 +511,6 @@ class _FloatRing:
     concat = staticmethod(np.concatenate)
     gram = staticmethod(lambda a, b: a.conj() @ b.T)
     dots = staticmethod(lambda a, b: np.einsum("ij,ij->i", a.conj(), b))
-    matmul = staticmethod(np.matmul)
     mul = staticmethod(np.multiply)
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)
@@ -511,6 +518,12 @@ class _FloatRing:
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
+
+    @staticmethod
+    def scatter(values: np.ndarray, index, size: int) -> np.ndarray:
+        out = np.zeros((*index.shape[:-1], size), dtype=complex)
+        np.put_along_axis(out, index, values, axis=-1)
+        return out
 
     def over_sqrt_p(self, a: np.ndarray) -> np.ndarray:
         return a / np.sqrt(self.p)

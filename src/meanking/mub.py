@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -52,71 +51,6 @@ class PrimeDim:
 def _check_backend(backend: str) -> None:
     if backend not in (EXACT, FLOAT):
         raise ValueError(f"unknown backend {backend!r}")
-
-
-# --- exact dense matrices (lists of Amplitude rows) ---
-
-
-def exact_zeros(p: int) -> list[list[Amplitude]]:
-    z = Amplitude.zero(p)
-    return [[z for _ in range(p)] for _ in range(p)]
-
-
-def exact_eye(p: int) -> list[list[Amplitude]]:
-    m = exact_zeros(p)
-    one = Amplitude.one(p)
-    for i in range(p):
-        m[i][i] = one
-    return m
-
-
-def exact_matmul(a, b) -> list[list[Amplitude]]:
-    p = len(a)
-    out = exact_zeros(p)
-    for i in range(p):
-        for k in range(p):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(p):
-                if b[k][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def exact_mat_pow(a, r: int) -> list[list[Amplitude]]:
-    out = exact_eye(len(a))
-    for _ in range(r):
-        out = exact_matmul(out, a)
-    return out
-
-
-def exact_scale(a, factor: Amplitude) -> list[list[Amplitude]]:
-    return [[entry * factor for entry in row] for row in a]
-
-
-def exact_mat_equal(a, b) -> bool:
-    return all(
-        (x - y).is_zero() for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)
-    )
-
-
-def exact_apply(a, vec: Sequence[Amplitude]) -> list[Amplitude]:
-    p = len(a)
-    out = []
-    for i in range(p):
-        acc = Amplitude.zero(vec[0].p)
-        for j in range(p):
-            if a[i][j].is_zero() or vec[j].is_zero():
-                continue
-            acc = acc + a[i][j] * vec[j]
-        out.append(acc)
-    return out
-
-
-def root_amplitude(p: int, e: int) -> Amplitude:
-    return Amplitude(CyclotomicInt.root_power(p, e))
 
 
 # --- unchecked float builders, shared with the composite diagnosis ---
@@ -163,67 +97,33 @@ def build_weyl_pair(dim: PrimeDim, backend: str = EXACT):
     U_0 U_p = q^{-1} U_p U_0.
     """
     _check_backend(backend)
-    p = dim.p
     if backend == EXACT:
-        u0 = exact_zeros(p)
-        up = exact_zeros(p)
-        one = Amplitude.one(p)
-        for i in range(p):
-            u0[i][i] = root_amplitude(p, i + 1)
-            up[i][(i + 1) % p] = one
-        return u0, up
-    return _float_weyl_pair(p)
+        return build_observable(dim, 0, EXACT), build_observable(dim, dim.p, EXACT)
+    return _float_weyl_pair(dim.p)
 
 
 def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
     """The m-th period-p observable: U_0 for m=0, else U_0^m U_p (phased for p=2).
 
     For p = 2, m = 1 the bare product squares to -1, so a factor -i restores
-    period 2 and the spectrum {q, q^2}.
+    period 2 and the spectrum {q, q^2}.  The exact matrix is written from its
+    closed form: q^(i+1) at (i, i) for m = 0, else q^(m(i+1)) at (i, i+1 mod p);
+    the float one is the literal product, the oracle for that form.
     """
     _check_backend(backend)
     p = dim.p
     if not 0 <= m <= p:
         raise ValueError(f"observable label must be in 0..{p}, got {m}")
-    if backend == EXACT:
-        u0, up = build_weyl_pair(dim, EXACT)
-        mat = u0 if m == 0 else exact_matmul(exact_mat_pow(u0, m), up)
-    else:
+    phased = p == 2 and m == 1
+    if backend == FLOAT:
         mat = _float_observable(p, m)
-    return _phase_p2(p, m, mat, backend)
-
-
-def _phase_p2(p: int, m: int, mat, backend: str):
-    # at p = 2 the bare product for m = 1 squares to -1; a factor -i restores period 2
-    if p != 2 or m != 1:
-        return mat
-    if backend == EXACT:
-        return exact_scale(mat, Amplitude(-CyclotomicInt.imaginary_unit()))
-    return -1j * mat
-
-
-def build_ancilla_weyl_pair(dim: PrimeDim, backend: str = EXACT):
-    """The ancilla pair with interchanged roles: the shift moves kets, not bras."""
-    u0, up = build_weyl_pair(dim, backend)
-    if backend == EXACT:
-        return u0, [list(column) for column in zip(*up)]
-    return u0, up.T.copy()
-
-
-def build_ancilla_observable(dim: PrimeDim, m: int, backend: str = EXACT):
-    """The m-th ancilla observable U_p-bar U_0-bar^m (phased for p=2)."""
-    _check_backend(backend)
-    p = dim.p
-    if not 0 <= m <= p:
-        raise ValueError(f"observable label must be in 0..{p}, got {m}")
-    au0, aup = build_ancilla_weyl_pair(dim, backend)
-    if m == 0:
-        return au0
-    if backend == EXACT:
-        mat = exact_matmul(aup, exact_mat_pow(au0, m))
-    else:
-        mat = aup @ np.linalg.matrix_power(au0, m)
-    return _phase_p2(p, m, mat, backend)
+        return -1j * mat if phased else mat
+    factor = -CyclotomicInt.imaginary_unit() if phased else CyclotomicInt.one(p)
+    mat = [[Amplitude.zero(p)] * p for _ in range(p)]
+    for i in range(p):
+        column, e = (i, i + 1) if m == 0 else ((i + 1) % p, m * (i + 1))
+        mat[i][column] = Amplitude(CyclotomicInt.root_power(p, e) * factor)
+    return mat
 
 
 # --- eigenbasis family ---
@@ -371,30 +271,60 @@ def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport
     return report
 
 
+def _read_monomial(ring, mat):
+    """A p x p ring matrix as (perm, entries, monomial): row i's nonzero sits in
+    column perm[i] with value entries[i], and `monomial` says whether every row
+    and every column has exactly one.  A row with more than one reads as zero,
+    so the products and traces built on the reading stay in the ring."""
+    nonzero = ring.deviates(mat, 0)
+    single = nonzero.sum(axis=1) == 1
+    perm = nonzero.argmax(axis=1)
+    entries = ring.mul(mat[np.arange(len(perm)), perm], ring.integers(single))
+    return perm, entries, single.all() and (nonzero.sum(axis=0) == 1).all()
+
+
 def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
     """Operator-level identities: periods, the commutation relation, the trace
     table, tracelessness of the non-identity basis operators, and completeness
-    (trace-orthogonality) of both operator bases."""
+    (trace-orthogonality) of both operator bases.
+
+    Every U_m is a monomial matrix, read once as (perm, entries): a product is
+    a gather and an entrywise ring product, and a trace a Gram product of the
+    monomials scattered into p^2-vectors."""
     p = dim.p
     ring = _ring(backend, p, atol)
     report = CheckReport(name="trace_relations")
-    obs = [ring.rows(build_observable(dim, m, backend)) for m in range(p + 1)]
-    ident = np.eye(p, dtype=int)
-    eye = ring.integers(ident)
+    rows = np.arange(p)
+    ident = np.eye(p, dtype=int).ravel()
 
-    def power_row(mat):
-        row = [eye]
-        for _ in range(p):
-            row.append(ring.matmul(row[-1], mat))
-        return ring.stack(row)
+    def times(a, b):
+        # (perm, entries) of A B, batched over leading axes: row i of A lands on
+        # row perm_a[i] of B
+        (perm_a, ent_a), (perm_b, ent_b) = a, b
+        gather = (*np.indices(perm_a.shape, sparse=True)[:-1], perm_a)
+        return np.take_along_axis(perm_b, perm_a, axis=-1), ring.mul(ent_a, ent_b[gather])
 
-    powers = ring.stack([power_row(mat) for mat in obs])  # [m, r] = U_m^r, r = 0..p
+    def vec(perm, entries, transpose=False):
+        # the p^2-vector of the monomial, or of its transpose
+        return ring.scatter(entries, perm * p + rows if transpose else rows * p + perm, p * p)
 
-    # unitarity: the rows of U_m are orthonormal
-    for m, mat in enumerate(obs):
+    read = [_read_monomial(ring, ring.rows(build_observable(dim, m, backend))) for m in range(p + 1)]
+    obs = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # U_m, batched over m
+
+    # unitarity: one nonzero per row and per column, each of modulus 1
+    off_circle = ring.deviates(ring.abs2(obs[1]), 1).any(axis=1)
+    for m, (_, _, monomial) in enumerate(read):
         report.checks += 1
-        if ring.deviates(ring.gram(mat, mat), ident).any():
+        if not monomial or off_circle[m]:
             report.violations.append({"kind": "unitarity", "m": m})
+
+    shape = obs[0].shape
+    power = [(np.broadcast_to(rows, shape), ring.integers(np.ones(shape, dtype=int)))]
+    for _ in range(p):
+        power.append(times(power[-1], obs))
+    perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
+    ents = ring.stack([pw[1] for pw in power]).swapaxes(0, 1)
+    powers = vec(perms, ents)
 
     # period p exactly: U_m^p = 1 and no smaller power is
     for m in range(p + 1):
@@ -408,18 +338,18 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
 
     # U_0 U_p = q^{-1} U_p U_0
     report.checks += 1
-    lhs = ring.matmul(obs[0], obs[p])
-    if ring.deviates(lhs - ring.phase(ring.matmul(obs[p], obs[0]), -1), 0).any():
+    u0, up = (perms[0, 1], ents[0, 1]), (perms[p, 1], ents[p, 1])
+    if ring.deviates(vec(*times(u0, up)) - ring.phase(vec(*times(up, u0)), -1), 0).any():
         report.violations.append({"kind": "commutation"})
 
     # trace table over all m, m' and r, s in 0..p-1: tr(A B) = <conj vec A|vec B^T>,
     # one product per m1 (per-m1 blocks bound the memory)
-    flat_t = powers[:, :p].swapaxes(-1, -2).reshape((p + 1) * p, p * p)
+    flat_t = vec(perms[:, :p], ents[:, :p], transpose=True).reshape((p + 1) * p, p * p)
     exps = np.arange(p)
     want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
     want_other = p * np.outer(exps == 0, exps == 0)
     for m1 in range(p + 1):
-        block = ring.gram(powers[m1, :p].reshape(p, p * p).conj(), flat_t)
+        block = ring.gram(powers[m1, :p].conj(), flat_t)
         traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
         want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
         report.checks += want.size
@@ -427,59 +357,27 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
             report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
     del flat_t  # free it before the Gram checks allocate theirs
 
-    def trace_orthogonal(family, labels, kind):
+    def trace_orthogonal(vecs, labels, kind):
         # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
-        vec = family.reshape(len(labels), p * p)
         report.checks += len(labels) ** 2
-        for i, j in np.argwhere(ring.deviates(ring.gram(vec, vec), p * np.eye(len(labels), dtype=int))):
+        for i, j in np.argwhere(ring.deviates(ring.gram(vecs, vecs), p * np.eye(len(labels), dtype=int))):
             report.violations.append({"kind": kind, "pair": [labels[i], labels[j]]})
 
     # clock/shift monomials U_0^r U_p^s: traceless except identity, trace-orthogonal
     keys = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
-    monomials = ring.stack([ring.matmul(powers[0, r % p], powers[p, s % p]) for r, s in keys])
-    traces = ring.gram(monomials.reshape(len(keys), p * p).conj(), eye.reshape(1, p * p))
+    r_mod, s_mod = (np.array(keys) % p).T
+    monomials = vec(*times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod])))
+    traces = ring.gram(monomials.conj(), powers[0, :1])  # against U_0^0, the identity
     report.checks += len(keys)
-    for i in np.flatnonzero(ring.deviates(traces[:, 0], [p * (r % p == s % p == 0) for r, s in keys])):
+    for i in np.flatnonzero(ring.deviates(traces[:, 0], p * ((r_mod == 0) & (s_mod == 0)))):
         report.violations.append({"kind": "monomial_trace", "r": keys[i][0], "s": keys[i][1]})
     trace_orthogonal(monomials, keys, "monomial_gram")
     del monomials
 
     # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
     labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
-    trace_orthogonal(ring.stack([eye] + [powers[m, r] for m, r in labels[1:]]), labels, "power_gram")
+    trace_orthogonal(ring.concat([powers[0, :1], powers[:, 1:p].reshape(len(labels) - 1, p * p)]), labels, "power_gram")
     return report
-
-
-def projector_power_sum(fam: MubFamily, m: int, k: int):
-    """The rank-one projector onto |m_k> as the power sum (1/p) sum_r (q^{-k} U_m)^r."""
-    dim = PrimeDim(fam.p)
-    p = fam.p
-    if fam.backend == EXACT:
-        u = build_observable(dim, m, EXACT)
-        shifted = exact_scale(u, root_amplitude(p, -k % p))
-        acc = exact_zeros(p)
-        term = exact_eye(p)
-        for _ in range(p):
-            term = exact_matmul(term, shifted)
-            acc = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(acc, term)]
-        inv_p = Amplitude(CyclotomicInt.one(p), 2)
-        return exact_scale(acc, inv_p)
-    u = build_observable(dim, m, FLOAT)
-    shifted = np.exp(-2j * np.pi * k / p) * u
-    acc = np.zeros((p, p), dtype=complex)
-    term = np.eye(p, dtype=complex)
-    for _ in range(p):
-        term = term @ shifted
-        acc += term
-    return acc / p
-
-
-def ket_projector(fam: MubFamily, m: int, k: int):
-    """The outer product |m_k><m_k| built directly from the stored ket."""
-    ket = fam.ket(m, k)
-    if fam.backend == EXACT:
-        return [[a * b.conjugate() for b in ket] for a in ket]
-    return np.outer(ket, ket.conj())
 
 
 # --- composite-dimension diagnosis ---
@@ -511,12 +409,15 @@ def check_composite(n: int) -> None:
     """Raise ValueError unless `diagnose_composite` accepts n."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an integer, got {n!r}")
+    out_of_range = ValueError(f"composite diagnosis supports 4 <= n <= {DIAGNOSE_MAX_N}")
+    if n > DIAGNOSE_MAX_N:  # before the primality test, which is slow for huge n
+        raise out_of_range
     if _is_prime(n):
         raise ValueError(
             f"{n} is prime; the construction succeeds there, so there is nothing to diagnose"
         )
-    if n < 4 or n > DIAGNOSE_MAX_N:
-        raise ValueError(f"composite diagnosis supports 4 <= n <= {DIAGNOSE_MAX_N}")
+    if n < 4:
+        raise out_of_range
 
 
 def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from meanking import cli
+from meanking import cli, mub
 from meanking.cli import main
 
 
@@ -260,6 +260,19 @@ class TestDiagnose:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write --out")
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "bases", "tomography", "diagnose"])
+def test_huge_prime_is_refused_before_any_primality_test(capsys, monkeypatch, command):
+    # 10^18 + 3 is prime; trial division up to its square root takes 10^9 steps
+    def refuse(n):
+        raise AssertionError(f"primality test of {n} before the ceiling check")
+
+    monkeypatch.setattr(mub, "_is_prime", refuse)
+    code, out, err = run_cli(capsys, command, "--p", "1000000000000000003")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_help_names_every_ceiling(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from meanking import mub
 from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
 from meanking.mub import (
     EXACT,
@@ -10,26 +11,116 @@ from meanking.mub import (
     CompositeDiagnosis,
     MubFamily,
     PrimeDim,
-    build_ancilla_observable,
-    build_ancilla_weyl_pair,
     build_mub_family,
     build_observable,
     build_weyl_pair,
     diagnose_composite,
-    exact_apply,
-    exact_eye,
-    exact_mat_equal,
-    exact_mat_pow,
-    exact_matmul,
-    exact_scale,
-    ket_projector,
-    projector_power_sum,
-    root_amplitude,
     verify_trace_relations,
     verify_unbiasedness,
 )
 
+# --- references: dense Amplitude matrices, multiplied entry by entry ---
+
+
+def exact_zeros(p):
+    z = Amplitude.zero(p)
+    return [[z for _ in range(p)] for _ in range(p)]
+
+
+def exact_eye(p):
+    m = exact_zeros(p)
+    one = Amplitude.one(p)
+    for i in range(p):
+        m[i][i] = one
+    return m
+
+
+def exact_matmul(a, b):
+    p = len(a)
+    out = exact_zeros(p)
+    for i in range(p):
+        for k in range(p):
+            aik = a[i][k]
+            if aik.is_zero():
+                continue
+            for j in range(p):
+                if b[k][j].is_zero():
+                    continue
+                out[i][j] = out[i][j] + aik * b[k][j]
+    return out
+
+
+def exact_mat_pow(a, r):
+    out = exact_eye(len(a))
+    for _ in range(r):
+        out = exact_matmul(out, a)
+    return out
+
+
+def exact_scale(a, factor):
+    return [[entry * factor for entry in row] for row in a]
+
+
+def exact_mat_equal(a, b):
+    return all(
+        (x - y).is_zero() for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)
+    )
+
+
+def exact_apply(a, vec):
+    p = len(a)
+    out = []
+    for i in range(p):
+        acc = Amplitude.zero(vec[0].p)
+        for j in range(p):
+            if a[i][j].is_zero() or vec[j].is_zero():
+                continue
+            acc = acc + a[i][j] * vec[j]
+        out.append(acc)
+    return out
+
+
+def root_amplitude(p, e):
+    return Amplitude(CyclotomicInt.root_power(p, e))
+
+
+def build_ancilla_weyl_pair(dim, backend=EXACT):
+    """The ancilla pair with interchanged roles: the shift moves kets, not bras."""
+    u0, up = build_weyl_pair(dim, backend)
+    return u0, [list(column) for column in zip(*up)]
+
+
+def build_ancilla_observable(dim, m, backend=EXACT):
+    """The m-th ancilla observable U_p-bar U_0-bar^m (phased for p=2)."""
+    au0, aup = build_ancilla_weyl_pair(dim, backend)
+    if m == 0:
+        return au0
+    mat = exact_matmul(aup, exact_mat_pow(au0, m))
+    if dim.p == 2 and m == 1:
+        mat = exact_scale(mat, Amplitude(-CyclotomicInt.imaginary_unit()))
+    return mat
+
+
+def projector_power_sum(fam, m, k):
+    """The rank-one projector onto |m_k> as the power sum (1/p) sum_r (q^{-k} U_m)^r."""
+    p = fam.p
+    shifted = exact_scale(build_observable(PrimeDim(p), m, EXACT), root_amplitude(p, -k % p))
+    acc = exact_zeros(p)
+    term = exact_eye(p)
+    for _ in range(p):
+        term = exact_matmul(term, shifted)
+        acc = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(acc, term)]
+    return exact_scale(acc, Amplitude(CyclotomicInt.one(p), 2))
+
+
+def ket_projector(fam, m, k):
+    """The outer product |m_k><m_k| built directly from the stored ket."""
+    ket = fam.ket(m, k)
+    return [[a * b.conjugate() for b in ket] for a in ket]
+
+
 SMALL_PRIMES = [2, 3, 5, 7]
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_prime_dim_accepts_primes_and_rejects_composites():
@@ -183,6 +274,63 @@ def test_trace_relations_exact(p):
 def test_trace_relations_float(p):
     report = verify_trace_relations(PrimeDim(p), FLOAT)
     assert report.passed, report.violations[:3]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_exact_observables_equal_the_float_products(p):
+    # the exact closed form against the literal float product U_0^m U_p, also at
+    # primes the exact verify never reaches
+    dim = PrimeDim(p)
+    for m in range(p + 1):
+        exact = np.array([[amp.to_complex() for amp in row] for row in build_observable(dim, m, EXACT)])
+        assert np.max(np.abs(exact - build_observable(dim, m, FLOAT))) < 1e-12, m
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_float_kets_are_the_eigenvectors_numpy_finds(p):
+    # np.linalg.eig shares no code with the ket formula: each stored ket |m_k> is,
+    # up to a phase, the eigenvector of U_m with eigenvalue q^k
+    dim = PrimeDim(p)
+    fam = build_mub_family(dim, "object", FLOAT)
+    for m in range(p + 1):
+        values, vectors = np.linalg.eig(build_observable(dim, m, FLOAT))
+        for k in range(1, p + 1):
+            match = np.flatnonzero(np.abs(values - np.exp(2j * np.pi * k / p)) < 1e-9)
+            assert len(match) == 1, (m, k)
+            assert abs(abs(np.vdot(vectors[:, match[0]], fam.ket(m, k))) - 1) < 1e-9, (m, k)
+
+
+def test_exact_operator_checks_do_no_per_entry_arithmetic(monkeypatch):
+    # structural: the operators are read once into ring arrays and checked there
+    def refuse(*args):
+        raise AssertionError("per-entry Amplitude arithmetic in the exact operator checks")
+
+    monkeypatch.setattr(Amplitude, "__add__", refuse)
+    monkeypatch.setattr(Amplitude, "__mul__", refuse)
+    assert verify_trace_relations(PrimeDim(7), EXACT).passed
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("shape", ["fourier", "one_column"])
+def test_observable_that_is_not_monomial_is_reported(backend, shape, monkeypatch):
+    # the 3 x 3 Fourier matrix is unitary but has no zero entry; a matrix whose
+    # rows all hold a single 1 in column 0 passes every row test
+    p = 3
+    original = mub.build_observable
+
+    def replaced_1(dim, m, backend=EXACT):
+        if m != 1:
+            return original(dim, m, backend)
+        if shape == "one_column":
+            mat = [[Amplitude.one(p)] + [Amplitude.zero(p)] * (p - 1) for _ in range(p)]
+        else:
+            mat = [[Amplitude(CyclotomicInt.root_power(p, j * k), 1) for k in range(p)] for j in range(p)]
+        return mat if backend == EXACT else np.array([[amp.to_complex() for amp in row] for row in mat])
+
+    monkeypatch.setattr(mub, "build_observable", replaced_1)
+    report = verify_trace_relations(PrimeDim(p), backend)
+    assert not report.passed
+    assert {"kind": "unitarity", "m": 1} in report.violations
 
 
 @pytest.mark.parametrize("p", [11, 13])

@@ -134,6 +134,29 @@ def test_paired_row_products_equal_exact_overlap(case):
     assert [ring.amps(row) for row in both] == [tuple(row) for row in bras + kets]
 
 
+@settings(max_examples=200, deadline=None)
+@given(row_pairs(), st.data())
+def test_scatter_places_each_entry_and_zeros_elsewhere(case, data):
+    p, rows, _ = case
+    ring = _ExactRing(p)
+    size = len(rows[0]) + 2
+    index = np.array([data.draw(st.permutations(range(size)))[: len(row)] for row in rows])
+    placed = ring.scatter(ring.rows(rows), index, size)
+    for i, row in enumerate(rows):
+        expected = [Amplitude.zero(p)] * size
+        for amp, j in zip(row, index[i].tolist()):
+            expected[j] = amp
+        assert ring.amps(placed[i]) == tuple(expected)
+
+
+def test_zero_at_odd_scale_matches_only_a_zero_want():
+    # a zero is 0 at every scale, so no parity refusal applies to it
+    ring = _ExactRing(3)
+    zero = ring.mul(ring.rows([[Amplitude(CyclotomicInt.one(3), 1)]]), ring.integers([[0]]))
+    assert not ring.deviates(zero, 0).any()
+    assert ring.deviates(zero, 1).all()
+
+
 def test_sum_across_scale_parities_is_refused():
     ring = _ExactRing(3)
     half = ring.rows([[Amplitude(CyclotomicInt.one(3), 1)]])
