@@ -95,8 +95,8 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _parse_prime(value: int, ceiling: int, what: str, hint: str = "") -> PrimeDim:
-    # past the ceiling and the dimensions diagnose takes, refuse without the
-    # primality test: its trial division takes 10^9 steps at p ~ 10^18
+    # past the ceiling and the dimensions diagnose takes, refuse with the
+    # ceiling message and without a primality test
     if value <= max(ceiling, DIAGNOSE_MAX_N):
         try:
             dim = PrimeDim(value)

@@ -24,14 +24,33 @@ from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring
 FLOAT_ATOL = 1e-10
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below psi_13 (Sorenson and Webster, 2015); past it the verdict is unproven.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981  # psi_13
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is decided only below {_MILLER_RABIN_BOUND}, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -410,7 +429,7 @@ def check_composite(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an integer, got {n!r}")
     out_of_range = ValueError(f"composite diagnosis supports 4 <= n <= {DIAGNOSE_MAX_N}")
-    if n > DIAGNOSE_MAX_N:  # before the primality test, which is slow for huge n
+    if n > DIAGNOSE_MAX_N:  # before the primality test, so huge n get the range message
         raise out_of_range
     if _is_prime(n):
         raise ValueError(

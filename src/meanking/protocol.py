@@ -304,7 +304,9 @@ def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> C
     ring = _ring(setup.backend, p, atol)
     keys = list(setup.outcome_weights)  # (m, k) for the rows of outcome_table
     # wants over the denominator p: 1 where the label's slot k_m is k, else 0
-    want = np.array([[label.k(m) == k for label in setup.labels] for m, k in keys], dtype=int)
+    slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
+    key_m, key_k = np.array(keys, dtype=int).T
+    want = (slots[:, key_m].T == key_k[:, None]).astype(int)
     report = CheckReport(name="retrodiction", checks=want.size)
     for row, i in np.argwhere(ring.deviates(setup.outcome_table, want, p)).tolist():
         (m, k), label = keys[row], setup.labels[i].to_json()

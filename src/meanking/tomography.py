@@ -85,7 +85,10 @@ def probabilities_of(rho: DensityMatrix, fam: MubFamily) -> ProbabilityTable:
     if fam.p != rho.dim.p:
         raise ValueError(f"dimension mismatch: rho is {rho.dim.p}, family is {fam.p}")
     kets = _float_kets(fam)
-    table = np.einsum("mki,ij,mkj->mk", kets.conj(), rho.matrix, kets).real
+    table = np.empty(kets.shape[:2])
+    for m, basis in enumerate(kets):  # one p x p product per basis: O(p^3), p x p temporaries
+        # row k of basis @ rho.T is rho|m_k>, so the row-wise dot with conj(basis) is <m_k|rho|m_k>
+        table[m] = np.einsum("ki,ki->k", basis.conj(), basis @ rho.matrix.T).real
     return ProbabilityTable(dim=rho.dim, table=table)
 
 
@@ -96,7 +99,10 @@ def reconstruction_matrix(table: ProbabilityTable, fam: MubFamily) -> np.ndarray
     p = table.dim.p
     kets = _float_kets(fam)
     weights = table.table - 1.0 / (p + 1)
-    return np.einsum("mk,mki,mkj->ij", weights, kets, kets.conj())
+    rho = np.zeros((p, p), dtype=complex)
+    for w, basis in zip(weights, kets):  # sum_k w[k] |m_k><m_k| as one p x p product, in m order
+        rho += (basis.T * w) @ basis.conj()
+    return rho
 
 
 def reconstruct(table: ProbabilityTable, fam: MubFamily) -> DensityMatrix:

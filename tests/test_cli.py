@@ -264,7 +264,7 @@ class TestDiagnose:
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "bases", "tomography", "diagnose"])
 def test_huge_prime_is_refused_before_any_primality_test(capsys, monkeypatch, command):
-    # 10^18 + 3 is prime; trial division up to its square root takes 10^9 steps
+    # 10^18 + 3 is prime; the CLI gives the ceiling message before any primality test
     def refuse(n):
         raise AssertionError(f"primality test of {n} before the ceiling check")
 

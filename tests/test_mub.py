@@ -131,6 +131,36 @@ def test_prime_dim_accepts_primes_and_rejects_composites():
             PrimeDim(n)
 
 
+def test_primality_agrees_with_sympy_below_10_to_5():
+    sympy = pytest.importorskip("sympy")
+    assert [mub._is_prime(n) for n in range(10**5)] == [sympy.isprime(n) for n in range(10**5)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2 ... 31
+        318665857834031151167461,  # psi_12: strong pseudoprime to bases 2 ... 37, not 41
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not mub._is_prime(n)
+    with pytest.raises(ValueError, match="prime"):
+        PrimeDim(n)
+
+
+def test_primality_refuses_at_psi_13():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        PrimeDim(3317044064679887385961981)
+
+
+def test_huge_prime_dim_constructs():
+    # 10^18 + 3: trial division up to its square root would take 10^9 steps
+    assert PrimeDim(1000000000000000003).p == 1000000000000000003
+
+
 def test_weyl_pair_p2_is_diag_and_exchange():
     u0, up = build_weyl_pair(PrimeDim(2), EXACT)
     minus_one = Amplitude(CyclotomicInt.integer(2, -1))

@@ -1,8 +1,12 @@
 """Probability tables and exact reconstruction from the complementary measurements."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from meanking.cli import main
 from meanking.mub import FLOAT, PrimeDim, build_mub_family
 from meanking.tomography import (
     DensityMatrix,
@@ -14,10 +18,32 @@ from meanking.tomography import (
 )
 
 TOMO_PRIMES = [2, 3, 5, 7]
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+# stdout of `tomography --json` captured while both sums were single einsums
+CAPTURES = Path(__file__).parent / "tomography"
+CAPTURED = {
+    "tomography_p5_seed7.json": ["tomography", "--p", "5", "--seed", "7", "--json"],
+    "tomography_p31_seed3.json": ["tomography", "--p", "31", "--seed", "3", "--json"],
+}
 
 
 def family(p):
     return build_mub_family(PrimeDim(p), "object", FLOAT)
+
+
+# --- references: each sum as one scalar einsum over all (m, k, i, j), O(p^4) ---
+
+
+def probabilities_by_einsum(rho, fam):
+    kets = fam.bases
+    return np.einsum("mki,ij,mkj->mk", kets.conj(), rho.matrix, kets).real
+
+
+def reconstruction_by_einsum(table, fam):
+    p = table.dim.p
+    kets = fam.bases
+    weights = table.table - 1.0 / (p + 1)
+    return np.einsum("mk,mki,mkj->ij", weights, kets, kets.conj())
 
 
 class TestDensityMatrix:
@@ -142,3 +168,61 @@ class TestReconstruction:
         rho = random_density(PrimeDim(2), 0)
         with pytest.raises(ValueError, match="mismatch"):
             probabilities_of(rho, family(3))
+
+
+class TestAgainstTheScalarSums:
+    # the per-basis products sum in another order than the einsums, so they
+    # agree to a few ulps of the unit-scale entries, not bit for bit
+    @pytest.mark.parametrize(
+        "p, seeds", [(p, range(10)) for p in PRIMES_TO_31] + [(79, range(3)), (127, range(3))]
+    )
+    def test_products_match_the_einsums(self, p, seeds):
+        fam = family(p)
+        for seed in seeds:
+            rho = random_density(PrimeDim(p), seed)
+            table = probabilities_of(rho, fam)
+            assert np.max(np.abs(table.table - probabilities_by_einsum(rho, fam))) <= 1e-14, (p, seed)
+            rebuilt = reconstruction_matrix(table, fam)
+            assert np.max(np.abs(rebuilt - reconstruction_by_einsum(table, fam))) <= 1e-14, (p, seed)
+
+    def test_tomography_runs_no_three_operand_einsum(self, monkeypatch, capsys):
+        # structural: both sums stay per-basis products, O(p^3) rather than O(p^4)
+        einsum = np.einsum
+
+        def guarded(subscripts, *operands, **kwargs):
+            if len(operands) > 2:
+                raise AssertionError(f"three-operand einsum {subscripts!r}")
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", guarded)
+        assert main(["tomography", "--p", "7", "--seed", "1"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+
+def _complex(matrix):
+    return np.array([[z["re"] + 1j * z["im"] for z in row] for row in matrix])
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURED))
+def test_output_matches_the_einsum_captures(name, capsys):
+    assert main(CAPTURED[name]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((CAPTURES / name).read_text())
+    assert list(got) == list(want)
+    for key in ("command", "p", "seed", "schema_version", "rho"):
+        assert got[key] == want[key], key
+    assert np.max(np.abs(np.array(got["table"]) - np.array(want["table"]))) <= 1e-14
+    assert np.max(np.abs(_complex(got["reconstruction"]) - _complex(want["reconstruction"]))) <= 1e-14
+    assert got["frobenius_error"] <= 1e-9
+
+
+def test_every_capture_has_a_case():
+    assert sorted(path.name for path in CAPTURES.iterdir()) == sorted(CAPTURED)
+
+
+def test_output_repeats_byte_for_byte(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["tomography", "--p", "79", "--seed", "5", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
