@@ -18,6 +18,7 @@ from .mub import (
     build_observable,
     build_weyl_pair,
     diagnose_composite,
+    verify_eigen_equation,
     verify_trace_relations,
     verify_unbiasedness,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "run_round",
     "simulate",
     "verify_bracket_closed_form",
+    "verify_eigen_equation",
     "verify_entangled_basis",
     "verify_measurement_basis",
     "verify_retrodiction",

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -47,6 +48,10 @@ DEFAULT_SEED = 42
 EXACT_VERIFY_MAX_P = 13
 FLOAT_VERIFY_MAX_P = 31
 TOMOGRAPHY_MAX_P = 127
+# simulate --emit-rounds keeps every round until the JSON is written: a kept
+# round peaked at 2.1 kB at p = 3 and 5.2 kB at p = 31, so the records stay
+# under about 260 MB
+EMIT_ROUNDS_MAX = 50_000
 
 
 def _use_color() -> bool:
@@ -91,7 +96,43 @@ def _output(out_path: str | None):
 
 def _emit_json(payload: dict, out) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out.write(_json_text(payload, "") + "\n")
+
+
+def _json_text(obj, indent: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), every line after the first
+    prefixed by `indent`.  Dicts with string keys and lists of lists are walked
+    here, so the long float lists (and lists of {"im", "re"} dicts) of
+    tomography and bases can be formatted in bulk; any other value, such as a
+    list of simulated rounds, goes to json.dumps whole."""
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = [f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items())]
+    elif type(obj) is list and obj and type(obj[0]) is list:
+        items = [_json_text(value, inner) for value in obj]
+    else:
+        items = _float_items(obj, inner)
+        if items is None:
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    brackets = "{}" if type(obj) is dict else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _float_items(items, indent: str) -> list | None:
+    """The JSON texts of a list of finite floats, or of {"im", "re"} dicts of
+    finite floats, at `indent`; None for any other value."""
+    if type(items) is not list or not items:
+        return None
+    complex_entries = all(type(x) is dict and x.keys() == {"im", "re"} for x in items)
+    numbers = [value for x in items for value in (x["im"], x["re"])] if complex_entries else items
+    if set(map(type, numbers)) != {float} or not all(map(math.isfinite, numbers)):
+        return None  # json.dumps spells NaN and the infinities its own way
+    texts = list(map(float.__repr__, numbers))
+    if not complex_entries:
+        return texts
+    deeper = indent + "  "
+    head, middle, tail = f'{{\n{deeper}"im": ', f',\n{deeper}"re": ', f"\n{indent}}}"
+    return [head + im + middle + re + tail for im, re in zip(texts[::2], texts[1::2])]
 
 
 def _parse_prime(value: int, ceiling: int, what: str, hint: str = "") -> PrimeDim:
@@ -152,6 +193,8 @@ def cmd_simulate(args) -> int:
         check_simulate_args(dim.p, args.rounds, args.king_strategy)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
+    if args.emit_rounds and args.rounds > EMIT_ROUNDS_MAX:
+        raise InvalidInput(f"--emit-rounds keeps at most {EMIT_ROUNDS_MAX} rounds, got --rounds {args.rounds}")
     with _output(args.out) as out:
         summary = simulate(
             dim,
@@ -270,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--king-strategy", default="uniform", metavar="uniform|fixed:<m>")
     sim.add_argument("--json", action="store_true")
-    sim.add_argument("--emit-rounds", action="store_true")
+    sim.add_argument(
+        "--emit-rounds", action="store_true", help=f"list every round in the JSON (--rounds up to {EMIT_ROUNDS_MAX})"
+    )
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 

@@ -386,7 +386,10 @@ def _gram(a: _RingArray, b: _RingArray, paired: bool = False) -> _RingArray:
     """<a_i|b_k> for the rows of two 2-D arrays; only <a_i|b_i> when paired."""
     (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
     (rows_a, d, n), rows_b = ca.shape, len(cb)
-    _check_int64(2 * d * n * _absmax(ca) * _absmax(cb))
+    bound = 2 * d * n * _absmax(ca) * _absmax(cb)
+    _check_int64(bound)
+    if bound < 2**53:  # every partial sum is an integer float64 holds exactly: use BLAS
+        ca, cb = ca.astype(np.float64), cb.astype(np.float64)
     # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul (a row-wise
     # product when paired) per E against b with its coefficient axis rolled by E
     flat_a = ca.reshape(rows_a, d * n)
@@ -429,14 +432,17 @@ class _ExactRing:
 
     dots = staticmethod(lambda a, b: _gram(a, b, paired=True))  # <a_i|b_i> of paired rows
 
-    def scatter(self, values: _RingArray, index, size: int) -> _RingArray:
-        """`values` at the positions `index` (of values' shape) along a last entry
-        axis of `size`, zeros elsewhere."""
-        c = np.zeros((*index.shape[:-1], size, self.n), dtype=np.int64)
-        t = np.zeros(c.shape[:-1], dtype=np.int64)
-        np.put_along_axis(c, index[..., None], values.c, axis=-2)
-        np.put_along_axis(t, index, values.t, axis=-1)
-        return _RingArray(self.p, c, t)
+    def add_at(self, values: _RingArray, index, size: int) -> _RingArray:
+        """The sums of a 1-D array's entries grouped by `index` into `size` bins,
+        each bin at the largest scale of its entries; bounded by the largest
+        bin's count times max|c| after the lift."""
+        top = np.zeros(size, dtype=np.int64)
+        np.maximum.at(top, index, _scales(values))
+        c = _lifted(values, top[index])
+        _check_int64(2 * np.bincount(index, minlength=size).max(initial=0) * _absmax(c))
+        out = np.zeros((size, self.n), dtype=np.int64)
+        np.add.at(out, index, c)
+        return _RingArray(self.p, _canonicalize(self.p, out), top)
 
     def mul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         """a * b entry by entry (broadcasting): the cyclic convolution of the
@@ -520,10 +526,8 @@ class _FloatRing:
         return np.exp(2j * np.pi * e / self.p) * a
 
     @staticmethod
-    def scatter(values: np.ndarray, index, size: int) -> np.ndarray:
-        out = np.zeros((*index.shape[:-1], size), dtype=complex)
-        np.put_along_axis(out, index, values, axis=-1)
-        return out
+    def add_at(values: np.ndarray, index, size: int) -> np.ndarray:
+        return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
 
     def over_sqrt_p(self, a: np.ndarray) -> np.ndarray:
         return a / np.sqrt(self.p)

@@ -95,14 +95,16 @@ def _ket_exponent(p: int, m: int, j, k):
 
 
 def _float_bases(n: int):
-    # the computational basis, then bases 1..n from the odd-p formula, one at a time
+    # the computational basis, then bases 1..n from the odd-p formula, one at a
+    # time: each amplitude gathered from the n values scale * q^e, e = 0..n-1
     arr = np.zeros((n + 1, n, n), dtype=complex)
     arr[0] = np.eye(n)
     scale = 1 / math.sqrt(n)
+    e = np.arange(n)
+    roots = scale * np.exp(1j * (2 * np.pi * e / n))
     j = np.arange(1, n + 1)
     for m in range(1, n + 1):
-        e = _ket_exponent(n, m, j[None, :], j[:, None])
-        arr[m] = scale * np.exp(1j * (2 * np.pi * e / n))
+        arr[m] = roots[_ket_exponent(n, m, j[None, :], j[:, None])]
     return arr
 
 
@@ -302,19 +304,66 @@ def _read_monomial(ring, mat):
     return perm, entries, single.all() and (nonzero.sum(axis=0) == 1).all()
 
 
+def verify_eigen_equation(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
+    """Check that every ket is an eigenket of its observable: U_m|m_k> = q^k|m_k>.
+
+    Each U_m is read as a monomial (perm, entries), so U_m|v> is the gather
+    entries[i] v[perm[i]].  The equation is stated for the object family."""
+    if fam.side != "object":
+        raise ValueError(f"the eigen equation is checked on the object family, got {fam.side!r}")
+    p = fam.p
+    ring = _ring(fam.backend, p, atol)
+    dim = PrimeDim(p)
+    read = [_read_monomial(ring, ring.rows(build_observable(dim, m, fam.backend))) for m in range(p + 1)]
+    perm, entries = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # [m, i]
+    kets = ring.rows(fam.bases)  # [m, k-1, j]
+    basis = np.arange(p + 1)[:, None, None]
+    applied = ring.mul(entries[:, None, :], kets[basis, np.arange(p)[None, :, None], perm[:, None, :]])
+    eigen = ring.phase(kets, np.arange(1, p + 1)[None, :, None])
+    failed = ring.deviates(applied - eigen, 0).any(axis=-1)  # [m, k-1]
+    report = CheckReport(name="eigen_equation", checks=failed.size)
+    for m, k in np.argwhere(failed).tolist():
+        report.violations.append({"m": m, "k": k + 1})
+    return report
+
+
+def _shared_key_sums(ring, keys_a, vals_a, keys_b, vals_b, block_rows: int):
+    """Yield (start, block): rows start.. of S[i, k], the sum of vals_a[i, x] *
+    vals_b[k, y] over the entries whose keys agree, keys_a[i, x] == keys_b[k, y].
+
+    Each row is a sparse vector (a monomial's entries, keyed by their positions
+    in its p^2-vector), so S is a Gram or trace table that touches only shared
+    positions: b's keys are sorted once, and each block of a's rows finds its
+    partners by `searchsorted` and sums their products into S by `ring.add_at`."""
+    width, n_b = keys_a.shape[1], len(keys_b)
+    order = np.argsort(keys_b, axis=None, kind="stable")
+    sorted_keys = keys_b.ravel()[order]
+    flat_a, flat_b = vals_a.reshape(-1), vals_b.reshape(-1)
+    for start in range(0, len(keys_a), block_rows):
+        keys = keys_a[start : start + block_rows].ravel()
+        lo = np.searchsorted(sorted_keys, keys, "left")
+        count = np.searchsorted(sorted_keys, keys, "right") - lo
+        a_item = np.repeat(np.arange(len(keys)), count)  # entry of the block, per match
+        first = np.repeat(lo - np.cumsum(count) + count, count)
+        b_item = order[first + np.arange(len(a_item))]  # its partner's entry in b
+        products = ring.mul(flat_a[start * width + a_item], flat_b[b_item])
+        rows = len(keys) // width
+        sums = ring.add_at(products, a_item // width * n_b + b_item // width, rows * n_b)
+        yield start, sums.reshape(rows, n_b)
+
+
 def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
     """Operator-level identities: periods, the commutation relation, the trace
     table, tracelessness of the non-identity basis operators, and completeness
     (trace-orthogonality) of both operator bases.
 
     Every U_m is a monomial matrix, read once as (perm, entries): a product is
-    a gather and an entrywise ring product, and a trace a Gram product of the
-    monomials scattered into p^2-vectors."""
+    a gather and an entrywise ring product, and a trace or Gram product a sum
+    over the positions two monomials share (`_shared_key_sums`)."""
     p = dim.p
     ring = _ring(backend, p, atol)
     report = CheckReport(name="trace_relations")
     rows = np.arange(p)
-    ident = np.eye(p, dtype=int).ravel()
 
     def times(a, b):
         # (perm, entries) of A B, batched over leading axes: row i of A lands on
@@ -323,9 +372,9 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
         gather = (*np.indices(perm_a.shape, sparse=True)[:-1], perm_a)
         return np.take_along_axis(perm_b, perm_a, axis=-1), ring.mul(ent_a, ent_b[gather])
 
-    def vec(perm, entries, transpose=False):
-        # the p^2-vector of the monomial, or of its transpose
-        return ring.scatter(entries, perm * p + rows if transpose else rows * p + perm, p * p)
+    def keyed(perm, transpose=False):
+        # each entry's position in the p^2-vector of the monomial, or of its transpose
+        return perm * p + rows if transpose else rows * p + perm
 
     read = [_read_monomial(ring, ring.rows(build_observable(dim, m, backend))) for m in range(p + 1)]
     obs = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # U_m, batched over m
@@ -343,59 +392,73 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
         power.append(times(power[-1], obs))
     perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
     ents = ring.stack([pw[1] for pw in power]).swapaxes(0, 1)
-    powers = vec(perms, ents)
 
-    # period p exactly: U_m^p = 1 and no smaller power is
+    # period p exactly: U_m^p = 1 and no smaller power is; a monomial is the
+    # identity when it fixes every row and each entry is 1
+    fixed = perms == rows
+    identity = fixed.all(axis=-1) & ~ring.deviates(ents, fixed.astype(int)).any(axis=-1)
     for m in range(p + 1):
         report.checks += 1
-        if ring.deviates(powers[m, p], ident).any():
+        if not identity[m, p]:
             report.violations.append({"kind": "period", "m": m, "r": p})
         for r in range(1, p):
             report.checks += 1
-            if not ring.deviates(powers[m, r], ident).any():
+            if identity[m, r]:
                 report.violations.append({"kind": "premature_period", "m": m, "r": r})
 
-    # U_0 U_p = q^{-1} U_p U_0
+    # U_0 U_p = q^{-1} U_p U_0: where the two sides share a row's position their
+    # entries must agree, and elsewhere both must be zero
     report.checks += 1
     u0, up = (perms[0, 1], ents[0, 1]), (perms[p, 1], ents[p, 1])
-    if ring.deviates(vec(*times(u0, up)) - ring.phase(vec(*times(up, u0)), -1), 0).any():
+    (perm_l, left), (perm_r, right) = times(u0, up), times(up, u0)
+    right = ring.phase(right, -1)
+    off = ring.deviates(ring.stack([left - right, left, right]), 0)
+    if np.where(perm_l == perm_r, off[0], off[1] | off[2]).any():
         report.violations.append({"kind": "commutation"})
 
-    # trace table over all m, m' and r, s in 0..p-1: tr(A B) = <conj vec A|vec B^T>,
-    # one product per m1 (per-m1 blocks bound the memory)
-    flat_t = vec(perms[:, :p], ents[:, :p], transpose=True).reshape((p + 1) * p, p * p)
+    # trace table over all m, m' and r, s in 0..p-1: tr(A B) sums A_ij B_ji, so
+    # A's positions meet B's transposed ones; one block of rows per m1
+    table = ents[:, :p].reshape((p + 1) * p, p)  # U_m^r, one row per (m, r)
+    row_keys, column_keys = (keyed(perms[:, :p], transpose).reshape(-1, p) for transpose in (False, True))
     exps = np.arange(p)
     want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
     want_other = p * np.outer(exps == 0, exps == 0)
-    for m1 in range(p + 1):
-        block = ring.gram(powers[m1, :p].conj(), flat_t)
+    for start, block in _shared_key_sums(ring, row_keys, table, column_keys, table, p):
+        m1 = start // p
         traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
         want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
         report.checks += want.size
         for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
             report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
-    del flat_t  # free it before the Gram checks allocate theirs
 
-    def trace_orthogonal(vecs, labels, kind):
+    def trace_orthogonal(perm, entries, labels, kind):
         # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
         report.checks += len(labels) ** 2
-        for i, j in np.argwhere(ring.deviates(ring.gram(vecs, vecs), p * np.eye(len(labels), dtype=int))):
-            report.violations.append({"kind": kind, "pair": [labels[i], labels[j]]})
+        keys = keyed(perm)
+        for start, block in _shared_key_sums(ring, keys, entries.conj(), keys, entries, p):
+            want = p * np.eye(len(block), len(labels), start, dtype=int)
+            for i, j in np.argwhere(ring.deviates(block, want)).tolist():
+                report.violations.append({"kind": kind, "pair": [labels[start + i], labels[j]]})
 
     # clock/shift monomials U_0^r U_p^s: traceless except identity, trace-orthogonal
-    keys = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
-    r_mod, s_mod = (np.array(keys) % p).T
-    monomials = vec(*times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod])))
-    traces = ring.gram(monomials.conj(), powers[0, :1])  # against U_0^0, the identity
-    report.checks += len(keys)
+    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
+    r_mod, s_mod = (np.array(pairs) % p).T
+    monomials = times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod]))
+    identity_keys = keyed(perms[0, :1], transpose=True)  # U_0^0
+    _, traces = next(_shared_key_sums(ring, keyed(monomials[0]), monomials[1], identity_keys, ents[0, :1], len(pairs)))
+    report.checks += len(pairs)
     for i in np.flatnonzero(ring.deviates(traces[:, 0], p * ((r_mod == 0) & (s_mod == 0)))):
-        report.violations.append({"kind": "monomial_trace", "r": keys[i][0], "s": keys[i][1]})
-    trace_orthogonal(monomials, keys, "monomial_gram")
-    del monomials
+        report.violations.append({"kind": "monomial_trace", "r": pairs[i][0], "s": pairs[i][1]})
+    trace_orthogonal(*monomials, pairs, "monomial_gram")
 
     # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
     labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
-    trace_orthogonal(ring.concat([powers[0, :1], powers[:, 1:p].reshape(len(labels) - 1, p * p)]), labels, "power_gram")
+    trace_orthogonal(
+        np.concatenate([perms[0, :1], perms[:, 1:p].reshape(-1, p)]),
+        ring.concat([ents[0, :1], ents[:, 1:p].reshape(len(labels) - 1, p)]),
+        labels,
+        "power_gram",
+    )
     return report
 
 

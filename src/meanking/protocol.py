@@ -135,8 +135,12 @@ class RetrodictionSetup:
         pairs = ring.mul(kets[:, :, :, None], bars[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
-        self.labels = [measurement_label(dim, k0, k1) for k0 in range(1, p + 1) for k1 in range(1, p + 1)]
-        self.states = _bracket_rows(self, [label.slots for label in self.labels])
+        # measurement_label's slots for every (k0, k1) in one array: k_m = (m-1)k_0 + k_1
+        k0, k1 = [x[:, None] + 1 for x in np.divmod(np.arange(p * p), p)]  # label (k0-1)p + k1-1
+        slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)
+        slots[:, 0] = k0[:, 0]
+        self.labels = [BracketLabel(p=p, slots=tuple(row)) for row in slots.tolist()]
+        self.states = _bracket_rows(self, slots)
         # Born weights, one product per table; rows are |m_k m-bar_k> in the second
         king = ring.weights(ring.abs2(ring.gram(self.prepared[None], self.posts)))[0]
         self.outcome_table = ring.abs2(ring.gram(self.posts, self.states))  # [m*p + k - 1, label]
@@ -178,15 +182,16 @@ def _entangled_rows(setup: RetrodictionSetup):
     by_k = setup.posts.reshape(p + 1, p, p * p)
     if setup.backend == FLOAT:  # the float oracle's phases, each one scalar expression
         phases = np.array([[np.exp(-2j * np.pi * j * k / p) for k in range(1, p + 1)] for j in range(1, p)])
-        term = lambda m, k: phases[:, k - 1, None] * by_k[m, k - 1]
+        phased_sum = lambda m: phases @ by_k[m]  # [j-1, entry]
     else:
         j = np.arange(1, p)[:, None]
-        term = lambda m, k: ring.phase(by_k[m, k - 1], -j * k)
-    blocks = [setup.prepared[None]]
-    for m in range(p + 1):  # one m at a time bounds the memory
-        terms = (term(m, k) for k in range(1, p + 1))  # [j-1, entry]
-        blocks.append(ring.over_sqrt_p(sum(terms, next(terms))))
-    return ring.concat(blocks)
+
+        def phased_sum(m):
+            terms = (ring.phase(by_k[m, k - 1], -j * k) for k in range(1, p + 1))
+            return sum(terms, next(terms))
+
+    # one m at a time bounds the memory
+    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(phased_sum(m)) for m in range(p + 1)])
 
 
 def _state(setup: RetrodictionSetup, row) -> BipartiteState:

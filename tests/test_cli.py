@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, determinism."""
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanking import cli, mub
 from meanking.cli import main
@@ -171,6 +174,27 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:") and "ceiling of 31" in err
 
+    def test_emit_rounds_above_its_ceiling_exits_2_before_any_round(self, capsys, tmp_path, monkeypatch):
+        # every kept round stays in memory until the JSON is written
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(cli, "simulate", started)
+        out = tmp_path / "rounds.json"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--p", "3", "--rounds", str(10**9), "--emit-rounds", "--json", "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == "" and err.startswith("error:") and str(cli.EMIT_ROUNDS_MAX) in err
+        assert not out.exists()
+        # the ceiling binds only the rounds that are kept
+        for argv in (["--rounds", str(cli.EMIT_ROUNDS_MAX), "--emit-rounds"], ["--rounds", str(10**9)]):
+            with pytest.raises(Started):
+                main(["simulate", "--p", "3", "--json", *argv])
+
 
 class TestBases:
     def test_p2_has_three_bases_of_two_kets(self, capsys):
@@ -285,3 +309,36 @@ def test_help_names_every_ceiling(capsys):
     assert f"play seeded protocol rounds (p up to {cli.FLOAT_VERIFY_MAX_P})" in text
     assert f"emit the p+1 orthonormal bases (p up to {cli.FLOAT_VERIFY_MAX_P})" in text
     assert f"probability table (p up to {cli.TOMOGRAPHY_MAX_P})" in text
+
+
+def test_simulate_help_names_the_emit_rounds_ceiling(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"--rounds up to {cli.EMIT_ROUNDS_MAX}" in capsys.readouterr().out
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-320, 1.7976931348623157e308])
+    | st.text(max_size=6)
+)
+complex_entries = st.lists(st.fixed_dictionaries({"im": st.floats(), "re": st.floats()}), max_size=4)
+json_trees = st.recursive(
+    json_leaves | complex_entries | st.lists(st.floats(), max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_json_writer_equals_json_dumps(tree):
+    # non-ASCII text, big ints, NaN, the infinities, -0.0, bools, None and empty
+    # containers, in and out of the float lists the writer formats in bulk
+    assert cli._json_text(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
+    out = io.StringIO()
+    cli._emit_json({"payload": tree}, out)
+    assert out.getvalue() == json.dumps({"payload": tree, "schema_version": 1}, sort_keys=True, indent=2) + "\n"

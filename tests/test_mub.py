@@ -1,10 +1,14 @@
 """Operator family and eigenbasis checks, exact backend first, float as oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanking import mub
-from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
+from meanking.cyclotomic import Amplitude, CyclotomicInt, _ExactRing, _FloatRing, _ring, _RingArray, exact_overlap
 from meanking.mub import (
     EXACT,
     FLOAT,
@@ -15,6 +19,7 @@ from meanking.mub import (
     build_observable,
     build_weyl_pair,
     diagnose_composite,
+    verify_eigen_equation,
     verify_trace_relations,
     verify_unbiasedness,
 )
@@ -117,6 +122,116 @@ def ket_projector(fam, m, k):
     """The outer product |m_k><m_k| built directly from the stored ket."""
     ket = fam.ket(m, k)
     return [[a * b.conjugate() for b in ket] for a in ket]
+
+
+# --- reference: the trace relations on dense p^2-vectors ---
+
+
+def scatter(ring, values, index, size):
+    """`values` at the positions `index` along a last entry axis of `size`,
+    zeros elsewhere, on either ring."""
+    if isinstance(ring, _FloatRing):
+        out = np.zeros((*index.shape[:-1], size), dtype=complex)
+        np.put_along_axis(out, index, values, axis=-1)
+        return out
+    c = np.zeros((*index.shape[:-1], size, ring.n), dtype=np.int64)
+    t = np.zeros(c.shape[:-1], dtype=np.int64)
+    np.put_along_axis(c, index[..., None], values.c, axis=-2)
+    np.put_along_axis(t, index, values.t, axis=-1)
+    return _RingArray(ring.p, c, t)
+
+
+def trace_relations_by_dense_grams(dim, backend=EXACT, atol=mub.FLOAT_ATOL):
+    """The trace-relations check as the library ran it before the shared-position
+    sums: every trace a Gram product of the monomials scattered into dense
+    p^2-vectors."""
+    p = dim.p
+    ring = _ring(backend, p, atol)
+    report = mub.CheckReport(name="trace_relations")
+    rows = np.arange(p)
+    ident = np.eye(p, dtype=int).ravel()
+
+    def times(a, b):
+        # (perm, entries) of A B, batched over leading axes: row i of A lands on
+        # row perm_a[i] of B
+        (perm_a, ent_a), (perm_b, ent_b) = a, b
+        gather = (*np.indices(perm_a.shape, sparse=True)[:-1], perm_a)
+        return np.take_along_axis(perm_b, perm_a, axis=-1), ring.mul(ent_a, ent_b[gather])
+
+    def vec(perm, entries, transpose=False):
+        # the p^2-vector of the monomial, or of its transpose
+        return scatter(ring, entries, perm * p + rows if transpose else rows * p + perm, p * p)
+
+    read = [mub._read_monomial(ring, ring.rows(mub.build_observable(dim, m, backend))) for m in range(p + 1)]
+    obs = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # U_m, batched over m
+
+    # unitarity: one nonzero per row and per column, each of modulus 1
+    off_circle = ring.deviates(ring.abs2(obs[1]), 1).any(axis=1)
+    for m, (_, _, monomial) in enumerate(read):
+        report.checks += 1
+        if not monomial or off_circle[m]:
+            report.violations.append({"kind": "unitarity", "m": m})
+
+    shape = obs[0].shape
+    power = [(np.broadcast_to(rows, shape), ring.integers(np.ones(shape, dtype=int)))]
+    for _ in range(p):
+        power.append(times(power[-1], obs))
+    perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
+    ents = ring.stack([pw[1] for pw in power]).swapaxes(0, 1)
+    powers = vec(perms, ents)
+
+    # period p exactly: U_m^p = 1 and no smaller power is
+    for m in range(p + 1):
+        report.checks += 1
+        if ring.deviates(powers[m, p], ident).any():
+            report.violations.append({"kind": "period", "m": m, "r": p})
+        for r in range(1, p):
+            report.checks += 1
+            if not ring.deviates(powers[m, r], ident).any():
+                report.violations.append({"kind": "premature_period", "m": m, "r": r})
+
+    # U_0 U_p = q^{-1} U_p U_0
+    report.checks += 1
+    u0, up = (perms[0, 1], ents[0, 1]), (perms[p, 1], ents[p, 1])
+    if ring.deviates(vec(*times(u0, up)) - ring.phase(vec(*times(up, u0)), -1), 0).any():
+        report.violations.append({"kind": "commutation"})
+
+    # trace table over all m, m' and r, s in 0..p-1: tr(A B) = <conj vec A|vec B^T>,
+    # one product per m1 (per-m1 blocks bound the memory)
+    flat_t = vec(perms[:, :p], ents[:, :p], transpose=True).reshape((p + 1) * p, p * p)
+    exps = np.arange(p)
+    want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
+    want_other = p * np.outer(exps == 0, exps == 0)
+    for m1 in range(p + 1):
+        block = ring.gram(powers[m1, :p].conj(), flat_t)
+        traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
+        want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
+        report.checks += want.size
+        for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
+            report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
+    del flat_t  # free it before the Gram checks allocate theirs
+
+    def trace_orthogonal(vecs, labels, kind):
+        # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
+        report.checks += len(labels) ** 2
+        for i, j in np.argwhere(ring.deviates(ring.gram(vecs, vecs), p * np.eye(len(labels), dtype=int))):
+            report.violations.append({"kind": kind, "pair": [labels[i], labels[j]]})
+
+    # clock/shift monomials U_0^r U_p^s: traceless except identity, trace-orthogonal
+    keys = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
+    r_mod, s_mod = (np.array(keys) % p).T
+    monomials = vec(*times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod])))
+    traces = ring.gram(monomials.conj(), powers[0, :1])  # against U_0^0, the identity
+    report.checks += len(keys)
+    for i in np.flatnonzero(ring.deviates(traces[:, 0], p * ((r_mod == 0) & (s_mod == 0)))):
+        report.violations.append({"kind": "monomial_trace", "r": keys[i][0], "s": keys[i][1]})
+    trace_orthogonal(monomials, keys, "monomial_gram")
+    del monomials
+
+    # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
+    labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
+    trace_orthogonal(ring.concat([powers[0, :1], powers[:, 1:p].reshape(len(labels) - 1, p * p)]), labels, "power_gram")
+    return report
 
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -361,6 +476,118 @@ def test_observable_that_is_not_monomial_is_reported(backend, shape, monkeypatch
     report = verify_trace_relations(PrimeDim(p), backend)
     assert not report.passed
     assert {"kind": "unitarity", "m": 1} in report.violations
+
+
+def _corrupted(kind):
+    """build_observable with one observable corrupted: observable 1 replaced by
+    observable 2, observable 1 transposed, the shift U_p's rows rolled, the
+    unitary but dense Fourier matrix in place of observable 1, the clock U_0's
+    columns reversed (both sides of the commutation relation then have equal
+    entries at different positions), or U_0's first row spread over columns 1
+    and 2 (a row that reads as zero)."""
+    original = mub.build_observable
+
+    def build(dim, m, backend=EXACT):
+        p = dim.p
+        mat = original(dim, 2 if (kind == "1_is_2" and m == 1) else m, backend)
+        if kind == "0_columns_reversed" and m == 0:
+            return [row[::-1] for row in mat] if backend == EXACT else mat[:, ::-1]
+        if kind == "0_row_0_spread" and m == 0:
+            one, zero = (Amplitude.one(p), Amplitude.zero(p)) if backend == EXACT else (1, 0)
+            row = [one if j in (1, 2 % p) else zero for j in range(p)]
+            return [row] + mat[1:] if backend == EXACT else np.vstack([row, mat[1:]])
+        if kind == "1_transposed" and m == 1:
+            return [list(column) for column in zip(*mat)] if backend == EXACT else mat.T.copy()
+        if kind == "shift_rows_rolled" and m == p:
+            return mat[-1:] + mat[:-1] if backend == EXACT else np.roll(mat, 1, axis=0)
+        if kind == "1_is_fourier" and m == 1:
+            fourier = [[Amplitude(CyclotomicInt.root_power(p, j * k), 1) for k in range(p)] for j in range(p)]
+            return fourier if backend == EXACT else np.array([[amp.to_complex() for amp in row] for row in fourier])
+        return mat
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "backend, p", [(EXACT, p) for p in [2, 3, 5, 7, 11, 13]] + [(FLOAT, p) for p in PRIMES_TO_31]
+)
+def test_trace_relations_equal_the_dense_reference(backend, p):
+    report = verify_trace_relations(PrimeDim(p), backend)
+    reference = trace_relations_by_dense_grams(PrimeDim(p), backend)
+    assert report.passed and (report.checks, report.violations) == (reference.checks, reference.violations)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+@pytest.mark.parametrize(
+    "kind", ["1_is_2", "1_transposed", "shift_rows_rolled", "1_is_fourier", "0_columns_reversed", "0_row_0_spread"]
+)
+def test_corrupted_trace_relations_equal_the_dense_reference(kind, p, backend, monkeypatch):
+    monkeypatch.setattr(mub, "build_observable", _corrupted(kind))
+    report = verify_trace_relations(PrimeDim(p), backend)
+    reference = trace_relations_by_dense_grams(PrimeDim(p), backend)
+    assert not report.passed or (kind, p) == ("1_transposed", 2)  # -sigma_y satisfies every relation
+    assert (report.checks, report.violations) == (reference.checks, reference.violations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_scatter_places_each_entry_and_zeros_elsewhere(p, data):
+    # the reference's scatter against Amplitude placement
+    width = data.draw(st.integers(1, 4))
+    amplitude = st.builds(
+        lambda coeffs, scale: Amplitude(CyclotomicInt(p, coeffs), scale),
+        st.lists(st.integers(-20, 20), min_size=p, max_size=p),
+        st.integers(0, 3),
+    )
+    rows = data.draw(st.lists(st.lists(amplitude, min_size=width, max_size=width), min_size=1, max_size=3))
+    size = width + 2
+    index = np.array([data.draw(st.permutations(range(size)))[:width] for _ in rows])
+    ring = _ExactRing(p)
+    placed = scatter(ring, ring.rows(rows), index, size)
+    for i, row in enumerate(rows):
+        expected = [Amplitude.zero(p)] * size
+        for amp, j in zip(row, index[i].tolist()):
+            expected[j] = amp
+        assert ring.amps(placed[i]) == tuple(expected)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_eigen_equation_holds_for_every_ket(backend, p):
+    report = verify_eigen_equation(build_mub_family(PrimeDim(p), "object", backend))
+    assert report.passed, report.violations[:3]
+    assert report.checks == (p + 1) * p
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_swapped_kets_fail_the_eigen_equation(backend):
+    # kets 1 and 2 of basis 3 swapped: each is still a unit ket of the family,
+    # so only the eigenvalue tells them apart
+    p = 5
+    fam = build_mub_family(PrimeDim(p), "object", backend)
+    if backend == EXACT:
+        bases = [list(basis) for basis in fam.bases]
+        bases[3][0], bases[3][1] = bases[3][1], bases[3][0]
+        bases = tuple(tuple(basis) for basis in bases)
+    else:
+        bases = fam.bases.copy()
+        bases[3, [0, 1]] = bases[3, [1, 0]]
+    swapped = MubFamily(p=p, side="object", backend=backend, bases=bases)
+    report = verify_eigen_equation(swapped)
+    assert report.violations == [{"m": 3, "k": 1}, {"m": 3, "k": 2}]
+    with pytest.raises(ValueError):
+        verify_eigen_equation(build_mub_family(PrimeDim(p), "ancilla", backend))
+
+
+def test_float_bases_equal_the_per_entry_exponentials():
+    # the gathered table holds the same bits as one np.exp per amplitude
+    for p in [n for n in range(2, 128) if mub._is_prime(n)]:
+        bases, j = mub._float_bases(p), np.arange(1, p + 1)
+        assert np.array_equal(bases[0], np.eye(p))
+        for m in range(1, p + 1):
+            e = mub._ket_exponent(p, m, j[None, :], j[:, None])
+            assert np.array_equal(bases[m], (1 / math.sqrt(p)) * np.exp(1j * (2 * np.pi * e / p))), (p, m)
 
 
 @pytest.mark.parametrize("p", [11, 13])

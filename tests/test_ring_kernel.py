@@ -6,6 +6,8 @@ no code with either), and the Born weights of `RetrodictionSetup` with the
 per-pair overlaps they replaced.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -135,18 +137,46 @@ def test_paired_row_products_equal_exact_overlap(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(row_pairs(), st.data())
-def test_scatter_places_each_entry_and_zeros_elsewhere(case, data):
-    p, rows, _ = case
+@given(st.sampled_from(KERNEL_PRIMES), st.data())
+def test_add_at_equals_amplitude_sums_per_bin(p, data):
+    # entries of one bin share a scale parity (sums need it) and differ in scale,
+    # so each bin must lift to its own largest scale
+    size = data.draw(st.integers(1, 4))
+    parities = [data.draw(st.integers(0, 1)) for _ in range(size)]
+    index = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=10))
+    values = [data.draw(amplitude(p, parities[i])) for i in index]
     ring = _ExactRing(p)
-    size = len(rows[0]) + 2
-    index = np.array([data.draw(st.permutations(range(size)))[: len(row)] for row in rows])
-    placed = ring.scatter(ring.rows(rows), index, size)
-    for i, row in enumerate(rows):
-        expected = [Amplitude.zero(p)] * size
-        for amp, j in zip(row, index[i].tolist()):
-            expected[j] = amp
-        assert ring.amps(placed[i]) == tuple(expected)
+    sums = ring.add_at(ring.rows(values), np.array(index), size)
+    for i in range(size):
+        expected = sum((v for v, j in zip(values, index) if j == i), Amplitude.zero(p))
+        assert ring.amps(sums[i : i + 1]) == (expected,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 4), st.sampled_from(["float64", "int64"]), st.data())
+def test_gram_is_exact_on_both_sides_of_the_float64_switch(p, d, side, data):
+    # max|a| = max|b| = M puts the asserted bound 2 d N M^2 just below 2^53 (the
+    # float64 BLAS product), or just below 2^63, where the sums would round in
+    # float64 and the int64 product must run
+    n = _order(p)
+    top = math.isqrt(((2**53 if side == "float64" else 2**63) - 1) // (2 * d * n))
+    assert (2 * d * n * top * top < 2**53) == (side == "float64")
+    free = p if p == 2 else p - 1  # the last coefficient stays 0, so the canonical form keeps M
+
+    def rows():
+        out = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            coeffs = [data.draw(st.lists(st.integers(-top, top), min_size=free, max_size=free)) for _ in range(d)]
+            out.append([Amplitude(CyclotomicInt(p, c + [0] * (p - free))) for c in coeffs])
+        out[0][0] = Amplitude(CyclotomicInt(p, [top] + [0] * (p - 1)))
+        return out
+
+    bras, kets = rows(), rows()
+    ring = _ExactRing(p)
+    gram = ring.gram(ring.rows(bras), ring.rows(kets))
+    for i, bra in enumerate(bras):
+        for k, ket in enumerate(kets):
+            assert ring.actual(gram[i, k]) == exact_overlap(bra, ket).to_json()
 
 
 def test_zero_at_odd_scale_matches_only_a_zero_want():
