@@ -17,9 +17,9 @@ kept outside the ring (sqrt(p) is not an element); squared magnitudes, the
 only physically compared quantities, come back rational.
 
 `CyclotomicInt` and `Amplitude` (one object per value) are the reference;
-the protocol states are built and checked as int64 numpy arrays through
-`_ExactRing`, or as complex arrays through `_FloatRing` on the float backend,
-and read back as Amplitudes only at the public accessors.
+the families and the protocol states are built and checked as int64 numpy
+arrays through `_ExactRing`, or as complex arrays through `_FloatRing` on the
+float backend, and read back as Amplitudes only at the public accessors.
 """
 
 from __future__ import annotations
@@ -382,22 +382,22 @@ def _aligned(a: _RingArray):
     return _lifted(a, top[:, None]), top
 
 
-def _gram(a: _RingArray, b: _RingArray, paired: bool = False) -> _RingArray:
-    """<a_i|b_k> for the rows of two 2-D arrays; only <a_i|b_i> when paired."""
+def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
+    """<a_i|b_k> for the rows of two 2-D arrays."""
     (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
     (rows_a, d, n), rows_b = ca.shape, len(cb)
     bound = 2 * d * n * _absmax(ca) * _absmax(cb)
     _check_int64(bound)
     if bound < 2**53:  # every partial sum is an integer float64 holds exactly: use BLAS
         ca, cb = ca.astype(np.float64), cb.astype(np.float64)
-    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul (a row-wise
-    # product when paired) per E against b with its coefficient axis rolled by E
+    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E against b
+    # with its coefficient axis rolled by E
     flat_a = ca.reshape(rows_a, d * n)
-    out = np.empty((rows_a, n) if paired else (rows_a, rows_b, n), dtype=np.int64)
+    out = np.empty((rows_a, rows_b, n), dtype=np.int64)
     for e in range(n):
         flat_b = np.roll(cb, -e, axis=-1).reshape(rows_b, d * n)
-        out[..., e] = (flat_a * flat_b).sum(axis=1) if paired else flat_a @ flat_b.T
-    return _RingArray(a.p, _canonicalize(a.p, out), ta + tb if paired else ta[:, None] + tb)
+        out[..., e] = flat_a @ flat_b.T
+    return _RingArray(a.p, _canonicalize(a.p, out), ta[:, None] + tb)
 
 
 class _ExactRing:
@@ -430,8 +430,6 @@ class _ExactRing:
 
     gram = staticmethod(lambda a, b: exact_overlap(a, b))  # the public name, looked up per call
 
-    dots = staticmethod(lambda a, b: _gram(a, b, paired=True))  # <a_i|b_i> of paired rows
-
     def add_at(self, values: _RingArray, index, size: int) -> _RingArray:
         """The sums of a 1-D array's entries grouped by `index` into `size` bins,
         each bin at the largest scale of its entries; bounded by the largest
@@ -454,13 +452,8 @@ class _ExactRing:
         return _RingArray(self.p, _canonicalize(self.p, out), a.t + b.t)
 
     def abs2(self, g: _RingArray) -> _RingArray:
-        """|g|^2 entry by entry: the cyclic autocorrelation of the coefficients."""
-        c = g.c
-        _check_int64(2 * self.n * _absmax(c) ** 2)
-        out = np.empty_like(c)
-        for e in range(self.n):
-            out[..., e] = (c * np.roll(c, e, axis=-1)).sum(axis=-1)
-        return _RingArray(self.p, _canonicalize(self.p, out), 2 * g.t)
+        """|g|^2 entry by entry."""
+        return self.mul(g.conj(), g)
 
     def phase(self, a: _RingArray, e) -> _RingArray:
         """q^e a for the p-th root of unity q (zeta_4^2 = -1 at p = 2); an array
@@ -516,7 +509,6 @@ class _FloatRing:
     stack = staticmethod(np.array)
     concat = staticmethod(np.concatenate)
     gram = staticmethod(lambda a, b: a.conj() @ b.T)
-    dots = staticmethod(lambda a, b: np.einsum("ij,ij->i", a.conj(), b))
     mul = staticmethod(np.multiply)
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring
+from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
 
 FLOAT_ATOL = 1e-10
 
@@ -150,102 +150,71 @@ def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
 # --- eigenbasis family ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubFamily:
     """The p+1 orthonormal bases; basis m=0 is computational, bases 1..p unbiased to it.
 
-    Exact backend: bases[m][k-1] is a tuple of p Amplitudes.
-    Float backend: bases is an ndarray of shape (p+1, p, p), kets along axis 1.
+    `bases` has shape (p+1, p, p), kets along axis 1: a `_RingArray` on the
+    exact backend, a complex ndarray on the float one.  `ket` hands out one ket
+    as Amplitudes (exact) or complex numbers (float).  Families compare by
+    identity.
     """
 
     p: int
     side: str
     backend: str
-    bases: tuple | np.ndarray
+    bases: _RingArray | np.ndarray
 
     def ket(self, m: int, k: int):
         if not 0 <= m <= self.p:
             raise ValueError(f"basis label must be in 0..{self.p}, got {m}")
         if not 1 <= k <= self.p:
             raise ValueError(f"ket label must be in 1..{self.p}, got {k}")
-        return self.bases[m][k - 1]
+        return _ring(self.backend, self.p, FLOAT_ATOL).amps(self.bases[m, k - 1])
+
+    def _kets(self):
+        return [[self.ket(m, k) for k in range(1, self.p + 1)] for m in range(self.p + 1)]
 
     def as_float(self) -> "MubFamily":
         if self.backend == FLOAT:
             return self
-        arr = np.array(
-            [
-                [[amp.to_complex() for amp in ket] for ket in basis]
-                for basis in self.bases
-            ],
-            dtype=complex,
-        )
+        arr = np.array([[[amp.to_complex() for amp in ket] for ket in basis] for basis in self._kets()], dtype=complex)
         return MubFamily(p=self.p, side=self.side, backend=FLOAT, bases=arr)
 
     def to_json(self) -> dict:
         if self.backend == EXACT:
-            bases = [
-                [[amp.to_json() for amp in ket] for ket in basis]
-                for basis in self.bases
-            ]
+            encode = Amplitude.to_json
         else:
-            bases = [
-                [
-                    [{"re": float(z.real), "im": float(z.imag)} for z in ket]
-                    for ket in basis
-                ]
-                for basis in self.bases
-            ]
+            encode = lambda z: {"re": float(z.real), "im": float(z.imag)}
+        bases = [[[encode(x) for x in ket] for ket in basis] for basis in self._kets()]
         return {"p": self.p, "side": self.side, "backend": self.backend, "bases": bases}
 
 
 def build_mub_family(dim: PrimeDim, side: str = "object", backend: str = EXACT) -> MubFamily:
-    """All p+1 bases; ancilla side is the entrywise conjugate of the object side."""
+    """All p+1 bases; ancilla side is the entrywise conjugate of the object side.
+
+    Each ket of bases 1..p is a monomial q^e/sqrt(p), e from `_ket_exponent`:
+    gathered from the p roots on the float backend (`_float_bases`), one
+    coefficient at scale 1 on the exact one.  At p = 2 basis 1 is (1, +-i)/sqrt(2)."""
     _check_backend(backend)
     if side not in ("object", "ancilla"):
         raise ValueError(f"side must be 'object' or 'ancilla', got {side!r}")
     p = dim.p
-
-    if backend == EXACT:
-        one = Amplitude.one(p)
-        zero = Amplitude.zero(p)
-        bases = []
-        computational = tuple(
-            tuple(one if j == k - 1 else zero for j in range(p)) for k in range(1, p + 1)
-        )
-        bases.append(computational)
-        for m in range(1, p + 1):
-            if p == 2 and m == 1:
-                i_unit = Amplitude(CyclotomicInt.imaginary_unit())
-                half = Amplitude(CyclotomicInt.one(2), 1)
-                basis = (
-                    (half, half * i_unit),
-                    (half, -(half * i_unit)),
-                )
-            else:
-                basis = tuple(
-                    tuple(
-                        Amplitude(
-                            CyclotomicInt.root_power(p, _ket_exponent(p, m, j0 + 1, k)), 1
-                        )
-                        for j0 in range(p)
-                    )
-                    for k in range(1, p + 1)
-                )
-            bases.append(basis)
-        if side == "ancilla":
-            bases = [
-                tuple(tuple(amp.conjugate() for amp in ket) for ket in basis)
-                for basis in bases
-            ]
-        return MubFamily(p=p, side=side, backend=EXACT, bases=tuple(bases))
-
-    arr = _float_bases(p)
-    if p == 2:
-        arr[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
-    if side == "ancilla":
-        arr = arr.conj()
-    return MubFamily(p=p, side=side, backend=FLOAT, bases=arr)
+    if backend == FLOAT:
+        bases = _float_bases(p)
+        if p == 2:
+            bases[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
+    else:
+        n = 4 if p == 2 else p  # q = zeta_N^(N/p)
+        j = np.arange(1, p + 1)
+        exps = _ket_exponent(p, j[:, None, None], j[None, None, :], j[None, :, None]) * (n // p)
+        if p == 2:
+            exps[0] = [[0, 1], [0, 3]]
+        c = np.zeros((p + 1, p, p, n), dtype=np.int64)
+        c[0, ..., 0] = np.eye(p, dtype=np.int64)
+        np.put_along_axis(c[1:], exps[..., None], 1, axis=-1)
+        bases = _RingArray(p, c, np.minimum(np.arange(p + 1), 1)[:, None, None])  # scale 0, then 1
+    return MubFamily(p=p, side=side, backend=backend, bases=bases.conj() if side == "ancilla" else bases)
 
 
 # --- verification ---
@@ -277,7 +246,7 @@ def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport
     p = fam.p
     ring = _ring(fam.backend, p, atol)
     report = CheckReport(name="unbiasedness")
-    flat = ring.rows(fam.bases).reshape((p + 1) * p, p)
+    flat = fam.bases.reshape((p + 1) * p, p)
     sq = ring.abs2(ring.gram(flat, flat))
     # wants over the denominator p: p * delta within a basis, 1 across bases
     want = np.ones((len(flat), len(flat)), dtype=int)
@@ -292,16 +261,19 @@ def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport
     return report
 
 
-def _read_monomial(ring, mat):
-    """A p x p ring matrix as (perm, entries, monomial): row i's nonzero sits in
-    column perm[i] with value entries[i], and `monomial` says whether every row
-    and every column has exactly one.  A row with more than one reads as zero,
-    so the products and traces built on the reading stay in the ring."""
+def _read_monomial(ring, dim: PrimeDim, backend: str):
+    """U_0..U_p, each read as a monomial: (perm, entries, monomial), indexed by
+    m first.  Row i of U_m has its nonzero in column perm[m, i] with value
+    entries[m, i], and monomial[m] says whether every row and every column of
+    U_m has exactly one.  A row with more than one reads as zero, so the
+    products and traces built on the reading stay in the ring."""
+    mat = ring.rows([build_observable(dim, m, backend) for m in range(dim.p + 1)])
     nonzero = ring.deviates(mat, 0)
-    single = nonzero.sum(axis=1) == 1
-    perm = nonzero.argmax(axis=1)
-    entries = ring.mul(mat[np.arange(len(perm)), perm], ring.integers(single))
-    return perm, entries, single.all() and (nonzero.sum(axis=0) == 1).all()
+    single = nonzero.sum(axis=-1) == 1
+    perm = nonzero.argmax(axis=-1)
+    m, i = np.indices(perm.shape, sparse=True)
+    entries = ring.mul(mat[m, i, perm], ring.integers(single))
+    return perm, entries, single.all(axis=-1) & (nonzero.sum(axis=-2) == 1).all(axis=-1)
 
 
 def verify_eigen_equation(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
@@ -313,10 +285,8 @@ def verify_eigen_equation(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckRepo
         raise ValueError(f"the eigen equation is checked on the object family, got {fam.side!r}")
     p = fam.p
     ring = _ring(fam.backend, p, atol)
-    dim = PrimeDim(p)
-    read = [_read_monomial(ring, ring.rows(build_observable(dim, m, fam.backend))) for m in range(p + 1)]
-    perm, entries = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # [m, i]
-    kets = ring.rows(fam.bases)  # [m, k-1, j]
+    perm, entries, _ = _read_monomial(ring, PrimeDim(p), fam.backend)  # [m, i]
+    kets = fam.bases  # [m, k-1, j]
     basis = np.arange(p + 1)[:, None, None]
     applied = ring.mul(entries[:, None, :], kets[basis, np.arange(p)[None, :, None], perm[:, None, :]])
     eigen = ring.phase(kets, np.arange(1, p + 1)[None, :, None])
@@ -376,14 +346,13 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
         # each entry's position in the p^2-vector of the monomial, or of its transpose
         return perm * p + rows if transpose else rows * p + perm
 
-    read = [_read_monomial(ring, ring.rows(build_observable(dim, m, backend))) for m in range(p + 1)]
-    obs = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # U_m, batched over m
+    *obs, monomial = _read_monomial(ring, dim, backend)  # U_m as (perm, entries), batched over m
 
     # unitarity: one nonzero per row and per column, each of modulus 1
     off_circle = ring.deviates(ring.abs2(obs[1]), 1).any(axis=1)
-    for m, (_, _, monomial) in enumerate(read):
+    for m in range(p + 1):
         report.checks += 1
-        if not monomial or off_circle[m]:
+        if not monomial[m] or off_circle[m]:
             report.violations.append({"kind": "unitarity", "m": m})
 
     shape = obs[0].shape

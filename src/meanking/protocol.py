@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import EXACT, FLOAT, _ring, exact_overlap
+from .cyclotomic import EXACT, FLOAT, _ring
 from .mub import FLOAT_ATOL, CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
@@ -94,19 +94,6 @@ class BipartiteState:
     def component(self, j_obj: int, j_anc: int):
         return self.amps[j_obj * self.p + j_anc]
 
-    def overlap(self, other: "BipartiteState"):
-        """<self|other>, exact Amplitude or complex depending on backend."""
-        if self.backend != other.backend:
-            raise ValueError("backend mismatch")
-        if self.backend == EXACT:
-            return exact_overlap(self.amps, other.amps)
-        return complex(np.vdot(self.amps, other.amps))
-
-    def to_float(self) -> np.ndarray:
-        if self.backend == FLOAT:
-            return np.asarray(self.amps)
-        return np.array([a.to_complex() for a in self.amps], dtype=complex)
-
 
 class RetrodictionSetup:
     """The one construction per (p, backend) that every check and round reads.
@@ -131,8 +118,7 @@ class RetrodictionSetup:
         anc = build_mub_family(dim, "ancilla", backend)
         self.families = (obj, anc)
         ring = _ring(backend, p, FLOAT_ATOL)
-        kets, bars = ring.rows(obj.bases), ring.rows(anc.bases)
-        pairs = ring.mul(kets[:, :, :, None], bars[:, :, None, :])  # [m, k-1, j_obj, j_anc]
+        pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
         # measurement_label's slots for every (k0, k1) in one array: k_m = (m-1)k_0 + k_1
@@ -358,7 +344,8 @@ def verify_bracket_closed_form(
     pairs = np.array([row_of[label] for label in drawn], dtype=int).reshape(-1, 2)  # (drawn[2i], drawn[2i+1])
     for start in range(0, len(pairs), _GRAM_BLOCK_ROWS):
         a, b = pairs[start : start + _GRAM_BLOCK_ROWS].T
-        check(a, b, ring.dots(rows[a], rows[b]))
+        products = ring.mul(rows[a].conj(), rows[b]).reshape(-1)  # each pair's p^2 terms of <a|b>
+        check(a, b, ring.add_at(products, np.arange(len(a)).repeat(p * p), len(a)))
     return report
 
 

@@ -76,15 +76,11 @@ class ProbabilityTable:
         return [[float(x) for x in row] for row in self.table]
 
 
-def _float_kets(fam: MubFamily) -> np.ndarray:
-    return fam.as_float().bases
-
-
 def probabilities_of(rho: DensityMatrix, fam: MubFamily) -> ProbabilityTable:
     """The full outcome table w[m][k] = <m_k|rho|m_k>."""
     if fam.p != rho.dim.p:
         raise ValueError(f"dimension mismatch: rho is {rho.dim.p}, family is {fam.p}")
-    kets = _float_kets(fam)
+    kets = fam.as_float().bases
     table = np.empty(kets.shape[:2])
     for m, basis in enumerate(kets):  # one p x p product per basis: O(p^3), p x p temporaries
         # row k of basis @ rho.T is rho|m_k>, so the row-wise dot with conj(basis) is <m_k|rho|m_k>
@@ -97,7 +93,7 @@ def reconstruction_matrix(table: ProbabilityTable, fam: MubFamily) -> np.ndarray
     if fam.p != table.dim.p:
         raise ValueError("dimension mismatch between table and family")
     p = table.dim.p
-    kets = _float_kets(fam)
+    kets = fam.as_float().bases
     weights = table.table - 1.0 / (p + 1)
     rho = np.zeros((p, p), dtype=complex)
     for w, basis in zip(weights, kets):  # sum_k w[k] |m_k><m_k| as one p x p product, in m order

@@ -124,6 +124,41 @@ def ket_projector(fam, m, k):
     return [[a * b.conjugate() for b in ket] for a in ket]
 
 
+# --- references: the families as built before they were ring arrays ---
+
+
+def exact_family_by_amplitudes(p, side):
+    """The exact family one Amplitude at a time: bases[m][k-1] is a tuple of p
+    Amplitudes, the p = 2 basis 1 written out, the ancilla side conjugated
+    entry by entry."""
+    one = Amplitude.one(p)
+    zero = Amplitude.zero(p)
+    bases = [tuple(tuple(one if j == k - 1 else zero for j in range(p)) for k in range(1, p + 1))]
+    for m in range(1, p + 1):
+        if p == 2 and m == 1:
+            i_unit = Amplitude(CyclotomicInt.imaginary_unit())
+            half = Amplitude(CyclotomicInt.one(2), 1)
+            basis = ((half, half * i_unit), (half, -(half * i_unit)))
+        else:
+            basis = tuple(
+                tuple(Amplitude(CyclotomicInt.root_power(p, mub._ket_exponent(p, m, j0 + 1, k)), 1) for j0 in range(p))
+                for k in range(1, p + 1)
+            )
+        bases.append(basis)
+    if side == "ancilla":
+        bases = [tuple(tuple(amp.conjugate() for amp in ket) for ket in basis) for basis in bases]
+    return tuple(bases)
+
+
+def float_family_array(p, side):
+    """The float family's array: `_float_bases`, the p = 2 basis 1 as a
+    literal, conjugated on the ancilla side."""
+    arr = mub._float_bases(p)
+    if p == 2:
+        arr[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
+    return arr.conj() if side == "ancilla" else arr
+
+
 # --- reference: the trace relations on dense p^2-vectors ---
 
 
@@ -162,14 +197,13 @@ def trace_relations_by_dense_grams(dim, backend=EXACT, atol=mub.FLOAT_ATOL):
         # the p^2-vector of the monomial, or of its transpose
         return scatter(ring, entries, perm * p + rows if transpose else rows * p + perm, p * p)
 
-    read = [mub._read_monomial(ring, ring.rows(mub.build_observable(dim, m, backend))) for m in range(p + 1)]
-    obs = np.array([r[0] for r in read]), ring.stack([r[1] for r in read])  # U_m, batched over m
+    *obs, monomial = mub._read_monomial(ring, dim, backend)  # U_m as (perm, entries), batched over m
 
     # unitarity: one nonzero per row and per column, each of modulus 1
     off_circle = ring.deviates(ring.abs2(obs[1]), 1).any(axis=1)
-    for m, (_, _, monomial) in enumerate(read):
+    for m in range(p + 1):
         report.checks += 1
-        if not monomial or off_circle[m]:
+        if not monomial[m] or off_circle[m]:
             report.violations.append({"kind": "unitarity", "m": m})
 
     shape = obs[0].shape
@@ -236,6 +270,7 @@ def trace_relations_by_dense_grams(dim, backend=EXACT, atol=mub.FLOAT_ATOL):
 
 SMALL_PRIMES = [2, 3, 5, 7]
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+PRIMES_TO_127 = [n for n in range(2, 128) if mub._is_prime(n)]
 
 
 def test_prime_dim_accepts_primes_and_rejects_composites():
@@ -400,9 +435,9 @@ def test_p3_cross_overlaps_are_exactly_one_third():
 def test_corrupted_family_is_reported_with_the_quadruple():
     p = 3
     fam = build_mub_family(PrimeDim(p), "object", EXACT)
-    bases = [list(b) for b in fam.bases]
-    bases[2][0] = fam.ket(0, 1)  # computational ket planted inside basis m=2
-    broken = MubFamily(p=p, side="object", backend=EXACT, bases=tuple(tuple(b) for b in bases))
+    m, k = np.indices((p + 1, p))
+    m[2, 0], k[2, 0] = 0, 0  # computational ket planted inside basis m=2
+    broken = MubFamily(p=p, side="object", backend=EXACT, bases=fam.bases[m, k])
     report = verify_unbiasedness(broken)
     assert not report.passed
     quads = {(v["m"], v["k"], v["m2"], v["k2"]) for v in report.violations}
@@ -566,14 +601,9 @@ def test_swapped_kets_fail_the_eigen_equation(backend):
     # so only the eigenvalue tells them apart
     p = 5
     fam = build_mub_family(PrimeDim(p), "object", backend)
-    if backend == EXACT:
-        bases = [list(basis) for basis in fam.bases]
-        bases[3][0], bases[3][1] = bases[3][1], bases[3][0]
-        bases = tuple(tuple(basis) for basis in bases)
-    else:
-        bases = fam.bases.copy()
-        bases[3, [0, 1]] = bases[3, [1, 0]]
-    swapped = MubFamily(p=p, side="object", backend=backend, bases=bases)
+    m, k = np.indices((p + 1, p))
+    k[3, [0, 1]] = [1, 0]
+    swapped = MubFamily(p=p, side="object", backend=backend, bases=fam.bases[m, k])
     report = verify_eigen_equation(swapped)
     assert report.violations == [{"m": 3, "k": 1}, {"m": 3, "k": 2}]
     with pytest.raises(ValueError):
@@ -582,12 +612,30 @@ def test_swapped_kets_fail_the_eigen_equation(backend):
 
 def test_float_bases_equal_the_per_entry_exponentials():
     # the gathered table holds the same bits as one np.exp per amplitude
-    for p in [n for n in range(2, 128) if mub._is_prime(n)]:
+    for p in PRIMES_TO_127:
         bases, j = mub._float_bases(p), np.arange(1, p + 1)
         assert np.array_equal(bases[0], np.eye(p))
         for m in range(1, p + 1):
             e = mub._ket_exponent(p, m, j[None, :], j[:, None])
             assert np.array_equal(bases[m], (1 / math.sqrt(p)) * np.exp(1j * (2 * np.pi * e / p))), (p, m)
+
+
+@pytest.mark.parametrize("side", ["object", "ancilla"])
+def test_families_equal_the_construction_they_replaced(side):
+    for p in PRIMES_TO_31:
+        fam = build_mub_family(PrimeDim(p), side, EXACT)
+        kets = [tuple(fam.ket(m, k) for k in range(1, p + 1)) for m in range(p + 1)]
+        assert tuple(kets) == exact_family_by_amplitudes(p, side), p
+    for p in PRIMES_TO_127:
+        bases, reference = build_mub_family(PrimeDim(p), side, FLOAT).bases, float_family_array(p, side)
+        assert (bases.shape, bases.tobytes()) == (reference.shape, reference.tobytes()), p
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_families_compare_by_identity(backend):
+    fam, again = (build_mub_family(PrimeDim(3), "object", backend) for _ in range(2))
+    assert fam == fam and fam != again
+    assert len({fam, again, fam}) == 2
 
 
 @pytest.mark.parametrize("p", [11, 13])

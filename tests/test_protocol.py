@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
-from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family
+from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family, verify_unbiasedness
 from meanking.protocol import (
     BracketLabel,
     RetrodictionSetup,
@@ -38,6 +38,23 @@ PROTO_PRIMES = [2, 3, 5]
 @functools.lru_cache(maxsize=None)
 def setup_for(p, backend=EXACT):
     return RetrodictionSetup(PrimeDim(p), backend)
+
+
+def overlap(a, b):
+    """Reference: <a|b> of two states, an exact Amplitude summed entry by entry
+    or a complex number."""
+    if a.backend != b.backend:
+        raise ValueError("backend mismatch")
+    if a.backend == EXACT:
+        return exact_overlap(a.amps, b.amps)
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def to_float(state):
+    """Reference: a state's amplitudes as complex numbers."""
+    if state.backend == FLOAT:
+        return np.asarray(state.amps)
+    return np.array([a.to_complex() for a in state.amps], dtype=complex)
 
 
 def one_over_sqrt_p(p):
@@ -75,12 +92,12 @@ class TestEntangledState:
             for m in range(p + 1):
                 for k in range(1, p + 1):
                     post = post_measurement_state(setup, m, k)
-                    assert prepared.overlap(post) == one_over_sqrt_p(p)
+                    assert overlap(prepared, post) == one_over_sqrt_p(p)
 
     def test_unit_norm(self):
         for p in PROTO_PRIMES:
             state = maximally_entangled_state(setup_for(p))
-            assert state.overlap(state).as_fraction() == 1
+            assert overlap(state, state).as_fraction() == 1
 
 
 class TestPostMeasurementState:
@@ -96,14 +113,14 @@ class TestPostMeasurementState:
                         for k2 in range(1, p + 1):
                             a = post_measurement_state(setup, m1, k1)
                             b = post_measurement_state(setup, m2, k2)
-                            assert a.overlap(b) == one_over_p(p), (m1, k1, m2, k2)
+                            assert overlap(a, b) == one_over_p(p), (m1, k1, m2, k2)
 
     def test_unit_norm(self):
         setup = setup_for(3)
         for m in range(4):
             for k in range(1, 4):
                 state = post_measurement_state(setup, m, k)
-                assert state.overlap(state).as_fraction() == 1
+                assert overlap(state, state).as_fraction() == 1
 
 
 class TestEntangledBasis:
@@ -112,7 +129,7 @@ class TestEntangledBasis:
         basis = entangled_basis(setup_for(p))
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                ov = a.overlap(b)
+                ov = overlap(a, b)
                 if i == j:
                     assert ov.as_fraction() == 1
                 else:
@@ -126,7 +143,7 @@ class TestEntangledBasis:
         exact = entangled_basis(setup_for(p, EXACT))
         floats = entangled_basis(setup_for(p, FLOAT))
         for a, b in zip(exact, floats):
-            assert np.max(np.abs(a.to_float() - b.amps)) < 1e-12
+            assert np.max(np.abs(to_float(a) - b.amps)) < 1e-12
 
 
 class TestRecurrenceAndPhaseConvention:
@@ -165,7 +182,7 @@ class TestBracketStates:
             for m in range(p + 1):
                 for k in range(1, p + 1):
                     post = post_measurement_state(setup, m, k)
-                    ov = state.overlap(post)
+                    ov = overlap(state, post)
                     if k == label.k(m):
                         assert ov.squared_modulus().as_fraction() == Fraction(1, p)
                     else:
@@ -175,7 +192,7 @@ class TestBracketStates:
         dim = PrimeDim(3)
         label = measurement_label(dim, 2, 3)
         state = bracket_state(setup_for(3), label)
-        assert state.overlap(state).as_fraction() == 1
+        assert overlap(state, state).as_fraction() == 1
 
     def test_one_agreement_means_orthogonal(self):
         setup = setup_for(3)
@@ -184,7 +201,7 @@ class TestBracketStates:
         assert a.agreements(b) == 1
         sa = bracket_state(setup, a)
         sb = bracket_state(setup, b)
-        assert sa.overlap(sb).is_zero()
+        assert overlap(sa, sb).is_zero()
 
     def test_closed_form_values(self):
         p = 5
@@ -204,7 +221,7 @@ class TestBracketStates:
         states = {lab: bracket_state(setup, lab) for lab in labels}
         for a in labels:
             for b in labels:
-                direct = states[a].overlap(states[b]).as_fraction()
+                direct = overlap(states[a], states[b]).as_fraction()
                 assert direct == bracket_overlap_closed_form(a, b), (a, b)
 
     def test_label_validation(self):
@@ -235,7 +252,7 @@ class TestMeasurementBasis:
         assert len(family) == p * p
         for i, (_, a) in enumerate(family):
             for j, (_, b) in enumerate(family):
-                ov = a.overlap(b)
+                ov = overlap(a, b)
                 if i == j:
                     assert ov.as_fraction() == 1
                 else:
@@ -491,12 +508,17 @@ class TestArrayConstructionAgainstAmplitudes:
 
 
 def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
-    # structural: the set-up and the protocol checks stay on the ring arrays
+    # structural: the families, the set-up and the protocol checks stay on the
+    # ring arrays and build no Amplitude
     def refuse(*args):
         raise AssertionError("per-entry Amplitude arithmetic in the exact set-up or checks")
 
     monkeypatch.setattr(Amplitude, "__add__", refuse)
     monkeypatch.setattr(Amplitude, "__mul__", refuse)
-    setup = RetrodictionSetup(PrimeDim(7), EXACT)
+    monkeypatch.setattr(Amplitude, "__init__", refuse)
+    dim = PrimeDim(7)
+    for side in ("object", "ancilla"):
+        assert verify_unbiasedness(build_mub_family(dim, side, EXACT)).passed, side
+    setup = RetrodictionSetup(dim, EXACT)
     for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction):
         assert check(setup).passed, check.__name__

@@ -124,19 +124,6 @@ def test_broadcast_product_and_array_phase_equal_amplitude(case, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(row_pairs())
-def test_paired_row_products_equal_exact_overlap(case):
-    p, bras, kets = case
-    bras, kets = bras[: len(kets)], kets[: len(bras)]
-    ring = _ExactRing(p)
-    dots = ring.dots(ring.rows(bras), ring.rows(kets))
-    for i, (bra, ket) in enumerate(zip(bras, kets)):
-        assert ring.actual(dots[i]) == exact_overlap(bra, ket).to_json()
-    both = ring.concat([ring.rows(bras), ring.rows(kets)])
-    assert [ring.amps(row) for row in both] == [tuple(row) for row in bras + kets]
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(KERNEL_PRIMES), st.data())
 def test_add_at_equals_amplitude_sums_per_bin(p, data):
     # entries of one bin share a scale parity (sums need it) and differ in scale,
@@ -247,8 +234,6 @@ def test_over_range_operand_raises_overflow_error():
     with pytest.raises(OverflowError):
         ring.abs2(big)
     ring.gram(ring.integers(np.full((2, 3), 2**20)), ring.integers(np.full((2, 3), 2**20)))
-    with pytest.raises(OverflowError):
-        ring.dots(big, big)
     with pytest.raises(OverflowError):
         ring.mul(big, big)
     ring.mul(ring.integers(np.full((2, 3), 2**29)), ring.integers(np.full((2, 3), 2**29)))
