@@ -48,9 +48,9 @@ DEFAULT_SEED = 42
 EXACT_VERIFY_MAX_P = 13
 FLOAT_VERIFY_MAX_P = 31
 TOMOGRAPHY_MAX_P = 127
-# simulate --emit-rounds keeps every round until the JSON is written: a kept
-# round peaked at 2.1 kB at p = 3 and 5.2 kB at p = 31, so the records stay
-# under about 260 MB
+# simulate --emit-rounds keeps every round as three ints until the JSON is
+# written, a round at a time: a kept round added 0.08 kB of peak RSS at p = 3
+# and at p = 31, so the ceiling bounds the output (0.55 kB a round at p = 31)
 EMIT_ROUNDS_MAX = 50_000
 
 
@@ -95,8 +95,20 @@ def _output(out_path: str | None):
 
 
 def _emit_json(payload: dict, out) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    out.write(_json_text(payload, "") + "\n")
+    """Write `_json_text` of the payload a value at a time; an iterator value (simulate's rounds) an item at a time."""
+    separator = "{"
+    for key, value in sorted({"schema_version": SCHEMA_VERSION, **payload}.items()):
+        out.write(f"{separator}\n  {json.dumps(key)}: ")
+        if hasattr(value, "__next__"):
+            opening = "["
+            for item in value:
+                out.write(f"{opening}\n    " + json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    "))
+                opening = ","
+            out.write("[]" if opening == "[" else "\n  ]")
+        else:
+            out.write(_json_text(value, "  "))
+        separator = ","
+    out.write("\n}\n")
 
 
 def _json_text(obj, indent: str) -> str:
@@ -204,10 +216,10 @@ def cmd_simulate(args) -> int:
             keep_records=args.emit_rounds,
         )
         if args.json:
-            _emit_json(
-                {"command": "simulate", **summary.to_json(include_records=args.emit_rounds)},
-                out,
-            )
+            payload = {"command": "simulate", **summary.to_json()}
+            if args.emit_rounds:
+                payload["rounds_detail"] = summary.round_dicts()
+            _emit_json(payload, out)
         else:
             out.write(
                 f"simulate p={dim.p} rounds={summary.rounds} seed={summary.seed} "

@@ -490,13 +490,22 @@ class _ExactRing:
 
     def weights(self, values: _RingArray) -> list:
         """A 2-D array of squared moduli as rows of Fractions."""
+        return [[amp.as_fraction() for amp in self.amps(row)] for row in values]
+
+    def cdfs(self, values: _RingArray) -> list:
+        """Rows of squared moduli x / p^h as running sums over their least common denominator: x lifted to
+        the row's largest h, top, over its gcd with p^top.  Bounded by the row length times max|x| p^top."""
         c = _canonicalize(self.p, values.c.copy())
         if c[..., 1:].any() or (values.t % 2).any():
             raise ValueError("a Born weight is not rational")
-        return [
-            [Fraction(int(x), self.p ** int(t // 2)) for x, t in zip(xs, ts)]
-            for xs, ts in zip(c[..., 0], values.t)
-        ]
+        x, h = c[..., 0], values.t // 2
+        top = h.max(axis=-1, keepdims=True)
+        _check_int64(x.shape[-1] * _absmax(x) * self.p ** int(top.max(initial=0)))
+        lifted = x * self.p ** (top - h)
+        if not lifted.any(axis=-1).all():
+            raise ValueError("a row of Born weights is zero")
+        gcd = np.gcd(np.gcd.reduce(lifted, axis=-1, keepdims=True), self.p**top)
+        return np.cumsum(lifted // gcd, axis=-1).tolist()
 
 
 class _FloatRing:
@@ -513,6 +522,7 @@ class _FloatRing:
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)
     amps = weights = staticmethod(lambda values: values)
+    cdfs = staticmethod(lambda values: np.cumsum(values, axis=-1).tolist())
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a

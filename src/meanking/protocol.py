@@ -14,15 +14,15 @@ Exact-backend states are int64 coefficient arrays over the cyclotomic ring
 is a literal ring zero; the float backend runs the same construction in
 complex arithmetic.  Everything is built once per (p, backend) by
 `RetrodictionSetup`, which every check and every round takes.  Sampling
-bisects precomputed CDFs: integer ones (exact rationals over a common
-denominator) where the exact backend is in play, floats otherwise.
+bisects CDFs built on first use: integer ones (exact rationals over a common
+denominator, a power of p) where the exact backend is in play, floats otherwise.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,9 +100,10 @@ class RetrodictionSetup:
 
     It holds the object and ancilla families, the (p+1)p post-measurement
     states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
-    |Phi> (`prepared`), the labeled measurement basis (`labels`; `states`),
-    the Born weights (outcome weights also as ring values, `outcome_table`)
-    and their sampling CDFs.  `posts` and `states` are 2-D arrays and
+    |Phi> (`prepared`), the labeled measurement basis (`labels`; `states`)
+    and the Born weights as ring values (`king_table`; `outcome_table`, rows
+    `outcome_keys`), from which their Fraction (float) rows and sampling CDFs
+    are built on first read.  `posts` and `states` are 2-D arrays and
     `prepared` a 1-D one: `_RingArray`s on the exact backend, complex on the
     float one.
     """
@@ -117,7 +118,7 @@ class RetrodictionSetup:
         obj = build_mub_family(dim, "object", backend)
         anc = build_mub_family(dim, "ancilla", backend)
         self.families = (obj, anc)
-        ring = _ring(backend, p, FLOAT_ATOL)
+        self._ring = ring = _ring(backend, p, FLOAT_ATOL)
         pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
@@ -128,15 +129,25 @@ class RetrodictionSetup:
         self.labels = [BracketLabel(p=p, slots=tuple(row)) for row in slots.tolist()]
         self.states = _bracket_rows(self, slots)
         # Born weights, one product per table; rows are |m_k m-bar_k> in the second
-        king = ring.weights(ring.abs2(ring.gram(self.prepared[None], self.posts)))[0]
+        self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
         self.outcome_table = ring.abs2(ring.gram(self.posts, self.states))  # [m*p + k - 1, label]
-        outcome = ring.weights(self.outcome_table)
-        self.king_weights = {m: king[m * p : (m + 1) * p] for m in range(p + 1)}
-        self.outcome_weights = {
-            (m, k): outcome[m * p + k - 1] for m in range(p + 1) for k in range(1, p + 1)
-        }
-        self.king_cdfs = {m: _cdf(w) for m, w in self.king_weights.items()}
-        self.outcome_cdfs = {key: _cdf(w) for key, w in self.outcome_weights.items()}
+        self.outcome_keys = list(itertools.product(range(p + 1), range(1, p + 1)))  # (m, k) per row
+
+    @functools.cached_property
+    def king_weights(self) -> dict:  # {m: weights of k = 1..p}
+        return dict(enumerate(self._ring.weights(self.king_table)))
+
+    @functools.cached_property
+    def outcome_weights(self) -> dict:  # {(m, k): weights of the p^2 labels}
+        return dict(zip(self.outcome_keys, self._ring.weights(self.outcome_table)))
+
+    @functools.cached_property
+    def king_cdfs(self) -> list:
+        return self._ring.cdfs(self.king_table)
+
+    @functools.cached_property
+    def outcome_cdfs(self) -> dict:
+        return dict(zip(self.outcome_keys, self._ring.cdfs(self.outcome_table)))
 
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
@@ -186,21 +197,29 @@ def _state(setup: RetrodictionSetup, row) -> BipartiteState:
     return BipartiteState(p=setup.dim.p, backend=setup.backend, amps=amps)
 
 
-def _cdf(weights):
-    """Running sums for inverse-CDF sampling.  Exact weights are first scaled
-    to integers over their common denominator, so a draw is one randrange."""
-    if isinstance(weights, np.ndarray):
-        return np.cumsum(weights)
-    denom = math.lcm(*[w.denominator for w in weights])
-    return list(itertools.accumulate(int(w * denom) for w in weights))
+def _below(n: int, rng: random.Random) -> int:
+    """rng.randrange(n) by its CPython 3.10-3.13 rule, without its frames: getrandbits(n.bit_length()) until below n."""
+    bits = n.bit_length()
+    x = rng.getrandbits(bits)
+    while x >= n:
+        x = rng.getrandbits(bits)
+    return x
 
 
 def _sample_index(cdf, rng: random.Random) -> int:
-    """Inverse-CDF draw: one randrange over an integer CDF, one random() over a float one."""
+    """Inverse-CDF draw: one draw below an integer CDF's total, one random() over a float one."""
     total = cdf[-1]
-    x = rng.randrange(total) if isinstance(total, int) else rng.random() * total
+    x = _below(total, rng) if isinstance(total, int) else rng.random() * total
     # a float draw can round up to the total; the last index takes it
     return min(bisect.bisect_right(cdf, x), len(cdf) - 1)
+
+
+def _draw(setup: RetrodictionSetup, m: int | None, rng: random.Random) -> tuple[int, int, int]:
+    """One round's (m, k, label index) from a seeded generator; m is drawn unless given."""
+    if m is None:
+        m = _below(setup.dim.p + 1, rng)
+    k = 1 + _sample_index(setup.king_cdfs[m], rng)
+    return m, k, _sample_index(setup.outcome_cdfs[m, k], rng)
 
 
 def post_measurement_state(setup: RetrodictionSetup, m: int, k: int) -> BipartiteState:
@@ -293,7 +312,7 @@ def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> C
     nonzero Born weight, and each carries exactly 1/p."""
     p = setup.dim.p
     ring = _ring(setup.backend, p, atol)
-    keys = list(setup.outcome_weights)  # (m, k) for the rows of outcome_table
+    keys = setup.outcome_keys
     # wants over the denominator p: 1 where the label's slot k_m is k, else 0
     slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
     key_m, key_k = np.array(keys, dtype=int).T
@@ -364,14 +383,7 @@ class RoundRecord:
     correct: bool
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "king_choice": self.king_choice,
-            "king_outcome": self.king_outcome,
-            "physicist_outcome": self.physicist_outcome.to_json(),
-            "announced_answer": self.announced_answer,
-            "correct": self.correct,
-        }
+        return {**vars(self), "physicist_outcome": self.physicist_outcome.to_json()}
 
 
 def run_round(
@@ -380,25 +392,11 @@ def run_round(
     """Play one round: sample the king's outcome and the physicist's outcome by
     the Born rule, announce the label slot of the measured observable."""
     p = setup.dim.p
-    rng = random.Random(str(rng_seed))
-    if king_choice is None:
-        m = rng.randrange(p + 1)
-    else:
-        if not 0 <= king_choice <= p:
-            raise ValueError(f"king_choice must be in 0..{p}, got {king_choice}")
-        m = king_choice
-    k = 1 + _sample_index(setup.king_cdfs[m], rng)
-    outcome_idx = _sample_index(setup.outcome_cdfs[(m, k)], rng)
-    label = setup.labels[outcome_idx]
-    announced = label.k(m)
-    return RoundRecord(
-        seed=str(rng_seed),
-        king_choice=m,
-        king_outcome=k,
-        physicist_outcome=label,
-        announced_answer=announced,
-        correct=announced == k,
-    )
+    if king_choice is not None and not 0 <= king_choice <= p:
+        raise ValueError(f"king_choice must be in 0..{p}, got {king_choice}")
+    m, k, index = _draw(setup, king_choice, random.Random(str(rng_seed)))
+    label = setup.labels[index]
+    return RoundRecord(str(rng_seed), m, k, label, label.k(m), label.k(m) == k)
 
 
 @dataclass
@@ -412,7 +410,15 @@ class SimulationSummary:
     strategy: str
     backend: str
     histogram: dict = field(default_factory=dict)
-    records: list[RoundRecord] | None = None
+    kept_rounds: list[tuple[int, int, int]] | None = None  # (m, k, label index) per round
+
+    def round_dicts(self):
+        """The kept rounds' JSON, each round's `RoundRecord` built as it is read."""
+        dim, ks = PrimeDim(self.p), range(1, self.p + 1)
+        labels = [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]  # index (k0-1)p + k1-1
+        for i, (m, k, index) in enumerate(self.kept_rounds):
+            label = labels[index]
+            yield RoundRecord(f"{self.seed}:{i}", m, k, label, label.k(m), label.k(m) == k).to_json()
 
     @property
     def success_rate(self) -> float:
@@ -433,8 +439,8 @@ class SimulationSummary:
                 for m, row in sorted(self.histogram.items())
             },
         }
-        if include_records and self.records is not None:
-            doc["rounds_detail"] = [r.to_json() for r in self.records]
+        if include_records and self.kept_rounds is not None:
+            doc["rounds_detail"] = list(self.round_dicts())
         return doc
 
 
@@ -468,21 +474,23 @@ def simulate(
     backend: str | None = None,
     keep_records: bool = False,
 ) -> SimulationSummary:
-    """Play many rounds with per-round seeds derived from the master seed."""
+    """Play many rounds, reseeding one generator with '<seed>:<round>' per round."""
     p = dim.p
     fixed_m = check_simulate_args(p, rounds, strategy)
     setup = RetrodictionSetup(dim, backend)
-    histogram: dict[int, dict[int, int]] = {}
-    records = [] if keep_records else None
+    slots = [label.slots for label in setup.labels]
+    counts = [[0] * p for _ in range(p + 1)]  # [m][k-1]
+    kept = [] if keep_records else None
     successes = 0
+    rng = random.Random()
     for i in range(rounds):
-        record = run_round(setup, fixed_m, f"{seed}:{i}")
-        if record.correct:
-            successes += 1
-        row = histogram.setdefault(record.king_choice, {})
-        row[record.king_outcome] = row.get(record.king_outcome, 0) + 1
-        if records is not None:
-            records.append(record)
+        rng.seed(f"{seed}:{i}")
+        m, k, index = _draw(setup, fixed_m, rng)
+        counts[m][k - 1] += 1
+        successes += slots[index][m] == k
+        if kept is not None:
+            kept.append((m, k, index))
+    histogram = {m: {k: n for k, n in enumerate(row, 1) if n} for m, row in enumerate(counts) if any(row)}
     return SimulationSummary(
         p=p,
         rounds=rounds,
@@ -491,5 +499,5 @@ def simulate(
         strategy=strategy,
         backend=setup.backend,
         histogram=histogram,
-        records=records,
+        kept_rounds=kept,
     )

@@ -342,3 +342,12 @@ def test_json_writer_equals_json_dumps(tree):
     out = io.StringIO()
     cli._emit_json({"payload": tree}, out)
     assert out.getvalue() == json.dumps({"payload": tree, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(json_trees, max_size=3))
+def test_json_writer_streams_an_iterator_as_its_list(items):
+    # simulate's kept rounds reach the writer as an iterator, drawn an item at a time
+    out = io.StringIO()
+    cli._emit_json({"payload": iter(items)}, out)
+    assert out.getvalue() == json.dumps({"payload": items, "schema_version": 1}, sort_keys=True, indent=2) + "\n"

@@ -2,9 +2,11 @@
 
 Each file under tests/golden/ holds the stdout of one invocation of
 `meanking.cli.main`, captured before the protocol layer was rebuilt around
-closed-form bracket states and one shared setup.  A refactor that changes a
-single byte of any of them (a check count, a report order, a sampled round)
-fails here.
+closed-form bracket states and one shared setup (the p = 13 and p = 31
+simulate captures were taken later, before rounds were drawn from integer
+Born tables on one reseeded generator).  A refactor that changes a single
+byte of any of them (a check count, a report order, a sampled round) fails
+here.
 """
 
 from pathlib import Path
@@ -29,6 +31,12 @@ CASES = {
     "simulate_p7.json": ["simulate", "--p", "7", "--rounds", "3000", "--seed", "42", "--json"],
     # p = 17 lies above SAMPLING_EXACT_MAX_P, so this one runs on the float backend
     "simulate_p17.json": ["simulate", "--p", "17", "--rounds", "500", "--seed", "1", "--json"],
+    # the largest exact tables that are sampled, under a negative seed
+    "simulate_p13_seed_neg9.json": ["simulate", "--p", "13", "--rounds", "2000", "--seed", "-9", "--json"],
+    # the float tables at the simulate ceiling, the king fixed on the last basis
+    "simulate_p31_fixed31_float.json": [
+        "simulate", "--p", "31", "--rounds", "2000", "--seed", "8", "--king-strategy", "fixed:31", "--json",
+    ],
     "bases_p2.json": ["bases", "--p", "2", "--format", "json"],
     "bases_p5_float_ancilla.json": [
         "bases", "--p", "5", "--backend", "float", "--side", "ancilla", "--format", "json",

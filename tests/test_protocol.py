@@ -1,5 +1,6 @@
 """Bipartite protocol: entangled basis, bracket states, certain retrodiction."""
 
+import bisect
 import functools
 import itertools
 import json
@@ -9,12 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from meanking import protocol
 from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
 from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family, verify_unbiasedness
 from meanking.protocol import (
+    PRNG_NAME,
     BracketLabel,
     RetrodictionSetup,
+    _below,
     _sample_index,
     bracket_overlap_closed_form,
     bracket_state,
@@ -448,6 +454,64 @@ def sample_index_by_lcm(weights, rng):
     return len(weights) - 1
 
 
+def cdf_by_lcm(weights):
+    """Reference: running sums of Fraction weights scaled to integers over the
+    lcm of their denominators; of float weights, np.cumsum."""
+    if isinstance(weights, np.ndarray):
+        return np.cumsum(weights)
+    denom = math.lcm(*[w.denominator for w in weights])
+    return list(itertools.accumulate(int(w * denom) for w in weights))
+
+
+def simulate_by_fresh_generators(setup, rounds, strategy, seed):
+    """Reference: `simulate(..., keep_records=True).to_json(True)` as the
+    rounds were once played, a fresh random.Random(f"{seed}:{i}") per round,
+    randrange for the king's choice and for each integer CDF, and the CDFs
+    rebuilt from the Fraction weights through math.lcm."""
+    p = setup.dim.p
+    fixed_m = parse_strategy(strategy, p)
+    king = {m: cdf_by_lcm(w) for m, w in setup.king_weights.items()}
+    outcome = {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
+
+    def sample(cdf, rng):
+        total = cdf[-1]
+        x = rng.randrange(total) if isinstance(total, int) else rng.random() * total
+        return min(bisect.bisect_right(cdf, x), len(cdf) - 1)
+
+    histogram, details = {}, []
+    for i in range(rounds):
+        rng = random.Random(f"{seed}:{i}")
+        m = rng.randrange(p + 1) if fixed_m is None else fixed_m
+        k = 1 + sample(king[m], rng)
+        label = setup.labels[sample(outcome[(m, k)], rng)]
+        row = histogram.setdefault(str(m), {})
+        row[str(k)] = row.get(str(k), 0) + 1
+        details.append({
+            "seed": f"{seed}:{i}",
+            "king_choice": m,
+            "king_outcome": k,
+            "physicist_outcome": list(label.slots),
+            "announced_answer": label.k(m),
+            "correct": label.k(m) == k,
+        })
+    successes = sum(d["correct"] for d in details)
+    return {
+        "p": p,
+        "rounds": rounds,
+        "successes": successes,
+        "success_rate": successes / rounds,
+        "seed": seed,
+        "strategy": strategy,
+        "backend": setup.backend,
+        "prng": PRNG_NAME,
+        "histogram": histogram,
+        "rounds_detail": details,
+    }
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
 class TestAgainstReferences:
     @pytest.mark.parametrize("p", [2, 3])
     def test_closed_form_equals_expansion_for_every_label(self, p):
@@ -483,6 +547,38 @@ class TestAgainstReferences:
             assert _sample_index(cdf, rng) == sample_index_by_lcm(weights, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate(), seed
 
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_simulate_draws_what_fresh_generators_drew(self, p, monkeypatch):
+        # the set-up is shared with the reference (its tables have their own
+        # tests), so this compares the rounds alone
+        setup = setup_for(p, EXACT if p <= protocol.SAMPLING_EXACT_MAX_P else FLOAT)
+        monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+        for strategy, seed in itertools.product(["uniform", f"fixed:{p}"], [0, 42, -3]):
+            want = simulate_by_fresh_generators(setup, 150, strategy, seed)
+            got = simulate(PrimeDim(p), rounds=150, strategy=strategy, seed=seed, keep_records=True)
+            assert got.to_json(True) == want, (strategy, seed)
+            fixed_m = parse_strategy(strategy, p)
+            rounds = [run_round(setup, fixed_m, f"{seed}:{i}").to_json() for i in range(10)]
+            assert rounds == want["rounds_detail"][:10], (strategy, seed)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_integer_cdfs_equal_the_lcm_cdfs(self, p):
+        setup = setup_for(p)
+        assert setup.king_cdfs == [cdf_by_lcm(setup.king_weights[m]) for m in range(p + 1)]
+        assert setup.outcome_cdfs == {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
+        assert all(type(x) is int for cdf in setup.outcome_cdfs.values() for x in cdf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**70), st.integers(-(2**64), 2**64))
+@example(1, 0)
+@example(2**32, 7)
+@example(2**70, 3)
+def test_below_draws_what_randrange_draws(n, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _below(n, rng) == ref.randrange(n)
+    assert rng.getstate() == ref.getstate()
+
 
 class TestArrayConstructionAgainstAmplitudes:
     """The exact states are built as ring arrays; the accessors must hand out
@@ -508,10 +604,11 @@ class TestArrayConstructionAgainstAmplitudes:
 
 
 def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
-    # structural: the families, the set-up and the protocol checks stay on the
-    # ring arrays and build no Amplitude
+    # structural: the families, the set-up, the protocol checks and the rounds
+    # stay on the ring arrays and integer tables and build no Amplitude and no
+    # Fraction
     def refuse(*args):
-        raise AssertionError("per-entry Amplitude arithmetic in the exact set-up or checks")
+        raise AssertionError("per-entry Amplitude or Fraction arithmetic in the exact set-up, checks or rounds")
 
     monkeypatch.setattr(Amplitude, "__add__", refuse)
     monkeypatch.setattr(Amplitude, "__mul__", refuse)
@@ -519,6 +616,8 @@ def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
     dim = PrimeDim(7)
     for side in ("object", "ancilla"):
         assert verify_unbiasedness(build_mub_family(dim, side, EXACT)).passed, side
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     setup = RetrodictionSetup(dim, EXACT)
     for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction):
         assert check(setup).passed, check.__name__
+    assert simulate(dim, 1000).success_rate == 1.0
