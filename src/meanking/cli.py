@@ -2,7 +2,8 @@
 
 All output is deterministic: a fixed default seed (never wall-clock entropy),
 sorted JSON keys, no timestamps.  Exit codes: 0 success, 1 invariant or
-protocol failure, 2 invalid input.  The only environment variable honored is
+protocol failure, 2 invalid input or output that cannot be written (a full
+device, a closed pipe).  The only environment variable honored is
 NO_COLOR, which disables the PASS/FAIL coloring of text output.
 """
 
@@ -67,31 +68,42 @@ def _status(passed: bool) -> str:
 
 
 class InvalidInput(Exception):
-    """Invalid input; the CLI maps this to exit code 2."""
+    """Invalid input or unwritable output; the CLI maps this to exit code 2."""
 
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """stdout, or a buffer for --out.  The file is opened after validation and
-    before any work, without emptying it, and written only once the command has
-    finished: a failed run leaves it as it was."""
-    if not out_path:
-        yield sys.stdout
-        return
-    existed = os.path.exists(out_path)
+    before any work, without emptying it, and written in place only once the
+    command has finished: a failed run leaves it as it was.  A failed write of
+    the output raises InvalidInput."""
     try:
-        open(out_path, "a").close()
+        if not out_path:
+            yield sys.stdout
+            sys.stdout.flush()
+            return
+        existed = os.path.exists(out_path)
+        try:
+            open(out_path, "a").close()
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out {out_path}: {exc.strerror}") from None
+        buffer = io.StringIO()
+        try:
+            yield buffer
+        except BaseException:
+            if not existed:
+                os.remove(out_path)
+            raise
+        with open(out_path, "w") as handle:
+            handle.write(buffer.getvalue())
     except OSError as exc:
-        raise InvalidInput(f"cannot write --out {out_path}: {exc.strerror}") from None
-    buffer = io.StringIO()
-    try:
-        yield buffer
-    except BaseException:
-        if not existed:
-            os.remove(out_path)
-        raise
-    with open(out_path, "w") as handle:
-        handle.write(buffer.getvalue())
+        if not out_path:
+            # the interpreter flushes stdout again at exit: send what it holds to the null device
+            with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        raise InvalidInput(f"cannot write output: {exc.strerror}") from None
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -213,7 +225,7 @@ def cmd_simulate(args) -> int:
             rounds=args.rounds,
             strategy=args.king_strategy,
             seed=args.seed,
-            keep_records=args.emit_rounds,
+            keep_records=args.emit_rounds and args.json,  # text output lists no rounds
         )
         if args.json:
             payload = {"command": "simulate", **summary.to_json()}

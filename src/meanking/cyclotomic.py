@@ -32,6 +32,7 @@ import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
+FLOAT_ATOL = 1e-10  # the float backend's decision rule
 
 
 def _canonical(p: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -488,31 +489,37 @@ class _ExactRing:
         """One entry in the JSON encoding of the reference Amplitude."""
         return self.amps(value[None])[0].to_json()
 
-    def weights(self, values: _RingArray) -> list:
-        """A 2-D array of squared moduli as rows of Fractions."""
-        return [[amp.as_fraction() for amp in self.amps(row)] for row in values]
-
-    def cdfs(self, values: _RingArray) -> list:
-        """Rows of squared moduli x / p^h as running sums over their least common denominator: x lifted to
-        the row's largest h, top, over its gcd with p^top.  Bounded by the row length times max|x| p^top."""
-        c = _canonicalize(self.p, values.c.copy())
-        if c[..., 1:].any() or (values.t % 2).any():
+    def _rationals(self, values: _RingArray):
+        """Rows of squared moduli x / p^h as (x lifted to its row's largest h, top; top), a zero
+        entry 0 at any scale.  Bounded by the row length times max|x| p^top."""
+        c, t = _canonicalize(self.p, values.c.copy()), _scales(values)
+        if c[..., 1:].any() or (t % 2).any():
             raise ValueError("a Born weight is not rational")
-        x, h = c[..., 0], values.t // 2
+        x, h = c[..., 0], t // 2
         top = h.max(axis=-1, keepdims=True)
         _check_int64(x.shape[-1] * _absmax(x) * self.p ** int(top.max(initial=0)))
-        lifted = x * self.p ** (top - h)
-        if not lifted.any(axis=-1).all():
+        return x * self.p ** (top - h), top
+
+    def weights(self, values: _RingArray) -> list:
+        """A 2-D array of squared moduli as rows of Fractions."""
+        x, top = self._rationals(values)
+        return [[Fraction(n, self.p**d) for n in row] for row, d in zip(x.tolist(), top[:, 0].tolist())]
+
+    def cdfs(self, values: _RingArray) -> list:
+        """Rows of squared moduli as running sums over their least common
+        denominator: the lifted numerators over their gcd with p^top."""
+        x, top = self._rationals(values)
+        if not x.any(axis=-1).all():
             raise ValueError("a row of Born weights is zero")
-        gcd = np.gcd(np.gcd.reduce(lifted, axis=-1, keepdims=True), self.p**top)
-        return np.cumsum(lifted // gcd, axis=-1).tolist()
+        gcd = np.gcd(np.gcd.reduce(x, axis=-1, keepdims=True), self.p**top)
+        return np.cumsum(x // gcd, axis=-1).tolist()
 
 
 class _FloatRing:
-    """`_ExactRing`'s operations on complex numpy arrays, deciding by atol."""
+    """`_ExactRing`'s operations on complex numpy arrays, deciding by FLOAT_ATOL."""
 
-    def __init__(self, p: int, atol: float):
-        self.p, self.atol = p, atol
+    def __init__(self, p: int):
+        self.p = p
 
     rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
     stack = staticmethod(np.array)
@@ -535,9 +542,9 @@ class _FloatRing:
         return a / np.sqrt(self.p)
 
     def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
-        return np.abs(values - np.asarray(want) / denom) > self.atol
+        return np.abs(values - np.asarray(want) / denom) > FLOAT_ATOL
 
 
-def _ring(backend: str, p: int, atol: float):
-    """The arithmetic the checks are written against: exact ring zero or float atol."""
-    return _ExactRing(p) if backend == EXACT else _FloatRing(p, atol)
+def _ring(backend: str, p: int):
+    """The arithmetic the checks are written against: exact ring zero or FLOAT_ATOL."""
+    return _ExactRing(p) if backend == EXACT else _FloatRing(p)

@@ -14,14 +14,14 @@ explicitly; the odd-prime amplitude formula degenerates there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
-
-FLOAT_ATOL = 1e-10
+from .cyclotomic import FLOAT_ATOL  # noqa: F401 (re-exported: mub.FLOAT_ATOL)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -155,9 +155,9 @@ class MubFamily:
     """The p+1 orthonormal bases; basis m=0 is computational, bases 1..p unbiased to it.
 
     `bases` has shape (p+1, p, p), kets along axis 1: a `_RingArray` on the
-    exact backend, a complex ndarray on the float one.  `ket` hands out one ket
-    as Amplitudes (exact) or complex numbers (float).  Families compare by
-    identity.
+    exact backend, a complex ndarray on the float one, read through `_ring`.
+    `ket` hands out one ket as Amplitudes (exact) or complex numbers (float).
+    Families compare by identity.
     """
 
     p: int
@@ -165,12 +165,16 @@ class MubFamily:
     backend: str
     bases: _RingArray | np.ndarray
 
+    @functools.cached_property
+    def _ring(self):
+        return _ring(self.backend, self.p)
+
     def ket(self, m: int, k: int):
         if not 0 <= m <= self.p:
             raise ValueError(f"basis label must be in 0..{self.p}, got {m}")
         if not 1 <= k <= self.p:
             raise ValueError(f"ket label must be in 1..{self.p}, got {k}")
-        return _ring(self.backend, self.p, FLOAT_ATOL).amps(self.bases[m, k - 1])
+        return self._ring.amps(self.bases[m, k - 1])
 
     def _kets(self):
         return [[self.ket(m, k) for k in range(1, self.p + 1)] for m in range(self.p + 1)]
@@ -241,10 +245,9 @@ class CheckReport:
         }
 
 
-def verify_unbiasedness(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_unbiasedness(fam: MubFamily) -> CheckReport:
     """Check every squared overlap: delta within a basis, exactly 1/p across bases."""
-    p = fam.p
-    ring = _ring(fam.backend, p, atol)
+    p, ring = fam.p, fam._ring
     report = CheckReport(name="unbiasedness")
     flat = fam.bases.reshape((p + 1) * p, p)
     sq = ring.abs2(ring.gram(flat, flat))
@@ -276,15 +279,14 @@ def _read_monomial(ring, dim: PrimeDim, backend: str):
     return perm, entries, single.all(axis=-1) & (nonzero.sum(axis=-2) == 1).all(axis=-1)
 
 
-def verify_eigen_equation(fam: MubFamily, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_eigen_equation(fam: MubFamily) -> CheckReport:
     """Check that every ket is an eigenket of its observable: U_m|m_k> = q^k|m_k>.
 
     Each U_m is read as a monomial (perm, entries), so U_m|v> is the gather
     entries[i] v[perm[i]].  The equation is stated for the object family."""
     if fam.side != "object":
         raise ValueError(f"the eigen equation is checked on the object family, got {fam.side!r}")
-    p = fam.p
-    ring = _ring(fam.backend, p, atol)
+    p, ring = fam.p, fam._ring
     perm, entries, _ = _read_monomial(ring, PrimeDim(p), fam.backend)  # [m, i]
     kets = fam.bases  # [m, k-1, j]
     basis = np.arange(p + 1)[:, None, None]
@@ -322,7 +324,7 @@ def _shared_key_sums(ring, keys_a, vals_a, keys_b, vals_b, block_rows: int):
         yield start, sums.reshape(rows, n_b)
 
 
-def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     """Operator-level identities: periods, the commutation relation, the trace
     table, tracelessness of the non-identity basis operators, and completeness
     (trace-orthogonality) of both operator bases.
@@ -330,8 +332,7 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
     Every U_m is a monomial matrix, read once as (perm, entries): a product is
     a gather and an entrywise ring product, and a trace or Gram product a sum
     over the positions two monomials share (`_shared_key_sums`)."""
-    p = dim.p
-    ring = _ring(backend, p, atol)
+    p, ring = dim.p, _ring(backend, dim.p)
     report = CheckReport(name="trace_relations")
     rows = np.arange(p)
 
@@ -434,6 +435,7 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT, atol: float = FL
 # --- composite-dimension diagnosis ---
 
 DIAGNOSE_MAX_N = 16
+DIAGNOSE_ATOL = 1e-8  # a float deviation past this is a witness
 
 
 @dataclass
@@ -471,7 +473,7 @@ def check_composite(n: int) -> None:
         raise out_of_range
 
 
-def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
+def diagnose_composite(n: int) -> CompositeDiagnosis:
     """Run the construction at composite n with primality enforcement bypassed
     and report every invariant that breaks, with concrete witnesses."""
     check_composite(n)
@@ -483,7 +485,7 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
     eye = np.eye(n)
     for m, mat in enumerate(obs):
         dev = float(np.max(np.abs(np.linalg.matrix_power(mat, n) - eye)))
-        if dev > atol:
+        if dev > DIAGNOSE_ATOL:
             witnesses.append({"kind": "period", "m": m, "deviation": dev})
 
     # operator-basis reach: powers U_m^r land on (m*r mod n, r mod n), which
@@ -509,7 +511,7 @@ def diagnose_composite(n: int, atol: float = 1e-8) -> CompositeDiagnosis:
     for m1 in range(n + 1):
         for m2 in range(m1 + 1, n + 1):
             overlaps = np.abs(bases[m1].conj() @ bases[m2].T) ** 2
-            bad = np.argwhere(np.abs(overlaps - 1.0 / n) > atol)
+            bad = np.argwhere(np.abs(overlaps - 1.0 / n) > DIAGNOSE_ATOL)
             for k1, k2 in bad[: max(0, 5 - flagged)]:
                 witness = {"kind": "unbiasedness", "m": m1, "k": int(k1) + 1, "m2": m2}
                 witnesses.append({**witness, "k2": int(k2) + 1, "actual": float(overlaps[k1, k2])})

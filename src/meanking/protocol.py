@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, _ring
-from .mub import FLOAT_ATOL, CheckReport, PrimeDim, build_mub_family, _check_backend
+from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
 SAMPLING_EXACT_MAX_P = 13
@@ -118,7 +118,7 @@ class RetrodictionSetup:
         obj = build_mub_family(dim, "object", backend)
         anc = build_mub_family(dim, "ancilla", backend)
         self.families = (obj, anc)
-        self._ring = ring = _ring(backend, p, FLOAT_ATOL)
+        self._ring = ring = _ring(backend, p)
         pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
@@ -158,14 +158,13 @@ def _phi(setup: RetrodictionSetup, m: int):
     """|Phi> = p^{-1/2} sum_k |m_k m-bar_k>, summed over the basis m."""
     p = setup.dim.p
     rows = setup.posts[m * p : (m + 1) * p]
-    return _ring(setup.backend, p, FLOAT_ATOL).over_sqrt_p(sum(rows[1:], rows[0]))
+    return setup._ring.over_sqrt_p(sum(rows[1:], rows[0]))
 
 
 def _bracket_rows(setup: RetrodictionSetup, slots):
     """The bracket states p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi> of a table
     of label slots, one row each: a gather of post rows per m, summed."""
-    p = setup.dim.p
-    ring = _ring(setup.backend, p, FLOAT_ATOL)
+    p, ring = setup.dim.p, setup._ring
     index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> row of posts
     terms = (setup.posts[index[:, m]] for m in range(p + 1))  # one at a time bounds the memory
     return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
@@ -174,8 +173,7 @@ def _bracket_rows(setup: RetrodictionSetup, slots):
 def _entangled_rows(setup: RetrodictionSetup):
     """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
     p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
-    p = setup.dim.p
-    ring = _ring(setup.backend, p, FLOAT_ATOL)
+    p, ring = setup.dim.p, setup._ring
     by_k = setup.posts.reshape(p + 1, p, p * p)
     if setup.backend == FLOAT:  # the float oracle's phases, each one scalar expression
         phases = np.array([[np.exp(-2j * np.pi * j * k / p) for k in range(1, p + 1)] for j in range(1, p)])
@@ -193,8 +191,7 @@ def _entangled_rows(setup: RetrodictionSetup):
 
 def _state(setup: RetrodictionSetup, row) -> BipartiteState:
     """One row of the setup's arrays as a state: Amplitudes on the exact backend."""
-    amps = _ring(setup.backend, setup.dim.p, FLOAT_ATOL).amps(row)
-    return BipartiteState(p=setup.dim.p, backend=setup.backend, amps=amps)
+    return BipartiteState(p=setup.dim.p, backend=setup.backend, amps=setup._ring.amps(row))
 
 
 def _below(n: int, rng: random.Random) -> int:
@@ -284,20 +281,18 @@ def _non_orthonormal(ring, rows):
             yield start + int(i), int(j)
 
 
-def verify_entangled_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
-    ring = _ring(setup.backend, setup.dim.p, atol)
     rows = _entangled_rows(setup)
     report = CheckReport(name="entangled_basis", checks=len(rows) ** 2)
-    for i, j in _non_orthonormal(ring, rows):
+    for i, j in _non_orthonormal(setup._ring, rows):
         report.violations.append({"n": i, "n2": j})
     return report
 
 
-def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
-    ring = _ring(setup.backend, setup.dim.p, atol)
-    rows, labels = setup.states, setup.labels
+    ring, rows, labels = setup._ring, setup.states, setup.labels
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
     for i, j in _non_orthonormal(ring, rows):
         report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
@@ -307,64 +302,50 @@ def verify_measurement_basis(setup: RetrodictionSetup, atol: float = FLOAT_ATOL)
     return report
 
 
-def verify_retrodiction(setup: RetrodictionSetup, atol: float = FLOAT_ATOL) -> CheckReport:
+def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
-    p = setup.dim.p
-    ring = _ring(setup.backend, p, atol)
-    keys = setup.outcome_keys
+    p, keys = setup.dim.p, setup.outcome_keys
     # wants over the denominator p: 1 where the label's slot k_m is k, else 0
     slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
     key_m, key_k = np.array(keys, dtype=int).T
     want = (slots[:, key_m].T == key_k[:, None]).astype(int)
     report = CheckReport(name="retrodiction", checks=want.size)
-    for row, i in np.argwhere(ring.deviates(setup.outcome_table, want, p)).tolist():
+    for row, i in np.argwhere(setup._ring.deviates(setup.outcome_table, want, p)).tolist():
         (m, k), label = keys[row], setup.labels[i].to_json()
         weight = float(setup.outcome_weights[(m, k)][i])
         report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
     return report
 
 
-def verify_bracket_closed_form(
-    setup: RetrodictionSetup,
-    atol: float = FLOAT_ATOL,
-    sample_pairs: int | None = None,
-    seed: int = 0,
-) -> CheckReport:
+def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | None = None, seed: int = 0) -> CheckReport:
     """Direct bracket-state inner products against the rational closed form.
 
-    Exhaustive over all (p^(p+1))^2 label pairs when sample_pairs is None
-    (sensible only for p = 2, 3); otherwise that many random pairs.
+    Exhaustive over all (p^(p+1))^2 ordered label pairs, in row-major order,
+    when sample_pairs is None (sensible only for p = 2, 3); otherwise that many
+    random pairs.  Each block of pairs sums its rows' entrywise products.
     """
-    p = setup.dim.p
-    ring = _ring(setup.backend, p, atol)
-    report = CheckReport(name="bracket_closed_form")
-
-    def check(a, b, overlaps):  # rows a against rows b (broadcast), in row-major order
-        a, b = np.broadcast_arrays(a, b)
-        want = (slots[a] == slots[b]).sum(axis=-1) - 1  # (agreements - 1)/p over the denominator p
-        report.checks += want.size
-        for index in map(tuple, np.argwhere(ring.deviates(overlaps, want, p))):
-            report.violations.append({"label": slots[a[index]].tolist(), "label2": slots[b[index]].tolist()})
-
+    p, ring = setup.dim.p, setup._ring
     if sample_pairs is None:
-        labels = list(itertools.product(range(1, p + 1), repeat=p + 1))
+        slots = np.array(list(itertools.product(range(1, p + 1), repeat=p + 1)))
+        count = len(slots) ** 2
+        pair = lambda index: np.divmod(index, len(slots))  # row-major, no table of pairs held
     else:
         rng = random.Random(seed)
-        drawn = [tuple(rng.randint(1, p) for _ in range(p + 1)) for _ in range(2 * sample_pairs)]
-        labels = list(dict.fromkeys(drawn))  # each distinct label's row is built once
-    slots, rows = np.array(labels, dtype=int).reshape(-1, p + 1), _bracket_rows(setup, labels)
-    if sample_pairs is None:  # all pairs: a block of rows against every row per product
-        for start in range(0, len(labels), _GRAM_BLOCK_ROWS):
-            a = np.arange(start, min(start + _GRAM_BLOCK_ROWS, len(labels)))
-            check(a[:, None], np.arange(len(labels)), ring.gram(rows[a], rows))
-        return report
-    row_of = {label: i for i, label in enumerate(labels)}
-    pairs = np.array([row_of[label] for label in drawn], dtype=int).reshape(-1, 2)  # (drawn[2i], drawn[2i+1])
-    for start in range(0, len(pairs), _GRAM_BLOCK_ROWS):
-        a, b = pairs[start : start + _GRAM_BLOCK_ROWS].T
+        drawn = [[rng.randint(1, p) for _ in range(p + 1)] for _ in range(2 * sample_pairs)]
+        slots, inverse = np.unique(np.reshape(drawn, (-1, p + 1)), axis=0, return_inverse=True)  # one row per label
+        pairs = inverse.reshape(-1, 2)  # (drawn[2i], drawn[2i+1])
+        count = len(pairs)
+        pair = lambda index: pairs[index].T
+    rows = _bracket_rows(setup, slots)
+    report = CheckReport(name="bracket_closed_form", checks=count)
+    for start in range(0, count, _GRAM_BLOCK_ROWS):
+        a, b = pair(np.arange(start, min(start + _GRAM_BLOCK_ROWS, count)))
         products = ring.mul(rows[a].conj(), rows[b]).reshape(-1)  # each pair's p^2 terms of <a|b>
-        check(a, b, ring.add_at(products, np.arange(len(a)).repeat(p * p), len(a)))
+        overlaps = ring.add_at(products, np.arange(len(a)).repeat(p * p), len(a))
+        want = (slots[a] == slots[b]).sum(axis=-1) - 1  # (agreements - 1)/p over the denominator p
+        for i in np.flatnonzero(ring.deviates(overlaps, want, p)):
+            report.violations.append({"label": slots[a[i]].tolist(), "label2": slots[b[i]].tolist()})
     return report
 
 
@@ -424,8 +405,8 @@ class SimulationSummary:
     def success_rate(self) -> float:
         return self.successes / self.rounds if self.rounds else 0.0
 
-    def to_json(self, include_records: bool = False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "p": self.p,
             "rounds": self.rounds,
             "successes": self.successes,
@@ -439,9 +420,6 @@ class SimulationSummary:
                 for m, row in sorted(self.histogram.items())
             },
         }
-        if include_records and self.kept_rounds is not None:
-            doc["rounds_detail"] = list(self.round_dicts())
-        return doc
 
 
 def parse_strategy(strategy: str, p: int) -> int | None:

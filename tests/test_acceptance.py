@@ -30,7 +30,6 @@ from meanking.tomography import probabilities_of, random_density, reconstruct
 
 UNBIASED_PRIMES = [2, 3, 5, 7, 11, 13]
 BASIS_PRIMES = [2, 3, 5, 7]
-FLOAT_ATOL = 1e-10
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -43,9 +42,7 @@ def test_criterion_1_unbiasedness_all_primes():
     for p in UNBIASED_PRIMES:
         dim = PrimeDim(p)
         exact = verify_unbiasedness(build_mub_family(dim, "object", EXACT))
-        floaty = verify_unbiasedness(
-            build_mub_family(dim, "object", FLOAT), atol=FLOAT_ATOL
-        )
+        floaty = verify_unbiasedness(build_mub_family(dim, "object", FLOAT))
         ok = ok and exact.passed and floaty.passed
         assert exact.checks == ((p + 1) * p) ** 2
     _report(1, "unbiasedness, exact zero-test and float<=1e-10, p in {2..13}", ok)
@@ -76,7 +73,7 @@ def test_criterion_4_bracket_closed_form():
         assert report.checks == (p ** (p + 1)) ** 2
     for p in [5, 7]:
         sampled = verify_bracket_closed_form(
-            RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL, sample_pairs=10_000, seed=p
+            RetrodictionSetup(PrimeDim(p), FLOAT), sample_pairs=10_000, seed=p
         )
         exact_sample = verify_bracket_closed_form(
             RetrodictionSetup(PrimeDim(p), EXACT), sample_pairs=100, seed=p
@@ -137,19 +134,15 @@ def test_criterion_9_backend_agreement():
     ok = True
     for p in UNBIASED_PRIMES:
         dim = PrimeDim(p)
-        ok = ok and verify_unbiasedness(
-            build_mub_family(dim, "object", FLOAT), atol=FLOAT_ATOL
-        ).passed
-        ok = ok and verify_trace_relations(dim, FLOAT, atol=FLOAT_ATOL).passed
+        ok = ok and verify_unbiasedness(build_mub_family(dim, "object", FLOAT)).passed
+        ok = ok and verify_trace_relations(dim, FLOAT).passed
     for p in BASIS_PRIMES:
         dim = PrimeDim(p)
         setup = RetrodictionSetup(dim, FLOAT)
-        ok = ok and verify_entangled_basis(setup, atol=FLOAT_ATOL).passed
-        ok = ok and verify_measurement_basis(setup, atol=FLOAT_ATOL).passed
+        ok = ok and verify_entangled_basis(setup).passed
+        ok = ok and verify_measurement_basis(setup).passed
     for p in [2, 3, 5]:
-        ok = ok and verify_retrodiction(RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL).passed
+        ok = ok and verify_retrodiction(RetrodictionSetup(PrimeDim(p), FLOAT)).passed
     for p in [2, 3]:
-        ok = ok and verify_bracket_closed_form(
-            RetrodictionSetup(PrimeDim(p), FLOAT), atol=FLOAT_ATOL
-        ).passed
+        ok = ok and verify_bracket_closed_form(RetrodictionSetup(PrimeDim(p), FLOAT)).passed
     _report(9, "every exact-backend identity re-evaluated in floats within 1e-10", ok)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +161,20 @@ class TestSimulate:
         assert code == 0
         assert len(doc["rounds_detail"]) == 5
         assert all(r["correct"] for r in doc["rounds_detail"])
+
+    def test_emit_rounds_in_text_mode_keeps_no_rounds(self, capsys, monkeypatch):
+        argv = ["simulate", "--p", "3", "--rounds", "5"]
+        _, plain, _ = run_cli(capsys, *argv)
+        real, kept = cli.simulate, []
+
+        def recording(*args, **kwargs):
+            kept.append(kwargs["keep_records"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        code, out, _ = run_cli(capsys, *argv, "--emit-rounds")
+        assert code == 0 and kept == [False]
+        assert out == plain and len(out.splitlines()) == 2
 
     def test_bad_strategy_is_invalid_input(self, capsys):
         code, _, err = run_cli(
@@ -351,3 +369,55 @@ def test_json_writer_streams_an_iterator_as_its_list(items):
     out = io.StringIO()
     cli._emit_json({"payload": iter(items)}, out)
     assert out.getvalue() == json.dumps({"payload": items, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+
+
+class FailingStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_out_on_a_full_device_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--json", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write output: No space left on device\n"
+
+
+def test_broken_stdout_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    code = main(["verify", "--p", "3", "--json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
+
+
+def _child(argv, stdout):
+    """The CLI in a fresh interpreter, its stdout on the given descriptor and
+    block-buffered, as a user's shell runs it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    script = "import sys; from meanking.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def test_closed_pipe_ends_in_one_error_line():
+    # the interpreter's own flush of stdout at exit must not report the pipe again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _child(["verify", "--p", "3", "--json"], write)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.decode() == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["verify", "--p", "3", "--json"], ["tomography", "--p", "31", "--json"]])
+def test_stdout_on_a_full_device_ends_in_one_error_line(argv):
+    # verify's JSON fits stdout's buffer and fails at the flush, tomography's
+    # fails while it is written
+    with open("/dev/full", "w") as full:
+        result = _child(argv, full)
+    assert result.returncode == 2
+    assert result.stderr.decode() == "error: cannot write output: No space left on device\n"

@@ -176,12 +176,12 @@ def scatter(ring, values, index, size):
     return _RingArray(ring.p, c, t)
 
 
-def trace_relations_by_dense_grams(dim, backend=EXACT, atol=mub.FLOAT_ATOL):
+def trace_relations_by_dense_grams(dim, backend=EXACT):
     """The trace-relations check as the library ran it before the shared-position
     sums: every trace a Gram product of the monomials scattered into dense
     p^2-vectors."""
     p = dim.p
-    ring = _ring(backend, p, atol)
+    ring = _ring(backend, p)
     report = mub.CheckReport(name="trace_relations")
     rows = np.arange(p)
     ident = np.eye(p, dtype=int).ravel()
@@ -652,7 +652,7 @@ def test_exact_family_agrees_with_float_construction(p):
     bridged = build_mub_family(dim, "object", EXACT).as_float()
     direct = build_mub_family(dim, "object", FLOAT)
     assert np.max(np.abs(bridged.bases - direct.bases)) < 1e-12
-    assert verify_unbiasedness(bridged, atol=1e-10).passed
+    assert verify_unbiasedness(bridged).passed
 
 
 def test_projector_power_sum_equals_outer_product():

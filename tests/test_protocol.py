@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanking import protocol
-from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
-from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family, verify_unbiasedness
+from meanking.cyclotomic import Amplitude, CyclotomicInt, _RingArray, exact_overlap
+from meanking.mub import EXACT, FLOAT, CheckReport, PrimeDim, build_mub_family, verify_unbiasedness
 from meanking.protocol import (
     PRNG_NAME,
     BracketLabel,
@@ -33,6 +33,7 @@ from meanking.protocol import (
     residue_label,
     run_round,
     simulate,
+    verify_bracket_closed_form,
     verify_entangled_basis,
     verify_measurement_basis,
     verify_retrodiction,
@@ -61,6 +62,11 @@ def to_float(state):
     if state.backend == FLOAT:
         return np.asarray(state.amps)
     return np.array([a.to_complex() for a in state.amps], dtype=complex)
+
+
+def with_rounds(summary):
+    """A summary's JSON with its kept rounds listed, as `simulate --emit-rounds` writes it."""
+    return {**summary.to_json(), "rounds_detail": list(summary.round_dicts())}
 
 
 def one_over_sqrt_p(p):
@@ -341,14 +347,12 @@ class TestSimulate:
     def test_same_seed_gives_identical_json(self):
         a = simulate(PrimeDim(3), rounds=400, seed=99, keep_records=True)
         b = simulate(PrimeDim(3), rounds=400, seed=99, keep_records=True)
-        assert json.dumps(a.to_json(True), sort_keys=True) == json.dumps(
-            b.to_json(True), sort_keys=True
-        )
+        assert json.dumps(with_rounds(a), sort_keys=True) == json.dumps(with_rounds(b), sort_keys=True)
 
     def test_different_seeds_differ_somewhere(self):
         a = simulate(PrimeDim(3), rounds=200, seed=1, keep_records=True)
         b = simulate(PrimeDim(3), rounds=200, seed=2, keep_records=True)
-        assert json.dumps(a.to_json(True)) != json.dumps(b.to_json(True))
+        assert json.dumps(with_rounds(a)) != json.dumps(with_rounds(b))
 
     def test_strategy_parsing(self):
         assert parse_strategy("uniform", 5) is None
@@ -464,7 +468,7 @@ def cdf_by_lcm(weights):
 
 
 def simulate_by_fresh_generators(setup, rounds, strategy, seed):
-    """Reference: `simulate(..., keep_records=True).to_json(True)` as the
+    """Reference: `with_rounds(simulate(..., keep_records=True))` as the
     rounds were once played, a fresh random.Random(f"{seed}:{i}") per round,
     randrange for the king's choice and for each integer CDF, and the CDFs
     rebuilt from the Fraction weights through math.lcm."""
@@ -507,6 +511,23 @@ def simulate_by_fresh_generators(setup, rounds, strategy, seed):
         "histogram": histogram,
         "rounds_detail": details,
     }
+
+
+def bracket_closed_form_by_blocked_grams(setup):
+    """Reference: the exhaustive bracket check as it ran before it shared the
+    sampled check's pair body, a block of 64 label rows against every row per
+    Gram product."""
+    p, ring = setup.dim.p, setup._ring
+    labels = list(itertools.product(range(1, p + 1), repeat=p + 1))
+    slots, rows = np.array(labels, dtype=int), protocol._bracket_rows(setup, labels)
+    report = CheckReport(name="bracket_closed_form")
+    for start in range(0, len(labels), 64):
+        a, b = np.broadcast_arrays(np.arange(start, min(start + 64, len(labels)))[:, None], np.arange(len(labels)))
+        want = (slots[a] == slots[b]).sum(axis=-1) - 1
+        report.checks += want.size
+        for index in map(tuple, np.argwhere(ring.deviates(ring.gram(rows[a[:, 0]], rows), want, p))):
+            report.violations.append({"label": slots[a[index]].tolist(), "label2": slots[b[index]].tolist()})
+    return report
 
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -556,10 +577,33 @@ class TestAgainstReferences:
         for strategy, seed in itertools.product(["uniform", f"fixed:{p}"], [0, 42, -3]):
             want = simulate_by_fresh_generators(setup, 150, strategy, seed)
             got = simulate(PrimeDim(p), rounds=150, strategy=strategy, seed=seed, keep_records=True)
-            assert got.to_json(True) == want, (strategy, seed)
+            assert with_rounds(got) == want, (strategy, seed)
             fixed_m = parse_strategy(strategy, p)
             rounds = [run_round(setup, fixed_m, f"{seed}:{i}").to_json() for i in range(10)]
             assert rounds == want["rounds_detail"][:10], (strategy, seed)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_exhaustive_bracket_check_reports_what_blocked_grams_reported(self, p, backend, corrupt):
+        setup = RetrodictionSetup(PrimeDim(p), backend)
+        if corrupt:  # post_0_1_is_post_1_1 of the violation captures
+            setup.posts = setup.posts[np.r_[p, 1 : len(setup.posts)]]
+        report = verify_bracket_closed_form(setup)
+        assert report.passed != corrupt
+        assert report.to_json() == bracket_closed_form_by_blocked_grams(setup).to_json()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_weights_equal_the_amplitude_fractions(self, p):
+        setup = setup_for(p)
+
+        def by_amplitudes(table):
+            return [[amp.as_fraction() for amp in setup._ring.amps(row)] for row in table]
+
+        assert setup.king_weights == dict(enumerate(by_amplitudes(setup.king_table)))
+        assert setup.outcome_weights == dict(zip(setup.outcome_keys, by_amplitudes(setup.outcome_table)))
+        rows = [*setup.king_weights.values(), *setup.outcome_weights.values()]
+        assert all(type(w) is Fraction for row in rows for w in row)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_integer_cdfs_equal_the_lcm_cdfs(self, p):
@@ -567,6 +611,24 @@ class TestAgainstReferences:
         assert setup.king_cdfs == [cdf_by_lcm(setup.king_weights[m]) for m in range(p + 1)]
         assert setup.outcome_cdfs == {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
         assert all(type(x) is int for cdf in setup.outcome_cdfs.values() for x in cdf)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_born_weight_readings_refuse_what_is_not_rational(p):
+    ring, table = setup_for(p)._ring, setup_for(p).king_table
+    odd_scale = np.array(table.t)
+    odd_scale[0, 0] += 1
+    irrational = table.c.copy()
+    irrational[0, 0] = 0
+    irrational[0, 0, 1] = 1  # q, or i at p = 2
+    for planted in (_RingArray(p, table.c, odd_scale), _RingArray(p, irrational, table.t)):
+        for read in (ring.weights, ring.cdfs):
+            with pytest.raises(ValueError):
+                read(planted)
+    # a zero is 0 at any scale, as an Amplitude reads it
+    zero = table.c.copy()
+    zero[0, 0] = 0
+    assert ring.weights(_RingArray(p, zero, odd_scale))[0][0] == 0
 
 
 @settings(max_examples=300, deadline=None)
