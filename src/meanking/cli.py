@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
         check_simulate_args(dim.p, args.rounds, args.king_strategy)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
-    if args.emit_rounds and args.rounds > EMIT_ROUNDS_MAX:
+    if args.emit_rounds and args.json and args.rounds > EMIT_ROUNDS_MAX:  # text output keeps no rounds
         raise InvalidInput(f"--emit-rounds keeps at most {EMIT_ROUNDS_MAX} rounds, got --rounds {args.rounds}")
     with _output(args.out) as out:
         summary = simulate(

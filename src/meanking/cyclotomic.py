@@ -384,27 +384,28 @@ def _aligned(a: _RingArray):
 
 
 def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
-    """<a_i|b_k> for the rows of two 2-D arrays."""
+    """<a_i|b_k> for the rows of two 2-D arrays, as float64 BLAS products: under
+    the bound 2 d N max|a| max|b| < 2^53 every partial sum is an integer that
+    float64 holds exactly, as in FFLAS-FFPACK."""
     (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
     (rows_a, d, n), rows_b = ca.shape, len(cb)
     bound = 2 * d * n * _absmax(ca) * _absmax(cb)
-    _check_int64(bound)
-    if bound < 2**53:  # every partial sum is an integer float64 holds exactly: use BLAS
-        ca, cb = ca.astype(np.float64), cb.astype(np.float64)
-    # <a|b>_E = sum_{j,f} a[j, f] b[j, (E + f) mod N]: a matmul per E against b
-    # with its coefficient axis rolled by E
-    flat_a = ca.reshape(rows_a, d * n)
+    if bound >= 2**53:
+        raise OverflowError(f"a Gram product would reach {bound}, past the integers float64 holds exactly")
+    # <a|b>_E = sum_{j,f} a[j, (f - E) mod N] b[j, f]: a matmul per E with a's
+    # coefficient axis rolled by E, so the caller's smaller side is the one rolled
+    fa, flat_b = ca.astype(np.float64), cb.astype(np.float64).reshape(rows_b, d * n)
     out = np.empty((rows_a, rows_b, n), dtype=np.int64)
     for e in range(n):
-        flat_b = np.roll(cb, -e, axis=-1).reshape(rows_b, d * n)
-        out[..., e] = flat_a @ flat_b.T
+        out[..., e] = np.roll(fa, e, axis=-1).reshape(rows_a, d * n) @ flat_b.T
     return _RingArray(a.p, _canonicalize(a.p, out), ta[:, None] + tb)
 
 
 class _ExactRing:
     """The protocol's construction and the checks' arithmetic on `_RingArray`s,
-    deciding by a literal ring zero.  Each operation's int64 bound is checked
-    first; a product's is doubled for the subtraction that then canonicalises it."""
+    deciding by a literal ring zero.  Each operation's bound (int64, or 2^53 for
+    the Gram's float64 products) is checked first; a product's is doubled for
+    the subtraction that then canonicalises it."""
 
     def __init__(self, p: int):
         self.p, self.n = p, 4 if p == 2 else p

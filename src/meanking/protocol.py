@@ -122,12 +122,9 @@ class RetrodictionSetup:
         pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
-        # measurement_label's slots for every (k0, k1) in one array: k_m = (m-1)k_0 + k_1
-        k0, k1 = [x[:, None] + 1 for x in np.divmod(np.arange(p * p), p)]  # label (k0-1)p + k1-1
-        slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)
-        slots[:, 0] = k0[:, 0]
-        self.labels = [BracketLabel(p=p, slots=tuple(row)) for row in slots.tolist()]
-        self.states = _bracket_rows(self, slots)
+        ks = range(1, p + 1)
+        self.labels = [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]  # index (k0-1)p + k1-1
+        self.states = _bracket_rows(self, [label.slots for label in self.labels])
         # Born weights, one product per table; rows are |m_k m-bar_k> in the second
         self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
         self.outcome_table = ring.abs2(ring.gram(self.posts, self.states))  # [m*p + k - 1, label]
@@ -172,21 +169,14 @@ def _bracket_rows(setup: RetrodictionSetup, slots):
 
 def _entangled_rows(setup: RetrodictionSetup):
     """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
-    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
+    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1: the Gram
+    of the phase rows q^{jk} (the Gram conjugates them) against basis m's posts."""
     p, ring = setup.dim.p, setup._ring
-    by_k = setup.posts.reshape(p + 1, p, p * p)
-    if setup.backend == FLOAT:  # the float oracle's phases, each one scalar expression
-        phases = np.array([[np.exp(-2j * np.pi * j * k / p) for k in range(1, p + 1)] for j in range(1, p)])
-        phased_sum = lambda m: phases @ by_k[m]  # [j-1, entry]
-    else:
-        j = np.arange(1, p)[:, None]
-
-        def phased_sum(m):
-            terms = (ring.phase(by_k[m, k - 1], -j * k) for k in range(1, p + 1))
-            return sum(terms, next(terms))
-
+    jk = np.arange(1, p)[:, None] * np.arange(1, p + 1)
+    phases = ring.phase(ring.integers(np.ones_like(jk)), jk)  # [j-1, k-1]
+    by_k = setup.posts.reshape(p + 1, p, p * p).swapaxes(1, 2)  # [m, entry, k-1]
     # one m at a time bounds the memory
-    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(phased_sum(m)) for m in range(p + 1)])
+    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(ring.gram(phases, by_k[m])) for m in range(p + 1)])
 
 
 def _state(setup: RetrodictionSetup, row) -> BipartiteState:

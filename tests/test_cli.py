@@ -208,10 +208,14 @@ class TestSimulate:
         assert code == 2
         assert stdout == "" and err.startswith("error:") and str(cli.EMIT_ROUNDS_MAX) in err
         assert not out.exists()
-        # the ceiling binds only the rounds that are kept
-        for argv in (["--rounds", str(cli.EMIT_ROUNDS_MAX), "--emit-rounds"], ["--rounds", str(10**9)]):
+        # the ceiling binds only the rounds that are kept: text output keeps none
+        for argv in (
+            ["--rounds", str(cli.EMIT_ROUNDS_MAX), "--emit-rounds", "--json"],
+            ["--rounds", str(10**9), "--json"],
+            ["--rounds", str(10**9), "--emit-rounds"],
+        ):
             with pytest.raises(Started):
-                main(["simulate", "--p", "3", "--json", *argv])
+                main(["simulate", "--p", "3", *argv])
 
 
 class TestBases:

@@ -530,6 +530,33 @@ def bracket_closed_form_by_blocked_grams(setup):
     return report
 
 
+def entangled_rows_by_two_branches(setup):
+    """Reference: the entangled basis as it was built before it became one ring
+    Gram, a float matmul of scalar phases or an exact sum of q^{-jk} phased rows."""
+    p, ring = setup.dim.p, setup._ring
+    by_k = setup.posts.reshape(p + 1, p, p * p)
+    if setup.backend == FLOAT:
+        phases = np.array([[np.exp(-2j * np.pi * j * k / p) for k in range(1, p + 1)] for j in range(1, p)])
+        phased_sum = lambda m: phases @ by_k[m]  # [j-1, entry]
+    else:
+        j = np.arange(1, p)[:, None]
+
+        def phased_sum(m):
+            terms = (ring.phase(by_k[m, k - 1], -j * k) for k in range(1, p + 1))
+            return sum(terms, next(terms))
+
+    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(phased_sum(m)) for m in range(p + 1)])
+
+
+def label_slots_by_table(p):
+    """Reference: measurement_label's slots for every (k0, k1) as one array, the
+    set-up's vectorized copy of k_m = (m-1)k_0 + k_1, row (k0-1)p + k1-1."""
+    k0, k1 = [x[:, None] + 1 for x in np.divmod(np.arange(p * p), p)]
+    slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)
+    slots[:, 0] = k0[:, 0]
+    return slots
+
+
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
@@ -592,6 +619,26 @@ class TestAgainstReferences:
         report = verify_bracket_closed_form(setup)
         assert report.passed != corrupt
         assert report.to_json() == bracket_closed_form_by_blocked_grams(setup).to_json()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_exact_entangled_rows_equal_the_phased_sums(self, p):
+        setup = setup_for(p)
+        ring, rows, reference = setup._ring, protocol._entangled_rows(setup), entangled_rows_by_two_branches(setup)
+        assert len(rows) == len(reference) == p * p
+        for n in range(p * p):
+            assert ring.amps(rows[n]) == ring.amps(reference[n]), n
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_float_entangled_rows_match_the_scalar_phase_matmul(self, p):
+        setup = setup_for(p, FLOAT)
+        rows, reference = protocol._entangled_rows(setup), entangled_rows_by_two_branches(setup)
+        assert rows.shape == reference.shape == (p * p, p * p)
+        assert np.max(np.abs(rows - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_labels_equal_the_slot_table(self, p):
+        setup = setup_for(p, EXACT if p <= protocol.SAMPLING_EXACT_MAX_P else FLOAT)
+        assert [label.slots for label in setup.labels] == list(map(tuple, label_slots_by_table(p).tolist()))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_weights_equal_the_amplitude_fractions(self, p):

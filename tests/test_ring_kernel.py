@@ -140,13 +140,13 @@ def test_add_at_equals_amplitude_sums_per_bin(p, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 4), st.sampled_from(["float64", "int64"]), st.data())
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 4), st.sampled_from(["float64", "past"]), st.data())
 def test_gram_is_exact_on_both_sides_of_the_float64_switch(p, d, side, data):
     # max|a| = max|b| = M puts the asserted bound 2 d N M^2 just below 2^53 (the
-    # float64 BLAS product), or just below 2^63, where the sums would round in
-    # float64 and the int64 product must run
+    # float64 BLAS product, exact), or at or just past it, where the sums could
+    # round in float64 and the Gram refuses before any product
     n = _order(p)
-    top = math.isqrt(((2**53 if side == "float64" else 2**63) - 1) // (2 * d * n))
+    top = math.isqrt((2**53 - 1) // (2 * d * n)) + (side == "past")
     assert (2 * d * n * top * top < 2**53) == (side == "float64")
     free = p if p == 2 else p - 1  # the last coefficient stays 0, so the canonical form keeps M
 
@@ -160,10 +160,21 @@ def test_gram_is_exact_on_both_sides_of_the_float64_switch(p, d, side, data):
 
     bras, kets = rows(), rows()
     ring = _ExactRing(p)
+    if side == "past":
+        with pytest.raises(OverflowError):
+            ring.gram(ring.rows(bras), ring.rows(kets))
+        return
     gram = ring.gram(ring.rows(bras), ring.rows(kets))
     for i, bra in enumerate(bras):
         for k, ket in enumerate(kets):
             assert ring.actual(gram[i, k]) == exact_overlap(bra, ket).to_json()
+
+
+def test_gram_refuses_a_bound_of_exactly_2_to_the_53():
+    # only N = 4 (p = 2) can make 2 d N max|a| max|b| a power of two
+    ring = _ExactRing(2)
+    with pytest.raises(OverflowError):
+        ring.gram(ring.integers([[2**25]]), ring.integers([[2**25]]))  # 2 * 1 * 4 * 2^50
 
 
 def test_zero_at_odd_scale_matches_only_a_zero_want():
