@@ -15,7 +15,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -71,12 +73,32 @@ class InvalidInput(Exception):
     """Invalid input or unwritable output; the CLI maps this to exit code 2."""
 
 
+def _write_whole(path: str, text: str) -> None:
+    """Write `text` to a regular file as a temporary file in its directory, given
+    the file's permission bits and renamed over it (through any symlink), so a
+    failed write leaves the file as it was.  A device is written in place."""
+    real = os.path.realpath(path)
+    if not os.path.isfile(real):
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(real))
+    try:
+        with open(fd, "w") as handle:
+            os.chmod(temp, stat.S_IMODE(os.stat(real).st_mode))
+            handle.write(text)
+        os.replace(temp, real)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """stdout, or a buffer for --out.  The file is opened after validation and
-    before any work, without emptying it, and written in place only once the
-    command has finished: a failed run leaves it as it was.  A failed write of
-    the output raises InvalidInput."""
+    before any work, without emptying it, and replaced only once the command
+    has finished: a failed run or write leaves it as it was, and removes it if
+    the run created it.  A failed write of the output raises InvalidInput."""
     try:
         if not out_path:
             yield sys.stdout
@@ -90,12 +112,11 @@ def _output(out_path: str | None):
         buffer = io.StringIO()
         try:
             yield buffer
+            _write_whole(out_path, buffer.getvalue())
         except BaseException:
             if not existed:
                 os.remove(out_path)
             raise
-        with open(out_path, "w") as handle:
-            handle.write(buffer.getvalue())
     except OSError as exc:
         if not out_path:
             # the interpreter flushes stdout again at exit: send what it holds to the null device
@@ -319,52 +340,49 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's flags
+    common.add_argument("--p", type=int, required=True)
+    common.add_argument("--out", default=None)
+    with_json = argparse.ArgumentParser(add_help=False, parents=[common])  # all but bases, which has --format
+    with_json.add_argument("--json", action="store_true")
 
     verify = sub.add_parser(
         "verify",
+        parents=[with_json],
         help="check every construction identity at a prime p "
         f"(exact backend up to p={EXACT_VERIFY_MAX_P}, float up to p={FLOAT_VERIFY_MAX_P})",
     )
-    verify.add_argument("--p", type=int, required=True)
     verify.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT)
-    verify.add_argument("--json", action="store_true")
-    verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
-    sim = sub.add_parser("simulate", help=f"play seeded protocol rounds (p up to {FLOAT_VERIFY_MAX_P})")
-    sim.add_argument("--p", type=int, required=True)
+    sim = sub.add_parser(
+        "simulate", parents=[with_json], help=f"play seeded protocol rounds (p up to {FLOAT_VERIFY_MAX_P})"
+    )
     sim.add_argument("--rounds", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--king-strategy", default="uniform", metavar="uniform|fixed:<m>")
-    sim.add_argument("--json", action="store_true")
     sim.add_argument(
         "--emit-rounds", action="store_true", help=f"list every round in the JSON (--rounds up to {EMIT_ROUNDS_MAX})"
     )
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    bases = sub.add_parser("bases", help=f"emit the p+1 orthonormal bases (p up to {FLOAT_VERIFY_MAX_P})")
-    bases.add_argument("--p", type=int, required=True)
+    bases = sub.add_parser(
+        "bases", parents=[common], help=f"emit the p+1 orthonormal bases (p up to {FLOAT_VERIFY_MAX_P})"
+    )
     bases.add_argument("--side", choices=["object", "ancilla"], default="object")
     bases.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT)
     bases.add_argument("--format", choices=["json", "text"], default="json")
-    bases.add_argument("--out", default=None)
     bases.set_defaults(func=cmd_bases)
 
     tomo = sub.add_parser(
         "tomography",
+        parents=[with_json],
         help=f"round-trip a random state through its probability table (p up to {TOMOGRAPHY_MAX_P})",
     )
-    tomo.add_argument("--p", type=int, required=True)
     tomo.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    tomo.add_argument("--json", action="store_true")
-    tomo.add_argument("--out", default=None)
     tomo.set_defaults(func=cmd_tomography)
 
-    diag = sub.add_parser("diagnose", help="show what breaks at a composite dimension")
-    diag.add_argument("--p", type=int, required=True)
-    diag.add_argument("--json", action="store_true")
-    diag.add_argument("--out", default=None)
+    diag = sub.add_parser("diagnose", parents=[with_json], help="show what breaks at a composite dimension")
     diag.set_defaults(func=cmd_diagnose)
 
     return parser

@@ -25,6 +25,7 @@ float backend, and read back as Amplitudes only at the public accessors.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,21 +45,19 @@ def _canonical(p: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(c) - shift for c in coeffs)
 
 
+@dataclass(frozen=True, slots=True)
 class CyclotomicInt:
     """An exact integer combination of p-th roots of unity (Gaussian integer for p=2)."""
 
-    __slots__ = ("p", "coeffs")
+    p: int
+    coeffs: Sequence[int]  # stored as the canonical tuple
 
-    def __init__(self, p: int, coeffs: Sequence[int]):
-        if p < 2:
-            raise ValueError(f"modulus must be at least 2, got {p}")
-        if len(coeffs) != p:
-            raise ValueError(f"need {p} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _canonical(p, coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicInt is immutable")
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"modulus must be at least 2, got {self.p}")
+        if len(self.coeffs) != self.p:
+            raise ValueError(f"need {self.p} coefficients, got {len(self.coeffs)}")
+        object.__setattr__(self, "coeffs", _canonical(self.p, self.coeffs))
 
     @classmethod
     def zero(cls, p: int) -> "CyclotomicInt":
@@ -162,18 +161,8 @@ class CyclotomicInt:
                 total += c * cmath.exp(2j * cmath.pi * e / p)
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt(p={self.p}, coeffs={list(self.coeffs)})"
-
-
+@dataclass(frozen=True, slots=True)
 class Amplitude:
     """A CyclotomicInt together with a global scale factor p^(-scale_pow/2).
 
@@ -182,9 +171,11 @@ class Amplitude:
     same amplitude compare equal.
     """
 
-    __slots__ = ("value", "scale_pow")
+    value: CyclotomicInt
+    scale_pow: int = 0
 
-    def __init__(self, value: CyclotomicInt, scale_pow: int = 0):
+    def __post_init__(self):
+        value, scale_pow = self.value, self.scale_pow
         if scale_pow < 0:
             raise ValueError("scale_pow must be non-negative")
         if value.is_zero():
@@ -195,9 +186,6 @@ class Amplitude:
                 scale_pow -= 2
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "scale_pow", scale_pow)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Amplitude is immutable")
 
     @property
     def p(self) -> int:
@@ -262,17 +250,6 @@ class Amplitude:
     @classmethod
     def from_json(cls, p: int, obj: dict) -> "Amplitude":
         return cls(CyclotomicInt(p, obj["coeffs"]), obj["scale_pow"])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Amplitude):
-            return NotImplemented
-        return self.value == other.value and self.scale_pow == other.scale_pow
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.scale_pow))
-
-    def __repr__(self) -> str:
-        return f"Amplitude({self.value!r}, scale_pow={self.scale_pow})"
 
 
 def exact_overlap(bra, ket):
@@ -393,7 +370,7 @@ def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
     if bound >= 2**53:
         raise OverflowError(f"a Gram product would reach {bound}, past the integers float64 holds exactly")
     # <a|b>_E = sum_{j,f} a[j, (f - E) mod N] b[j, f]: a matmul per E with a's
-    # coefficient axis rolled by E, so the caller's smaller side is the one rolled
+    # coefficient axis rolled by E, so the first operand is the one rolled
     fa, flat_b = ca.astype(np.float64), cb.astype(np.float64).reshape(rows_b, d * n)
     out = np.empty((rows_a, rows_b, n), dtype=np.int64)
     for e in range(n):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
-from .cyclotomic import FLOAT_ATOL  # noqa: F401 (re-exported: mub.FLOAT_ATOL)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -209,7 +208,7 @@ def build_mub_family(dim: PrimeDim, side: str = "object", backend: str = EXACT) 
         if p == 2:
             bases[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
     else:
-        n = 4 if p == 2 else p  # q = zeta_N^(N/p)
+        n = _ring(EXACT, p).n  # q = zeta_N^(N/p)
         j = np.arange(1, p + 1)
         exps = _ket_exponent(p, j[:, None, None], j[None, None, :], j[None, :, None]) * (n // p)
         if p == 2:

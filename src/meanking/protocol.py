@@ -24,6 +24,7 @@ import bisect
 import functools
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,6 +81,12 @@ def measurement_label(dim: PrimeDim, k0: int, k1: int) -> BracketLabel:
     return BracketLabel(p=p, slots=tuple(slots))
 
 
+def _labels(dim: PrimeDim) -> list[BracketLabel]:
+    """The p^2 measurement labels, label (k0-1)p + k1-1 at that index."""
+    ks = range(1, dim.p + 1)
+    return [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """A p^2-component object-ancilla state in the computational product basis.
@@ -122,8 +129,7 @@ class RetrodictionSetup:
         pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
         self.posts = pairs.reshape((p + 1) * p, p * p)
         self.prepared = _phi(self, 0)
-        ks = range(1, p + 1)
-        self.labels = [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]  # index (k0-1)p + k1-1
+        self.labels = _labels(dim)
         self.states = _bracket_rows(self, [label.slots for label in self.labels])
         # Born weights, one product per table; rows are |m_k m-bar_k> in the second
         self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
@@ -175,7 +181,7 @@ def _entangled_rows(setup: RetrodictionSetup):
     jk = np.arange(1, p)[:, None] * np.arange(1, p + 1)
     phases = ring.phase(ring.integers(np.ones_like(jk)), jk)  # [j-1, k-1]
     by_k = setup.posts.reshape(p + 1, p, p * p).swapaxes(1, 2)  # [m, entry, k-1]
-    # one m at a time bounds the memory
+    # a Gram per m bounds each product's temporaries; the list holds every block until the concat
     return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(ring.gram(phases, by_k[m])) for m in range(p + 1)])
 
 
@@ -385,8 +391,7 @@ class SimulationSummary:
 
     def round_dicts(self):
         """The kept rounds' JSON, each round's `RoundRecord` built as it is read."""
-        dim, ks = PrimeDim(self.p), range(1, self.p + 1)
-        labels = [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]  # index (k0-1)p + k1-1
+        labels = _labels(PrimeDim(self.p))
         for i, (m, k, index) in enumerate(self.kept_rounds):
             label = labels[index]
             yield RoundRecord(f"{self.seed}:{i}", m, k, label, label.k(m), label.k(m) == k).to_json()
@@ -417,10 +422,10 @@ def parse_strategy(strategy: str, p: int) -> int | None:
     if strategy == "uniform":
         return None
     if strategy.startswith("fixed:"):
-        try:
-            m = int(strategy.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed strategy {strategy!r}") from None
+        numeral = strategy.split(":", 1)[1]
+        if not re.fullmatch("0|[1-9][0-9]*", numeral):  # int() also takes signs, spaces, '_' and non-ASCII digits
+            raise ValueError(f"malformed strategy {strategy!r}")
+        m = int(numeral)
         if not 0 <= m <= p:
             raise ValueError(f"fixed strategy label must be in 0..{p}, got {m}")
         return m

@@ -6,8 +6,8 @@ determines the density operator uniquely:
     rho = sum_{m,k} |m_k> (w[m][k] - 1/(p+1)) <m_k|
 
 This module works in floats throughout: a generic density matrix has
-irrational entries, so exact arithmetic buys nothing here.  Tolerances are
-stated per invariant.
+irrational entries, so exact arithmetic buys nothing here.  One tolerance,
+ATOL, bounds every invariant but positivity, which EIGENVALUE_FLOOR bounds.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ import numpy as np
 
 from .mub import FLOAT, MubFamily, PrimeDim
 
-HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
+ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-ROW_SUM_ATOL = 1e-12
-RANGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,9 @@ class DensityMatrix:
         p = self.dim.p
         if mat.shape != (p, p):
             raise ValueError(f"expected a {p}x{p} matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat) - 1.0) > TRACE_ATOL:
+        if abs(np.trace(mat) - 1.0) > ATOL:
             raise ValueError("matrix does not have unit trace within tolerance")
         eigenvalues = np.linalg.eigvalsh(mat)
         if eigenvalues.min() < EIGENVALUE_FLOOR:
@@ -66,9 +63,9 @@ class ProbabilityTable:
         if arr.shape != (p + 1, p):
             raise ValueError(f"expected shape {(p + 1, p)}, got {arr.shape}")
         row_sums = arr.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_ATOL:
+        if np.max(np.abs(row_sums - 1.0)) > ATOL:
             raise ValueError(f"rows must each sum to 1, got sums {row_sums}")
-        if arr.min() < -RANGE_ATOL or arr.max() > 1 + RANGE_ATOL:
+        if arr.min() < -ATOL or arr.max() > 1 + ATOL:
             raise ValueError("entries must lie in [0, 1] within tolerance")
         object.__setattr__(self, "table", arr)
 

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, determinism."""
 
+import argparse
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -395,13 +397,20 @@ def test_broken_stdout_exits_2(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
 
 
-def _child(argv, stdout):
+def _child(argv, stdout, preexec_fn=None):
     """The CLI in a fresh interpreter, its stdout on the given descriptor and
     block-buffered, as a user's shell runs it."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     script = "import sys; from meanking.cli import main; sys.exit(main())"
-    return subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+        preexec_fn=preexec_fn,
+    )
 
 
 def test_closed_pipe_ends_in_one_error_line():
@@ -425,3 +434,49 @@ def test_stdout_on_a_full_device_ends_in_one_error_line(argv):
         result = _child(argv, full)
     assert result.returncode == 2
     assert result.stderr.decode() == "error: cannot write output: No space left on device\n"
+
+
+def test_out_survives_a_write_that_fails_partway(tmp_path):
+    # the child may write at most 1024 bytes to a file; tomography's JSON is far longer
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    argv = ["tomography", "--p", "31", "--json", "--out"]
+    report, link, new = tmp_path / "report.json", tmp_path / "link.json", tmp_path / "new.json"
+    report.write_text("earlier report\n")
+    report.chmod(0o640)
+    link.symlink_to(report.name)
+    for target in (link, new):
+        result = _child([*argv, str(target)], subprocess.DEVNULL, limit_file_size)
+        assert result.returncode == 2
+        assert result.stderr.decode() == "error: cannot write output: File too large\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+    assert link.is_symlink() and report.read_text() == "earlier report\n"
+    assert stat.S_IMODE(report.stat().st_mode) == 0o640
+    # a write that succeeds replaces the file behind the symlink and keeps its mode
+    assert _child(["verify", "--p", "2", "--json", "--out", str(link)], subprocess.DEVNULL).returncode == 0
+    assert link.is_symlink() and json.loads(report.read_text())["passed"] is True
+    assert stat.S_IMODE(report.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+
+
+# each subcommand's option strings: a flag lost or added shows here
+CLI_FLAGS = {
+    "verify": ["--backend", "--help", "--json", "--out", "--p", "-h"],
+    "simulate": ["--emit-rounds", "--help", "--json", "--king-strategy", "--out", "--p", "--rounds", "--seed", "-h"],
+    "bases": ["--backend", "--format", "--help", "--out", "--p", "--side", "-h"],
+    "tomography": ["--help", "--json", "--out", "--p", "--seed", "-h"],
+    "diagnose": ["--help", "--json", "--out", "--p", "-h"],
+}
+
+
+def test_cli_flags_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    flags = {
+        name: sorted(flag for action in command._actions for flag in action.option_strings)
+        for name, command in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS

@@ -160,6 +160,21 @@ def test_canonical_zero_is_all_zeros():
         assert z.coeffs == (0,) * p
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_equal_values_hash_equal_and_are_immutable(p):
+    # the same element as a shifted coefficient vector (odd p), the same amplitude as a p-rescaled copy
+    v = CyclotomicInt.root_power(p, 1) + CyclotomicInt.integer(p, 3)
+    shifted = CyclotomicInt(p, [c + 5 for c in v.coeffs]) if p != 2 else CyclotomicInt(2, list(v.coeffs))
+    a, rescaled = Amplitude(v, 1), Amplitude(shifted * p, 3)
+    assert shifted == v and hash(shifted) == hash(v) and len({v, shifted}) == 1
+    assert rescaled == a and hash(rescaled) == hash(a) and len({a, rescaled}) == 1
+    assert len({a, Amplitude(v, 3), Amplitude(v * 2, 1)}) == 3
+    for obj, name in [(v, "p"), (v, "coeffs"), (a, "value"), (a, "scale_pow")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    assert (v.coeffs, a.scale_pow) == (shifted.coeffs, rescaled.scale_pow)
+
+
 def test_gaussian_arithmetic():
     i = CyclotomicInt.imaginary_unit()
     assert i * i == CyclotomicInt.integer(2, -1)

@@ -363,6 +363,11 @@ class TestSimulate:
             parse_strategy("sometimes", 5)
         with pytest.raises(ValueError):
             parse_strategy("fixed:x", 5)
+        assert parse_strategy("fixed:0", 5) == 0
+        # int() takes each of these; only the plain ASCII numeral is a strategy
+        for numeral in ["+1", "-0", " 1", "1 ", "01", "00", "1_0", "\u0661", "\uff11", "", "1.0"]:
+            with pytest.raises(ValueError, match="malformed strategy"):
+                parse_strategy(f"fixed:{numeral}", 11)
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
