@@ -115,7 +115,7 @@ def _output(out_path: str | None):
             _write_whole(out_path, buffer.getvalue())
         except BaseException:
             if not existed:
-                os.remove(out_path)
+                os.remove(os.path.realpath(out_path))  # a dangling symlink stays as it was
             raise
     except OSError as exc:
         if not out_path:

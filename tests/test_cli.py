@@ -445,21 +445,23 @@ def test_out_survives_a_write_that_fails_partway(tmp_path):
 
     argv = ["tomography", "--p", "31", "--json", "--out"]
     report, link, new = tmp_path / "report.json", tmp_path / "link.json", tmp_path / "new.json"
+    dangling = tmp_path / "dangling.json"
     report.write_text("earlier report\n")
     report.chmod(0o640)
     link.symlink_to(report.name)
-    for target in (link, new):
+    dangling.symlink_to("missing.json")
+    for target in (link, new, dangling):
         result = _child([*argv, str(target)], subprocess.DEVNULL, limit_file_size)
         assert result.returncode == 2
         assert result.stderr.decode() == "error: cannot write output: File too large\n"
-    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
-    assert link.is_symlink() and report.read_text() == "earlier report\n"
+    assert sorted(os.listdir(tmp_path)) == ["dangling.json", "link.json", "report.json"]
+    assert dangling.is_symlink() and link.is_symlink() and report.read_text() == "earlier report\n"
     assert stat.S_IMODE(report.stat().st_mode) == 0o640
     # a write that succeeds replaces the file behind the symlink and keeps its mode
     assert _child(["verify", "--p", "2", "--json", "--out", str(link)], subprocess.DEVNULL).returncode == 0
     assert link.is_symlink() and json.loads(report.read_text())["passed"] is True
     assert stat.S_IMODE(report.stat().st_mode) == 0o640
-    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+    assert sorted(os.listdir(tmp_path)) == ["dangling.json", "link.json", "report.json"]
 
 
 # each subcommand's option strings: a flag lost or added shows here

@@ -364,7 +364,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             parse_strategy("fixed:x", 5)
         assert parse_strategy("fixed:0", 5) == 0
-        # int() takes each of these; only the plain ASCII numeral is a strategy
+        # int() takes all but the last two; only the plain ASCII numeral is a strategy
         for numeral in ["+1", "-0", " 1", "1 ", "01", "00", "1_0", "\u0661", "\uff11", "", "1.0"]:
             with pytest.raises(ValueError, match="malformed strategy"):
                 parse_strategy(f"fixed:{numeral}", 11)
