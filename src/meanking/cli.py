@@ -290,6 +290,7 @@ def cmd_tomography(args) -> int:
         rho = random_density(dim, args.seed)
         table = probabilities_of(rho, fam)
         rebuilt = reconstruct(table, fam)
+        del fam  # the (p+1, p, p) family is not held while the payload is built
         error = float(np.linalg.norm(rebuilt.matrix - rho.matrix))
         payload = {
             "command": "tomography",

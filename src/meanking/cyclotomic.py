@@ -34,6 +34,8 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 FLOAT_ATOL = 1e-10  # the float backend's decision rule
+# rows of a Gram matrix formed per product: no full p^2 x p^2 table is formed at once
+_GRAM_BLOCK_ROWS = 64
 
 
 def _canonical(p: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -257,7 +259,7 @@ def exact_overlap(bra, ket):
     entry by entry (the reference); of two 2-D `_RingArray`s, the Gram matrix
     <bra_i|ket_k> of their rows, by the integer-array kernel below."""
     if isinstance(bra, _RingArray):
-        return _gram(bra, ket)
+        return _gram(bra, *_operand(ket))
     if len(bra) != len(ket):
         raise ValueError("vector length mismatch")
     total = Amplitude.zero(bra[0].p)
@@ -280,7 +282,7 @@ def _check_int64(bound: int) -> None:
 
 
 def _absmax(c) -> int:
-    return int(np.abs(c).max(initial=0))
+    return max(int(c.max(initial=0)), -int(c.min(initial=0)))  # no |c| copy
 
 
 def _canonicalize(p: int, c: np.ndarray) -> np.ndarray:
@@ -321,6 +323,10 @@ class _RingArray:
         a, b = a % self.t.ndim, b % self.t.ndim
         return _RingArray(self.p, self.c.swapaxes(a, b), self.t.swapaxes(a, b))
 
+    def __setitem__(self, index, value: "_RingArray") -> None:
+        """Write values into an array from `_ExactRing.empty_like`, whose scales are writable."""
+        self.c[index], self.t[index] = value.c, value.t
+
     def conj(self) -> "_RingArray":
         n = self.c.shape[-1]  # zeta^e -> zeta^(-e) reverses the coefficient index
         return _RingArray(self.p, self.c[..., -np.arange(n) % n], self.t)
@@ -360,21 +366,37 @@ def _aligned(a: _RingArray):
     return _lifted(a, top[:, None]), top
 
 
-def _gram(a: _RingArray, b: _RingArray) -> _RingArray:
-    """<a_i|b_k> for the rows of two 2-D arrays, as float64 BLAS products: under
-    the bound 2 d N max|a| max|b| < 2^53 every partial sum is an integer that
-    float64 holds exactly, as in FFLAS-FFPACK."""
-    (ca, ta), (cb, tb) = _aligned(a), _aligned(b)
-    (rows_a, d, n), rows_b = ca.shape, len(cb)
-    bound = 2 * d * n * _absmax(ca) * _absmax(cb)
+def _operand(b: _RingArray):
+    """The second operand of `_gram`, prepared once for every block of rows taken
+    against it: b's rows at their largest scales in canonical form, whose zero
+    trailing coefficients (the last for odd p, the last two for N = 4) are left
+    out, cast to float64 and flattened; their scales; and the largest coefficient."""
+    cb, tb = _aligned(b)
+    width = 2 if b.p == 2 else cb.shape[-1] - 1
+    flat = np.subtract(cb[..., :width], cb[..., width:], dtype=np.float64)
+    return flat.reshape(len(cb), -1), tb, _absmax(flat)
+
+
+def _gram(a: _RingArray, flat_b: np.ndarray, tb: np.ndarray, max_b: int) -> _RingArray:
+    """<a_i|b_k> for the rows of a 2-D array a and of b, given as `_operand(b)`,
+    as float64 BLAS products: under the bound 2 d N max|a| max|b| < 2^53 every
+    partial sum is an integer that float64 holds exactly, as in FFLAS-FFPACK."""
+    ca, ta = _aligned(a)
+    rows_a, d, n = ca.shape
+    width = flat_b.shape[1] // d
+    bound = 2 * d * n * _absmax(ca) * max_b
     if bound >= 2**53:
         raise OverflowError(f"a Gram product would reach {bound}, past the integers float64 holds exactly")
-    # <a|b>_E = sum_{j,f} a[j, (f - E) mod N] b[j, f]: a matmul per E with a's
-    # coefficient axis rolled by E, so the first operand is the one rolled
-    fa, flat_b = ca.astype(np.float64), cb.astype(np.float64).reshape(rows_b, d * n)
-    out = np.empty((rows_a, rows_b, n), dtype=np.int64)
+    # <a|b>_E = sum_{j,f} a[j, (f - E) mod N] b[j, f] over b's first `width`
+    # coefficients: a matmul per E with a's coefficient axis rolled by E, so the
+    # first operand is the one rolled, into one float64 buffer
+    out = np.empty((rows_a, len(flat_b), n), dtype=np.int64)
+    rolled = np.empty((rows_a, d, width))
     for e in range(n):
-        out[..., e] = np.roll(fa, e, axis=-1).reshape(rows_a, d * n) @ flat_b.T
+        head = min(e, width)
+        rolled[..., :head], rolled[..., head:] = ca[..., n - e : n - e + head], ca[..., : width - head]
+        out[..., e] = rolled.reshape(rows_a, d * width) @ flat_b.T
+    del rolled  # freed before the scales are summed
     return _RingArray(a.p, _canonicalize(a.p, out), ta[:, None] + tb)
 
 
@@ -404,10 +426,24 @@ class _ExactRing:
     def stack(self, items) -> _RingArray:
         return _RingArray(self.p, np.stack([a.c for a in items]), np.stack([a.t for a in items]))
 
-    def concat(self, items) -> _RingArray:
-        return _RingArray(self.p, np.concatenate([a.c for a in items]), np.concatenate([a.t for a in items]))
+    def concat(self, items, axis: int = 0) -> _RingArray:
+        c, t = np.concatenate([a.c for a in items], axis), np.concatenate([a.t for a in items], axis)
+        return _RingArray(self.p, c, t)
+
+    def empty_like(self, block: _RingArray, rows: int) -> _RingArray:
+        """An array of `rows` rows shaped like `block`'s, to be written a block at a time."""
+        out = _RingArray(self.p, np.empty((rows, *block.c.shape[1:]), dtype=np.int64), 0)
+        out.t = np.empty(out.t.shape, dtype=np.int64)  # writable, unlike a broadcast scale
+        return out
 
     gram = staticmethod(lambda a, b: exact_overlap(a, b))  # the public name, looked up per call
+
+    @staticmethod
+    def gram_against(b: _RingArray):
+        """a, start -> the Gram of a's rows against b's rows from `start` on, with
+        b prepared (`_operand`) once for every block of a."""
+        flat, tb, max_b = _operand(b)
+        return lambda a, start=0: _gram(a, flat[start:], tb[start:], max_b)
 
     def add_at(self, values: _RingArray, index, size: int) -> _RingArray:
         """The sums of a 1-D array's entries grouped by `index` into `size` bins,
@@ -431,8 +467,17 @@ class _ExactRing:
         return _RingArray(self.p, _canonicalize(self.p, out), a.t + b.t)
 
     def abs2(self, g: _RingArray) -> _RingArray:
-        """|g|^2 entry by entry."""
-        return self.mul(g.conj(), g)
+        """|g|^2 entry by entry: coefficient E of conj(g) g is sum_h c_h c_(h+E),
+        indices mod N, which is also coefficient N - E; so half of them are
+        summed, each without a temporary.  N terms of at most max|c|^2 each."""
+        c, n = g.c, self.n
+        _check_int64(2 * n * _absmax(c) ** 2)
+        out = np.empty_like(c)
+        for e in range(n // 2 + 1):
+            out[..., e] = np.einsum("...h,...h->...", c[..., : n - e], c[..., e:])
+            out[..., e] += np.einsum("...h,...h->...", c[..., n - e :], c[..., :e])
+            out[..., -e] = out[..., e]
+        return _RingArray(self.p, _canonicalize(self.p, out), 2 * g.t)
 
     def phase(self, a: _RingArray, e) -> _RingArray:
         """q^e a for the p-th root of unity q (zeta_4^2 = -1 at p = 2); an array
@@ -454,9 +499,14 @@ class _ExactRing:
             raise ValueError("a nonzero want needs an even power of 1/sqrt(p)")
         half = np.where(want != 0, t // 2, 0)
         _check_int64(_absmax(values.c) * denom + _absmax(want) * self.p ** int(half.max(initial=0)))
-        diff = values.c * denom
-        diff[..., 0] -= want * self.p**half
-        return ~_is_zero_array(self.p, diff)
+        # _is_zero_array's test of c * denom less want * p^half in the constant
+        # coefficient, read off c without a copy: as denom > 0, coefficients
+        # e, f >= 1 of c * denom are equal exactly where those of c are
+        c = values.c
+        first = c[..., 0] * denom - want * self.p**half
+        if self.p == 2:
+            return (first != c[..., 2] * denom) | (c[..., 1] != c[..., 3])
+        return (first != c[..., 1] * denom) | (c[..., 1:] != c[..., 1:2]).any(axis=-1)
 
     def amps(self, row: _RingArray) -> tuple:
         """A 1-D array as the reference Amplitudes, one per entry."""
@@ -502,12 +552,14 @@ class _FloatRing:
     rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
     stack = staticmethod(np.array)
     concat = staticmethod(np.concatenate)
+    empty_like = staticmethod(lambda block, rows: np.empty((rows, *block.shape[1:]), dtype=block.dtype))
     gram = staticmethod(lambda a, b: a.conj() @ b.T)
+    gram_against = staticmethod(lambda b: lambda a, start=0: a.conj() @ b[start:].T)
     mul = staticmethod(np.multiply)
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)
     amps = weights = staticmethod(lambda values: values)
-    cdfs = staticmethod(lambda values: np.cumsum(values, axis=-1).tolist())
+    cdfs = staticmethod(lambda values: np.cumsum(values, axis=-1))  # rows bisect as they are
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
@@ -521,6 +573,15 @@ class _FloatRing:
 
     def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
         return np.abs(values - np.asarray(want) / denom) > FLOAT_ATOL
+
+
+def _gram_blocks(ring, a, b, upper: bool = False):
+    """The Gram matrix of a's rows against b's, a block of _GRAM_BLOCK_ROWS rows
+    of a at a time, each against b's rows from the block's first row on when
+    `upper` (the blocks on and right of the diagonal).  b is prepared once."""
+    against = ring.gram_against(b)
+    for start in range(0, len(a), _GRAM_BLOCK_ROWS):
+        yield against(a[start : start + _GRAM_BLOCK_ROWS], start if upper else 0)
 
 
 def _ring(backend: str, p: int):

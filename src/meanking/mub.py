@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
+from .cyclotomic import _GRAM_BLOCK_ROWS, EXACT, FLOAT, Amplitude, CyclotomicInt, _gram_blocks, _ring, _RingArray
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -247,19 +247,20 @@ class CheckReport:
 def verify_unbiasedness(fam: MubFamily) -> CheckReport:
     """Check every squared overlap: delta within a basis, exactly 1/p across bases."""
     p, ring = fam.p, fam._ring
-    report = CheckReport(name="unbiasedness")
     flat = fam.bases.reshape((p + 1) * p, p)
-    sq = ring.abs2(ring.gram(flat, flat))
-    # wants over the denominator p: p * delta within a basis, 1 across bases
-    want = np.ones((len(flat), len(flat)), dtype=int)
-    for m in range(p + 1):
-        want[m * p : (m + 1) * p, m * p : (m + 1) * p] = p * np.eye(p, dtype=int)
-    report.checks = want.size
-    for i, j in np.argwhere(ring.deviates(sq, want, p)):
-        (m, k), (m2, k2) = divmod(int(i), p), divmod(int(j), p)
-        report.violations.append(
-            {"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(sq[i, j])}
-        )
+    n = len(flat)
+    report = CheckReport(name="unbiasedness", checks=n * n)
+    for start, gram in zip(range(0, n, _GRAM_BLOCK_ROWS), _gram_blocks(ring, flat, flat)):
+        sq = ring.abs2(gram)
+        rows, cols = np.arange(start, start + len(sq))[:, None], np.arange(n)
+        # wants over the denominator p: p * delta within a basis, 1 across bases
+        want = np.where(rows // p == cols // p, p * (rows == cols), 1)
+        for i, j in np.argwhere(ring.deviates(sq, want, p)).tolist():
+            (m, k), (m2, k2) = divmod(start + i, p), divmod(j, p)
+            report.violations.append(
+                {"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(sq[i, j])}
+            )
+        del gram, sq  # released before the next block is formed
     return report
 
 

@@ -30,16 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import EXACT, FLOAT, _ring
+from .cyclotomic import _GRAM_BLOCK_ROWS, EXACT, FLOAT, _gram_blocks, _ring
 from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
 SAMPLING_EXACT_MAX_P = 13
 
 PRNG_NAME = "random.Random (Mersenne Twister), per-round seed '<seed>:<round>'"
-
-# rows of a Gram matrix (or pairs of rows) formed per product in the checks
-_GRAM_BLOCK_ROWS = 64
 
 
 def residue_label(p: int, x: int) -> int:
@@ -82,9 +79,13 @@ def measurement_label(dim: PrimeDim, k0: int, k1: int) -> BracketLabel:
 
 
 def _labels(dim: PrimeDim) -> list[BracketLabel]:
-    """The p^2 measurement labels, label (k0-1)p + k1-1 at that index."""
-    ks = range(1, dim.p + 1)
-    return [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
+    """The p^2 measurement labels, label (k0-1)p + k1-1 at that index: the slots
+    of `measurement_label`, k_m = (m-1)k_0 + k_1 mod p, as one table."""
+    p = dim.p
+    k0, k1 = (x[:, None] + 1 for x in np.divmod(np.arange(p * p), p))
+    slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)  # [label, m]
+    slots[:, 0] = k0[:, 0]
+    return [BracketLabel(p=p, slots=row) for row in map(tuple, slots.tolist())]
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,17 @@ class RetrodictionSetup:
         anc = build_mub_family(dim, "ancilla", backend)
         self.families = (obj, anc)
         self._ring = ring = _ring(backend, p)
-        pairs = ring.mul(obj.bases[:, :, :, None], anc.bases[:, :, None, :])  # [m, k-1, j_obj, j_anc]
-        self.posts = pairs.reshape((p + 1) * p, p * p)
+        # each full-size array is written a block of bases or of rows at a time,
+        # so no full-size temporary is made on the way
+        pairs = (ring.mul(obj.bases[ms, :, :, None], anc.bases[ms, :, None, :]) for ms in _basis_blocks(p, p))
+        self.posts = _filled(ring, (p + 1) * p, (pair.reshape(-1, p * p) for pair in pairs))  # [m, k-1, j_obj, j_anc]
         self.prepared = _phi(self, 0)
         self.labels = _labels(dim)
         self.states = _bracket_rows(self, [label.slots for label in self.labels])
-        # Born weights, one product per table; rows are |m_k m-bar_k> in the second
+        # Born weights; rows are |m_k m-bar_k> in the second
         self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
-        self.outcome_table = ring.abs2(ring.gram(self.posts, self.states))  # [m*p + k - 1, label]
+        grams = _gram_blocks(ring, self.posts, self.states)
+        self.outcome_table = _filled(ring, len(self.posts), map(ring.abs2, grams))  # [m*p + k - 1, label]
         self.outcome_keys = list(itertools.product(range(p + 1), range(1, p + 1)))  # (m, k) per row
 
     @functools.cached_property
@@ -145,7 +149,7 @@ class RetrodictionSetup:
         return dict(zip(self.outcome_keys, self._ring.weights(self.outcome_table)))
 
     @functools.cached_property
-    def king_cdfs(self) -> list:
+    def king_cdfs(self) -> list | np.ndarray:  # rows of integer or float running sums
         return self._ring.cdfs(self.king_table)
 
     @functools.cached_property
@@ -164,25 +168,98 @@ def _phi(setup: RetrodictionSetup, m: int):
     return setup._ring.over_sqrt_p(sum(rows[1:], rows[0]))
 
 
+def _basis_blocks(p: int, rows: int) -> list[slice]:
+    """The bases m = 0..p in consecutive blocks of at most _GRAM_BLOCK_ROWS
+    rows, counting `rows` per basis (one basis at least)."""
+    step = max(1, _GRAM_BLOCK_ROWS // rows)
+    return [slice(m, min(m + step, p + 1)) for m in range(0, p + 1, step)]
+
+
+def _filled(ring, rows: int, blocks):
+    """One array of `rows` rows, written from `blocks` of rows as they come: no
+    block outlives its write, and no second full-size copy is made."""
+    start = 0
+    for block in blocks:
+        if not start:
+            out = ring.empty_like(block, rows)
+        out[start : start + len(block)] = block
+        start += len(block)
+        del block  # released before the next block is formed
+    return out
+
+
 def _bracket_rows(setup: RetrodictionSetup, slots):
     """The bracket states p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi> of a table
-    of label slots, one row each: a gather of post rows per m, summed."""
+    of label slots, one row each: per block of labels, a gather of post rows
+    per m, summed."""
     p, ring = setup.dim.p, setup._ring
     index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> row of posts
-    terms = (setup.posts[index[:, m]] for m in range(p + 1))  # one at a time bounds the memory
-    return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
+
+    def block(rows):
+        terms = (setup.posts[rows[:, m]] for m in range(p + 1))
+        return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
+
+    starts = range(0, len(index), _GRAM_BLOCK_ROWS)
+    return _filled(ring, len(index), (block(index[s : s + _GRAM_BLOCK_ROWS]) for s in starts))
+
+
+def _phase_rows(ring, p: int):
+    """The phase rows q^{jk}, [j-1, k-1] for j = 1..p-1, k = 1..p."""
+    jk = np.arange(1, p)[:, None] * np.arange(1, p + 1)
+    return ring.phase(ring.integers(np.ones_like(jk)), jk)
+
+
+def _entangled_bases(p: int) -> list[slice | None]:
+    """The blocks of the entangled basis: |Phi> (None), then blocks of bases.
+    A basis counts 2p rows: `_entangled_grams` takes each of its p-1 rows
+    against up to (p+1)p posts, and holds that product and its phase sums
+    together."""
+    return [None, *_basis_blocks(p, 2 * p)]
+
+
+def _entangled_block(setup: RetrodictionSetup, bases: slice | None):
+    """|Phi> as a block for None; else the entangled rows of the bases m in
+    `bases`, row j of each p^{-1/2} sum_k q^{-jk} |m_k m-bar_k>, j = 1..p-1: the
+    Gram of the phase rows q^{jk} (the Gram conjugates them) against the posts
+    as rows [(m, entry), k-1]."""
+    if bases is None:
+        return setup.prepared[None]
+    p, ring = setup.dim.p, setup._ring
+    count = bases.stop - bases.start
+    by_k = setup.posts[bases.start * p : bases.stop * p].reshape(count, p, p * p).swapaxes(1, 2)
+    sums = ring.gram(_phase_rows(ring, p), by_k.reshape(count * p * p, p))  # [j-1, (m, entry)]
+    return ring.over_sqrt_p(sums.reshape(p - 1, count, p * p).swapaxes(0, 1).reshape(count * (p - 1), p * p))
 
 
 def _entangled_rows(setup: RetrodictionSetup):
     """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
-    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1: the Gram
-    of the phase rows q^{jk} (the Gram conjugates them) against basis m's posts."""
+    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
+    p = setup.dim.p
+    return _filled(setup._ring, p * p, (_entangled_block(setup, bases) for bases in _entangled_bases(p)))
+
+
+def _entangled_grams(setup: RetrodictionSetup):
+    """The blocks `_non_orthonormal` takes: each block of `_entangled_rows`
+    against the entangled rows from its own first row on, without building
+    those rows.  By linearity <x|p^{-1/2} sum_k q^{-jk} post_{m,k}> =
+    p^{-1/2} sum_k q^{-jk} <x|post_{m,k}>: the block is taken against the posts
+    of its own bases on (prepared once), and the phase sums are applied to that
+    product; |Phi> is also taken against itself."""
     p, ring = setup.dim.p, setup._ring
-    jk = np.arange(1, p)[:, None] * np.arange(1, p + 1)
-    phases = ring.phase(ring.integers(np.ones_like(jk)), jk)  # [j-1, k-1]
-    by_k = setup.posts.reshape(p + 1, p, p * p).swapaxes(1, 2)  # [m, entry, k-1]
-    # a Gram per m bounds each product's temporaries; the list holds every block until the concat
-    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(ring.gram(phases, by_k[m])) for m in range(p + 1)])
+    phases, against = _phase_rows(ring, p), ring.gram_against(setup.posts)
+
+    def block(bases):
+        rows, first = (1, 0) if bases is None else ((bases.stop - bases.start) * (p - 1), bases.start * p)
+        # one expression, so that no step's input outlives the step: the rows go
+        # once taken against the posts, that product [(row, m'), k-1] once
+        # prepared as the phase sums' operand
+        sums = ring.gram_against(against(_entangled_block(setup, bases), first).reshape(-1, p))(phases)
+        gram = ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
+        if bases is None:
+            gram = ring.concat([ring.gram(setup.prepared[None], setup.prepared[None]), gram], axis=1)
+        return gram
+
+    return map(block, _entangled_bases(p))
 
 
 def _state(setup: RetrodictionSetup, row) -> BipartiteState:
@@ -266,22 +343,29 @@ def measurement_basis(setup: RetrodictionSetup) -> list[tuple[BracketLabel, Bipa
 # --- verification drivers ---
 
 
-def _non_orthonormal(ring, rows):
-    """Yield (i, j) in row-major order wherever <row_i|row_j> is not delta_ij,
-    forming the Gram matrix a block of rows at a time to bound the memory."""
-    n = len(rows)
-    for start in range(0, n, _GRAM_BLOCK_ROWS):
-        block = rows[start : start + _GRAM_BLOCK_ROWS]
-        want = np.eye(len(block), n, start, dtype=int)
-        for i, j in np.argwhere(ring.deviates(ring.gram(block, rows), want)):
-            yield start + int(i), int(j)
+def _non_orthonormal(ring, n: int, grams) -> list[tuple[int, int]]:
+    """(i, j) in row-major order wherever <row_i|row_j> is not delta_ij, for n
+    rows whose Gram matrix `grams` yields in blocks of consecutive rows, each
+    against every row from its own first row on.  The Gram matrix is
+    Hermitian, so that covers each pair once, and a deviation right of its
+    block is mirrored: conj of a literal ring zero is zero, and
+    |conj z - d| = |z - d| for a real d."""
+    found, stop = [], 0
+    for gram in grams:
+        start, stop = stop, stop + len(gram)
+        for i, j in np.argwhere(ring.deviates(gram, np.eye(len(gram), n - start, dtype=bool))).tolist():
+            found.append((start + i, start + j))
+            if start + j >= stop:
+                found.append((start + j, start + i))
+        del gram  # released before the next block is formed
+    return sorted(found)
 
 
 def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
-    rows = _entangled_rows(setup)
-    report = CheckReport(name="entangled_basis", checks=len(rows) ** 2)
-    for i, j in _non_orthonormal(setup._ring, rows):
+    n = setup.dim.p**2
+    report = CheckReport(name="entangled_basis", checks=n * n)
+    for i, j in _non_orthonormal(setup._ring, n, _entangled_grams(setup)):
         report.violations.append({"n": i, "n2": j})
     return report
 
@@ -290,10 +374,11 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
     ring, rows, labels = setup._ring, setup.states, setup.labels
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
-    for i, j in _non_orthonormal(ring, rows):
+    for i, j in _non_orthonormal(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True)):
         report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
     # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
-    for r, c in _non_orthonormal(ring, rows.swapaxes(0, 1)):
+    columns = rows.swapaxes(0, 1)
+    for r, c in _non_orthonormal(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True)):
         report.violations.append({"kind": "completeness", "row": r, "col": c})
     return report
 
@@ -301,16 +386,18 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
 def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
-    p, keys = setup.dim.p, setup.outcome_keys
-    # wants over the denominator p: 1 where the label's slot k_m is k, else 0
+    p, keys, table = setup.dim.p, setup.outcome_keys, setup.outcome_table
     slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
     key_m, key_k = np.array(keys, dtype=int).T
-    want = (slots[:, key_m].T == key_k[:, None]).astype(int)
-    report = CheckReport(name="retrodiction", checks=want.size)
-    for row, i in np.argwhere(setup._ring.deviates(setup.outcome_table, want, p)).tolist():
-        (m, k), label = keys[row], setup.labels[i].to_json()
-        weight = float(setup.outcome_weights[(m, k)][i])
-        report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
+    report = CheckReport(name="retrodiction", checks=len(keys) * len(slots))
+    for start in range(0, len(keys), _GRAM_BLOCK_ROWS):
+        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+        # wants over the denominator p: 1 where the label's slot k_m is k, else 0
+        want = slots[:, key_m[rows]].T == key_k[rows, None]
+        for row, i in np.argwhere(setup._ring.deviates(table[rows], want, p)).tolist():
+            (m, k), label = keys[start + row], setup.labels[i].to_json()
+            weight = float(setup.outcome_weights[(m, k)][i])
+            report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
     return report
 
 

@@ -553,6 +553,56 @@ def entangled_rows_by_two_branches(setup):
     return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(phased_sum(m)) for m in range(p + 1)])
 
 
+def entangled_rows_by_one_concat(setup):
+    """Reference: `_entangled_rows` as it was before the entangled basis was
+    built and checked a block of bases at a time, a Gram per basis m, all
+    concatenated at once."""
+    p, ring = setup.dim.p, setup._ring
+    jk = np.arange(1, p)[:, None] * np.arange(1, p + 1)
+    phases = ring.phase(ring.integers(np.ones_like(jk)), jk)  # [j-1, k-1]
+    by_k = setup.posts.reshape(p + 1, p, p * p).swapaxes(1, 2)  # [m, entry, k-1]
+    return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(ring.gram(phases, by_k[m])) for m in range(p + 1)])
+
+
+def non_orthonormal_by_full_rows(ring, rows):
+    """Reference: `_non_orthonormal` as it was before it took the Gram matrix
+    as Hermitian, every block of 64 rows against all the rows."""
+    n = len(rows)
+    for start in range(0, n, 64):
+        block = rows[start : start + 64]
+        want = np.eye(len(block), n, start, dtype=int)
+        for i, j in np.argwhere(ring.deviates(ring.gram(block, rows), want)):
+            yield start + int(i), int(j)
+
+
+def replace_row(rows, index, row):
+    """A copy of a ring array (or complex array) of rows with one row replaced."""
+    if isinstance(rows, _RingArray):
+        return _RingArray(rows.p, replace_row(rows.c, index, row.c), replace_row(rows.t, index, row.t))
+    rows = rows.copy()
+    rows[index] = row
+    return rows
+
+
+@st.composite
+def corrupted_setups(draw, primes):
+    """A fresh set-up at one of the primes on either backend, with up to three
+    rows of `posts`, `states` or `prepared` replaced: by another row, by the
+    sum of two rows, or by a row times a power of q."""
+    p, backend = draw(st.sampled_from(primes)), draw(st.sampled_from([EXACT, FLOAT]))
+    setup = RetrodictionSetup(PrimeDim(p), backend)
+    ring = setup._ring
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["posts", "states", "prepared"]))
+        rows = setup.prepared[None] if name == "prepared" else getattr(setup, name)
+        i, j, k = (draw(st.integers(0, len(rows) - 1)) for _ in range(3))
+        kind = draw(st.sampled_from(["copy", "sum", "phase"]))
+        row = {"copy": lambda: rows[j], "sum": lambda: rows[j] + rows[k], "phase": lambda: ring.phase(rows[i], k)}
+        rows = replace_row(rows, i, row[kind]())
+        setattr(setup, name, rows[0] if name == "prepared" else rows)
+    return setup
+
+
 def label_slots_by_table(p):
     """Reference: measurement_label's slots for every (k0, k1) as one array, the
     set-up's vectorized copy of k_m = (m-1)k_0 + k_1, row (k0-1)p + k1-1."""
@@ -639,6 +689,44 @@ class TestAgainstReferences:
         rows, reference = protocol._entangled_rows(setup), entangled_rows_by_two_branches(setup)
         assert rows.shape == reference.shape == (p * p, p * p)
         assert np.max(np.abs(rows - reference)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(corrupted_setups([2, 3, 5]))
+    def test_blocked_gram_checks_report_what_full_rows_reported(self, setup):
+        self.check_blocked_gram_checks(setup)
+
+    # several blocks: the entangled basis in two blocks of bases at p = 7 and
+    # three at p = 11, the 121 measurement rows in two blocks of 64
+    @settings(max_examples=8, deadline=None)
+    @given(corrupted_setups([7, 11]))
+    def test_gram_checks_over_several_blocks_report_what_full_rows_reported(self, setup):
+        self.check_blocked_gram_checks(setup)
+
+    @staticmethod
+    def check_blocked_gram_checks(setup):
+        ring = setup._ring
+        rows = protocol._entangled_rows(setup)
+        reference = entangled_rows_by_one_concat(setup)
+        if setup.backend == EXACT:
+            assert [ring.amps(row) for row in rows] == [ring.amps(row) for row in reference]
+        else:
+            assert np.max(np.abs(rows - reference)) <= 1e-13
+        violations = [{"n": i, "n2": j} for i, j in non_orthonormal_by_full_rows(ring, reference)]
+        assert verify_entangled_basis(setup).violations == violations
+        labels = [label.to_json() for label in setup.labels]
+        pairs = non_orthonormal_by_full_rows(ring, setup.states)
+        violations = [{"label": labels[i], "label2": labels[j]} for i, j in pairs]
+        violations += [
+            {"kind": "completeness", "row": r, "col": c}
+            for r, c in non_orthonormal_by_full_rows(ring, setup.states.swapaxes(0, 1))
+        ]
+        assert verify_measurement_basis(setup).violations == violations
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_labels_equal_the_measurement_labels(self, p):
+        dim = PrimeDim(p)
+        ks = range(1, p + 1)
+        assert protocol._labels(dim) == [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_labels_equal_the_slot_table(self, p):

@@ -237,6 +237,37 @@ def test_zero_test_agrees_with_sympy_cyclotomic_polynomial(case):
     assert bool(_is_zero_array(p, np.array(coeffs, dtype=np.int64))) == vanishes
 
 
+def deviates_by_difference(p, values, want, denom):
+    """Reference: `_ExactRing.deviates` as it was before it read the zero test
+    off the coefficients in place: the difference array, then its zero test."""
+    t = np.where(_is_zero_array(p, values.c), 0, values.t)
+    half = np.where(want != 0, t // 2, 0)
+    diff = values.c * denom
+    diff[..., 0] -= want * p**half
+    return ~_is_zero_array(p, diff)
+
+
+@st.composite
+def deviation_cases(draw):
+    """A value with a want and a denominator; half the time the value is the
+    want over the denominator plus a drawn vector, which may be a zero."""
+    p, coeffs = draw(coefficient_vectors())
+    want, t, denom = draw(st.integers(-2, 2)), draw(st.sampled_from([0, 2, 4])), draw(st.sampled_from([1, p]))
+    if draw(st.booleans()) and (denom == 1 or t >= 2):
+        coeffs = [coeffs[0] + want * p ** (t // 2) // denom, *coeffs[1:]]
+    return p, coeffs, want, t, denom
+
+
+@settings(max_examples=300, deadline=None)
+@given(deviation_cases())
+def test_deviation_test_equals_the_zero_test_of_the_difference(case):
+    p, coeffs, want, t, denom = case
+    values = _RingArray(p, np.array([coeffs], dtype=np.int64), t)
+    want = np.array([want])
+    reference = deviates_by_difference(p, values, want, denom)
+    assert _ExactRing(p).deviates(values, want, denom).tolist() == reference.tolist()
+
+
 def test_over_range_operand_raises_overflow_error():
     ring = _ExactRing(3)
     big = ring.integers(np.full((2, 3), 2**31))
