@@ -34,7 +34,8 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 FLOAT_ATOL = 1e-10  # the float backend's decision rule
-# rows of a Gram matrix formed per product: no full p^2 x p^2 table is formed at once
+# rows per block of every blocked product and check (`_blocks`): no full
+# p^2 x p^2 table is formed at once
 _GRAM_BLOCK_ROWS = 64
 
 
@@ -313,6 +314,8 @@ class _RingArray:
     def __len__(self) -> int:
         return len(self.t)
 
+    shape = property(lambda self: self.t.shape)  # of the entries
+
     def __getitem__(self, index) -> "_RingArray":
         return _RingArray(self.p, self.c[index], self.t[index])
 
@@ -575,13 +578,43 @@ class _FloatRing:
         return np.abs(values - np.asarray(want) / denom) > FLOAT_ATOL
 
 
+def _blocks(n: int, per: int = 1):
+    """Slices of 0..n-1 in consecutive blocks of at most _GRAM_BLOCK_ROWS rows,
+    counting `per` rows per item (one item at least), made as they are read."""
+    step = max(1, _GRAM_BLOCK_ROWS // per)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
 def _gram_blocks(ring, a, b, upper: bool = False):
-    """The Gram matrix of a's rows against b's, a block of _GRAM_BLOCK_ROWS rows
-    of a at a time, each against b's rows from the block's first row on when
-    `upper` (the blocks on and right of the diagonal).  b is prepared once."""
+    """The Gram matrix of a's rows against b's, a block of rows of a at a time,
+    each against b's rows from the block's first row on when `upper` (the
+    blocks on and right of the diagonal).  b is prepared once."""
     against = ring.gram_against(b)
-    for start in range(0, len(a), _GRAM_BLOCK_ROWS):
-        yield against(a[start : start + _GRAM_BLOCK_ROWS], start if upper else 0)
+    for rows in _blocks(len(a)):
+        yield against(a[rows], rows.start if upper else 0)
+
+
+def _pair_overlaps(ring, a, b):
+    """<a_v|b_v> for each pair of rows of two 2-D arrays, summed from their entrywise products."""
+    rows, width = a.shape
+    return ring.add_at(ring.mul(a.conj(), b).reshape(-1), np.arange(rows).repeat(width), rows)
+
+
+def _hermitian_deviations(ring, n: int, blocks, want, denom: int = 1) -> list[tuple[int, int]]:
+    """(i, j) in row-major order wherever entry (i, j) of an n x n Hermitian
+    table is not want(i, j) / denom, the table given as `blocks` of consecutive
+    rows, each from its own first row on: each pair once.  A deviation right of
+    its block is mirrored, for a real symmetric want: |conj z - d| = |z - d|."""
+    found, stop = [], 0
+    for block in blocks:
+        start, stop = stop, stop + len(block)
+        rows, cols = np.arange(start, stop)[:, None], np.arange(start, n)
+        for i, j in np.argwhere(ring.deviates(block, want(rows, cols), denom)).tolist():
+            found.append((start + i, start + j))
+            if start + j >= stop:
+                found.append((start + j, start + i))
+        del block  # released before the next block is formed
+    return sorted(found)
 
 
 def _ring(backend: str, p: int):

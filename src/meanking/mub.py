@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import _GRAM_BLOCK_ROWS, EXACT, FLOAT, Amplitude, CyclotomicInt, _gram_blocks, _ring, _RingArray
+from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
+from .cyclotomic import _blocks, _gram_blocks, _hermitian_deviations, _pair_overlaps
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -245,22 +246,22 @@ class CheckReport:
 
 
 def verify_unbiasedness(fam: MubFamily) -> CheckReport:
-    """Check every squared overlap: delta within a basis, exactly 1/p across bases."""
+    """Check every squared overlap: delta within a basis, exactly 1/p across bases.
+    The symmetric table is walked as Hermitian; `actual` is recomputed per pair."""
     p, ring = fam.p, fam._ring
     flat = fam.bases.reshape((p + 1) * p, p)
     n = len(flat)
     report = CheckReport(name="unbiasedness", checks=n * n)
-    for start, gram in zip(range(0, n, _GRAM_BLOCK_ROWS), _gram_blocks(ring, flat, flat)):
-        sq = ring.abs2(gram)
-        rows, cols = np.arange(start, start + len(sq))[:, None], np.arange(n)
-        # wants over the denominator p: p * delta within a basis, 1 across bases
-        want = np.where(rows // p == cols // p, p * (rows == cols), 1)
-        for i, j in np.argwhere(ring.deviates(sq, want, p)).tolist():
-            (m, k), (m2, k2) = divmod(start + i, p), divmod(j, p)
-            report.violations.append(
-                {"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(sq[i, j])}
-            )
-        del gram, sq  # released before the next block is formed
+    squares = map(ring.abs2, _gram_blocks(ring, flat, flat, upper=True))
+    # wants over the denominator p: p * delta within a basis, 1 across bases
+    want = lambda rows, cols: np.where(rows // p == cols // p, p * (rows == cols), 1)
+    pairs = _hermitian_deviations(ring, n, squares, want, p)
+    for block in _blocks(len(pairs)):
+        i, j = np.array(pairs[block]).T
+        actual = ring.abs2(_pair_overlaps(ring, flat[i], flat[j]))
+        for v, (row, col) in enumerate(pairs[block]):
+            (m, k), (m2, k2) = divmod(row, p), divmod(col, p)
+            report.violations.append({"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(actual[v])})
     return report
 
 
@@ -391,11 +392,15 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     table = ents[:, :p].reshape((p + 1) * p, p)  # U_m^r, one row per (m, r)
     row_keys, column_keys = (keyed(perms[:, :p], transpose).reshape(-1, p) for transpose in (False, True))
     exps = np.arange(p)
+    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]  # of the clock/shift monomials below
+    r_mod, s_mod = (np.array(pairs) % p).T
     want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
     want_other = p * np.outer(exps == 0, exps == 0)
     for start, block in _shared_key_sums(ring, row_keys, table, column_keys, table, p):
         m1 = start // p
         traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
+        if m1 == 0:
+            clock_shift = traces[p][r_mod, s_mod]  # tr(U_0^r U_p^s) per pair, a copy
         want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
         report.checks += want.size
         for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
@@ -410,15 +415,12 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
             for i, j in np.argwhere(ring.deviates(block, want)).tolist():
                 report.violations.append({"kind": kind, "pair": [labels[start + i], labels[j]]})
 
-    # clock/shift monomials U_0^r U_p^s: traceless except identity, trace-orthogonal
-    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
-    r_mod, s_mod = (np.array(pairs) % p).T
-    monomials = times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod]))
-    identity_keys = keyed(perms[0, :1], transpose=True)  # U_0^0
-    _, traces = next(_shared_key_sums(ring, keyed(monomials[0]), monomials[1], identity_keys, ents[0, :1], len(pairs)))
+    # clock/shift monomials U_0^r U_p^s: traceless except identity (their traces
+    # are the trace table's block m = 0, m' = p), and trace-orthogonal
     report.checks += len(pairs)
-    for i in np.flatnonzero(ring.deviates(traces[:, 0], p * ((r_mod == 0) & (s_mod == 0)))):
+    for i in np.flatnonzero(ring.deviates(clock_shift, p * ((r_mod == 0) & (s_mod == 0)))):
         report.violations.append({"kind": "monomial_trace", "r": pairs[i][0], "s": pairs[i][1]})
+    monomials = times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod]))
     trace_orthogonal(*monomials, pairs, "monomial_gram")
 
     # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal

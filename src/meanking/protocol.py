@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import _GRAM_BLOCK_ROWS, EXACT, FLOAT, _gram_blocks, _ring
+from .cyclotomic import EXACT, FLOAT, _blocks, _gram_blocks, _hermitian_deviations, _pair_overlaps, _ring
 from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend
 
 # largest p for which sampling probabilities are computed in exact rationals
@@ -58,6 +58,8 @@ class BracketLabel:
             raise ValueError(f"slots must lie in 1..{self.p}: {self.slots}")
 
     def k(self, m: int) -> int:
+        if not 0 <= m <= self.p:
+            raise ValueError(f"basis label must be in 0..{self.p}, got {m}")
         return self.slots[m]
 
     def agreements(self, other: "BracketLabel") -> int:
@@ -100,6 +102,8 @@ class BipartiteState:
     amps: tuple | np.ndarray
 
     def component(self, j_obj: int, j_anc: int):
+        if not (0 <= j_obj < self.p and 0 <= j_anc < self.p):
+            raise ValueError(f"component indices must be in 0..{self.p - 1}, got ({j_obj}, {j_anc})")
         return self.amps[j_obj * self.p + j_anc]
 
 
@@ -129,9 +133,10 @@ class RetrodictionSetup:
         self._ring = ring = _ring(backend, p)
         # each full-size array is written a block of bases or of rows at a time,
         # so no full-size temporary is made on the way
-        pairs = (ring.mul(obj.bases[ms, :, :, None], anc.bases[ms, :, None, :]) for ms in _basis_blocks(p, p))
+        pairs = (ring.mul(obj.bases[ms, :, :, None], anc.bases[ms, :, None, :]) for ms in _blocks(p + 1, p))
         self.posts = _filled(ring, (p + 1) * p, (pair.reshape(-1, p * p) for pair in pairs))  # [m, k-1, j_obj, j_anc]
-        self.prepared = _phi(self, 0)
+        # |Phi> = p^{-1/2} sum_k |m_k m-bar_k>, the same sum in every basis m: summed over m = 0
+        self.prepared = ring.over_sqrt_p(sum(self.posts[1:p], self.posts[0]))
         self.labels = _labels(dim)
         self.states = _bracket_rows(self, [label.slots for label in self.labels])
         # Born weights; rows are |m_k m-bar_k> in the second
@@ -158,21 +163,10 @@ class RetrodictionSetup:
 
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
-        return self.posts[m * self.dim.p + k - 1]
-
-
-def _phi(setup: RetrodictionSetup, m: int):
-    """|Phi> = p^{-1/2} sum_k |m_k m-bar_k>, summed over the basis m."""
-    p = setup.dim.p
-    rows = setup.posts[m * p : (m + 1) * p]
-    return setup._ring.over_sqrt_p(sum(rows[1:], rows[0]))
-
-
-def _basis_blocks(p: int, rows: int) -> list[slice]:
-    """The bases m = 0..p in consecutive blocks of at most _GRAM_BLOCK_ROWS
-    rows, counting `rows` per basis (one basis at least)."""
-    step = max(1, _GRAM_BLOCK_ROWS // rows)
-    return [slice(m, min(m + step, p + 1)) for m in range(0, p + 1, step)]
+        p = self.dim.p
+        if not (0 <= m <= p and 1 <= k <= p):
+            raise ValueError(f"need 0 <= m <= {p} and 1 <= k <= {p}, got m={m}, k={k}")
+        return self.posts[m * p + k - 1]
 
 
 def _filled(ring, rows: int, blocks):
@@ -199,8 +193,7 @@ def _bracket_rows(setup: RetrodictionSetup, slots):
         terms = (setup.posts[rows[:, m]] for m in range(p + 1))
         return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
 
-    starts = range(0, len(index), _GRAM_BLOCK_ROWS)
-    return _filled(ring, len(index), (block(index[s : s + _GRAM_BLOCK_ROWS]) for s in starts))
+    return _filled(ring, len(index), (block(index[rows]) for rows in _blocks(len(index))))
 
 
 def _phase_rows(ring, p: int):
@@ -214,7 +207,7 @@ def _entangled_bases(p: int) -> list[slice | None]:
     A basis counts 2p rows: `_entangled_grams` takes each of its p-1 rows
     against up to (p+1)p posts, and holds that product and its phase sums
     together."""
-    return [None, *_basis_blocks(p, 2 * p)]
+    return [None, *_blocks(p + 1, 2 * p)]
 
 
 def _entangled_block(setup: RetrodictionSetup, bases: slice | None):
@@ -239,7 +232,7 @@ def _entangled_rows(setup: RetrodictionSetup):
 
 
 def _entangled_grams(setup: RetrodictionSetup):
-    """The blocks `_non_orthonormal` takes: each block of `_entangled_rows`
+    """The blocks `verify_entangled_basis` walks: each block of `_entangled_rows`
     against the entangled rows from its own first row on, without building
     those rows.  By linearity <x|p^{-1/2} sum_k q^{-jk} post_{m,k}> =
     p^{-1/2} sum_k q^{-jk} <x|post_{m,k}>: the block is taken against the posts
@@ -294,18 +287,12 @@ def _draw(setup: RetrodictionSetup, m: int | None, rng: random.Random) -> tuple[
 
 def post_measurement_state(setup: RetrodictionSetup, m: int, k: int) -> BipartiteState:
     """The product state |m_k> (x) |m-bar_k> left after the king's measurement."""
-    p = setup.dim.p
-    if not (0 <= m <= p and 1 <= k <= p):
-        raise ValueError(f"need 0 <= m <= {p} and 1 <= k <= {p}, got m={m}, k={k}")
     return _state(setup, setup.post(m, k))
 
 
-def maximally_entangled_state(setup: RetrodictionSetup, via_m: int = 0) -> BipartiteState:
-    """The preparation state p^{-1/2} sum_k |m_k m-bar_k>; identical for every via_m."""
-    p = setup.dim.p
-    if not 0 <= via_m <= p:
-        raise ValueError(f"via_m must be in 0..{p}, got {via_m}")
-    return _state(setup, _phi(setup, via_m))
+def maximally_entangled_state(setup: RetrodictionSetup) -> BipartiteState:
+    """The preparation state p^{-1/2} sum_k |m_k m-bar_k>, the same for every basis m."""
+    return _state(setup, setup.prepared)
 
 
 def entangled_basis(setup: RetrodictionSetup) -> list[BipartiteState]:
@@ -343,29 +330,11 @@ def measurement_basis(setup: RetrodictionSetup) -> list[tuple[BracketLabel, Bipa
 # --- verification drivers ---
 
 
-def _non_orthonormal(ring, n: int, grams) -> list[tuple[int, int]]:
-    """(i, j) in row-major order wherever <row_i|row_j> is not delta_ij, for n
-    rows whose Gram matrix `grams` yields in blocks of consecutive rows, each
-    against every row from its own first row on.  The Gram matrix is
-    Hermitian, so that covers each pair once, and a deviation right of its
-    block is mirrored: conj of a literal ring zero is zero, and
-    |conj z - d| = |z - d| for a real d."""
-    found, stop = [], 0
-    for gram in grams:
-        start, stop = stop, stop + len(gram)
-        for i, j in np.argwhere(ring.deviates(gram, np.eye(len(gram), n - start, dtype=bool))).tolist():
-            found.append((start + i, start + j))
-            if start + j >= stop:
-                found.append((start + j, start + i))
-        del gram  # released before the next block is formed
-    return sorted(found)
-
-
 def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
     n = setup.dim.p**2
     report = CheckReport(name="entangled_basis", checks=n * n)
-    for i, j in _non_orthonormal(setup._ring, n, _entangled_grams(setup)):
+    for i, j in _hermitian_deviations(setup._ring, n, _entangled_grams(setup), np.equal):
         report.violations.append({"n": i, "n2": j})
     return report
 
@@ -374,11 +343,11 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
     ring, rows, labels = setup._ring, setup.states, setup.labels
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
-    for i, j in _non_orthonormal(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True)):
+    for i, j in _hermitian_deviations(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True), np.equal):
         report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
     # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
     columns = rows.swapaxes(0, 1)
-    for r, c in _non_orthonormal(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True)):
+    for r, c in _hermitian_deviations(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True), np.equal):
         report.violations.append({"kind": "completeness", "row": r, "col": c})
     return report
 
@@ -390,12 +359,11 @@ def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
     key_m, key_k = np.array(keys, dtype=int).T
     report = CheckReport(name="retrodiction", checks=len(keys) * len(slots))
-    for start in range(0, len(keys), _GRAM_BLOCK_ROWS):
-        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+    for rows in _blocks(len(keys)):
         # wants over the denominator p: 1 where the label's slot k_m is k, else 0
         want = slots[:, key_m[rows]].T == key_k[rows, None]
         for row, i in np.argwhere(setup._ring.deviates(table[rows], want, p)).tolist():
-            (m, k), label = keys[start + row], setup.labels[i].to_json()
+            (m, k), label = keys[rows.start + row], setup.labels[i].to_json()
             weight = float(setup.outcome_weights[(m, k)][i])
             report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
     return report
@@ -414,6 +382,8 @@ def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | Non
         count = len(slots) ** 2
         pair = lambda index: np.divmod(index, len(slots))  # row-major, no table of pairs held
     else:
+        if sample_pairs < 1:
+            raise ValueError(f"sample_pairs must be at least 1 (or None for every pair), got {sample_pairs}")
         rng = random.Random(seed)
         drawn = [[rng.randint(1, p) for _ in range(p + 1)] for _ in range(2 * sample_pairs)]
         slots, inverse = np.unique(np.reshape(drawn, (-1, p + 1)), axis=0, return_inverse=True)  # one row per label
@@ -422,10 +392,9 @@ def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | Non
         pair = lambda index: pairs[index].T
     rows = _bracket_rows(setup, slots)
     report = CheckReport(name="bracket_closed_form", checks=count)
-    for start in range(0, count, _GRAM_BLOCK_ROWS):
-        a, b = pair(np.arange(start, min(start + _GRAM_BLOCK_ROWS, count)))
-        products = ring.mul(rows[a].conj(), rows[b]).reshape(-1)  # each pair's p^2 terms of <a|b>
-        overlaps = ring.add_at(products, np.arange(len(a)).repeat(p * p), len(a))
+    for block in _blocks(count):
+        a, b = pair(np.arange(block.start, block.stop))
+        overlaps = _pair_overlaps(ring, rows[a], rows[b])
         want = (slots[a] == slots[b]).sum(axis=-1) - 1  # (agreements - 1)/p over the denominator p
         for i in np.flatnonzero(ring.deviates(overlaps, want, p)):
             report.violations.append({"label": slots[a[i]].tolist(), "label2": slots[b[i]].tolist()})
@@ -478,6 +447,8 @@ class SimulationSummary:
 
     def round_dicts(self):
         """The kept rounds' JSON, each round's `RoundRecord` built as it is read."""
+        if self.kept_rounds is None:
+            raise ValueError("no rounds were kept: simulate with keep_records=True")
         labels = _labels(PrimeDim(self.p))
         for i, (m, k, index) in enumerate(self.kept_rounds):
             label = labels[index]

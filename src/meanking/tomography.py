@@ -34,6 +34,8 @@ class DensityMatrix:
         p = self.dim.p
         if mat.shape != (p, p):
             raise ValueError(f"expected a {p}x{p} matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():  # every comparison with NaN is false
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat) - 1.0) > ATOL:
@@ -62,6 +64,8 @@ class ProbabilityTable:
         p = self.dim.p
         if arr.shape != (p + 1, p):
             raise ValueError(f"expected shape {(p + 1, p)}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
         row_sums = arr.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > ATOL:
             raise ValueError(f"rows must each sum to 1, got sums {row_sums}")

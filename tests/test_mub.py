@@ -268,6 +268,62 @@ def trace_relations_by_dense_grams(dim, backend=EXACT):
     return report
 
 
+def unbiasedness_by_full_square(fam):
+    """Reference: `verify_unbiasedness` as it was before it walked the squared
+    overlaps as Hermitian, every block of 64 kets against all the kets, each
+    violation's `actual` read off its block."""
+    p, ring = fam.p, fam._ring
+    flat = fam.bases.reshape((p + 1) * p, p)
+    n = len(flat)
+    report = mub.CheckReport(name="unbiasedness", checks=n * n)
+    for start in range(0, n, 64):
+        sq = ring.abs2(ring.gram(flat[start : start + 64], flat))
+        rows, cols = np.arange(start, start + len(sq))[:, None], np.arange(n)
+        # wants over the denominator p: p * delta within a basis, 1 across bases
+        want = np.where(rows // p == cols // p, p * (rows == cols), 1)
+        for i, j in np.argwhere(ring.deviates(sq, want, p)).tolist():
+            (m, k), (m2, k2) = divmod(start + i, p), divmod(j, p)
+            report.violations.append(
+                {"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(sq[i, j])}
+            )
+    return report
+
+
+def replace_ket(kets, index, ket):
+    """A copy of a ring array (or complex array) of kets with one ket replaced."""
+    if isinstance(kets, _RingArray):
+        return _RingArray(kets.p, replace_ket(kets.c, index, ket.c), replace_ket(kets.t, index, ket.t))
+    kets = kets.copy()
+    kets[index] = ket
+    return kets
+
+
+def corrupted_family(fam, edits):
+    """A copy of a family with some of its (p+1)p kets, counted flat, replaced,
+    each from the original kets: edit (i, "copy", j) by ket j, (i, "sum", j) by
+    ket i plus ket j, (i, "phase", e) by ket i times q^e."""
+    p, ring = fam.p, fam._ring
+    kets = corrupted = fam.bases.reshape((p + 1) * p, p)
+    for i, kind, x in edits:
+        ket = {"copy": lambda: kets[x], "sum": lambda: kets[i] + kets[x], "phase": lambda: ring.phase(kets[i], x)}
+        corrupted = replace_ket(corrupted, i, ket[kind]())
+    return MubFamily(p=p, side=fam.side, backend=fam.backend, bases=corrupted.reshape(p + 1, p, p))
+
+
+@st.composite
+def corrupted_families(draw, primes):
+    """A family at one of the primes on either backend with up to three kets
+    replaced by `corrupted_family`.  A sum stays within basis 0 or within bases
+    1..p: the exact ring adds no entry at scale 0 to one at scale 1."""
+    p, backend = draw(st.sampled_from(primes)), draw(st.sampled_from([EXACT, FLOAT]))
+    n, edits = (p + 1) * p, []
+    for _ in range(draw(st.integers(0, 3))):
+        i, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["copy", "sum", "phase"]))
+        low, high = (0, n - 1) if kind != "sum" else (0, p - 1) if i < p else (p, n - 1)
+        edits.append((i, kind, draw(st.integers(low, high))))
+    return corrupted_family(build_mub_family(PrimeDim(p), "object", backend), edits)
+
+
 SMALL_PRIMES = [2, 3, 5, 7]
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 PRIMES_TO_127 = [n for n in range(2, 128) if mub._is_prime(n)]
@@ -442,6 +498,34 @@ def test_corrupted_family_is_reported_with_the_quadruple():
     assert not report.passed
     quads = {(v["m"], v["k"], v["m2"], v["k2"]) for v in report.violations}
     assert (0, 1, 2, 1) in quads
+
+
+def assert_unbiasedness_equals_full_square(fam):
+    got, want = verify_unbiasedness(fam).to_json(), unbiasedness_by_full_square(fam).to_json()
+    if fam.backend == FLOAT:  # a pair's own product may differ from its block's in the last bits
+        for v, w in zip(got["violations"], want["violations"]):
+            assert abs(v.pop("actual") - w.pop("actual")) <= 1e-12, (v, w)
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_families([2, 3, 5]))
+def test_walked_unbiasedness_reports_what_the_full_square_reported(fam):
+    assert_unbiasedness_equals_full_square(fam)
+
+
+# 56 kets at p = 7 are one block of 64; 132 at p = 11 are three, and each
+# corrupted ket deviates against kets of the other blocks, on both sides
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("p", [7, 11])
+def test_walked_unbiasedness_over_blocks_reports_what_the_full_square_reported(p, backend):
+    n = (p + 1) * p
+    fam = build_mub_family(PrimeDim(p), "object", backend)
+    copy, add, phase = (3, "copy", n - 2), (n - 1, "sum", p + 1), (n // 2, "phase", 2)
+    for edits in [[copy], [add, phase], [copy, add, (p + 4, "copy", 1)]]:
+        broken = corrupted_family(fam, edits)
+        assert not verify_unbiasedness(broken).passed
+        assert_unbiasedness_equals_full_square(broken)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

@@ -80,7 +80,7 @@ def one_over_p(p):
 class TestEntangledState:
     def test_via_computational_basis_is_diagonal(self):
         for p in PROTO_PRIMES:
-            state = maximally_entangled_state(setup_for(p), via_m=0)
+            state = maximally_entangled_state(setup_for(p))
             for i in range(p):
                 for j in range(p):
                     amp = state.component(i, j)
@@ -89,13 +89,13 @@ class TestEntangledState:
                     else:
                         assert amp.is_zero()
 
-    def test_identical_for_every_via_m(self):
+    def test_every_basis_sums_to_the_prepared_state(self):
         for p in PROTO_PRIMES:
             setup = setup_for(p)
-            reference = maximally_entangled_state(setup, via_m=0)
-            for m in range(1, p + 1):
-                other = maximally_entangled_state(setup, via_m=m)
-                assert other.amps == reference.amps, (p, m)
+            posts = [post_measurement_state(setup, m, k).amps for m in range(p + 1) for k in range(1, p + 1)]
+            prepared = maximally_entangled_state(setup).amps
+            for m in range(p + 1):
+                assert maximally_entangled_by_amplitudes(posts, p, m) == prepared, (p, m)
 
     def test_overlap_with_every_post_state(self):
         for p in PROTO_PRIMES:
@@ -133,6 +133,22 @@ class TestPostMeasurementState:
             for k in range(1, 4):
                 state = post_measurement_state(setup, m, k)
                 assert overlap(state, state).as_fraction() == 1
+
+    @pytest.mark.parametrize("m, k", [(0, 0), (0, 4), (1, -1), (-1, 1), (4, 1)])
+    def test_post_refuses_labels_out_of_range(self, m, k):
+        # unchecked, (0, 4) would read the row of (1, 1), and (1, 0) that of (0, 3)
+        setup = setup_for(3)
+        with pytest.raises(ValueError, match=r"0 <= m <= 3 and 1 <= k <= 3"):
+            setup.post(m, k)
+        with pytest.raises(ValueError, match=r"0 <= m <= 3 and 1 <= k <= 3"):
+            post_measurement_state(setup, m, k)
+
+    @pytest.mark.parametrize("j_obj, j_anc", [(0, 3), (0, -1), (3, 0), (-1, 0)])
+    def test_component_refuses_indices_out_of_range(self, j_obj, j_anc):
+        # unchecked, (0, 3) would read component (1, 0), and (0, -1) component (2, 2)
+        state = post_measurement_state(setup_for(3), 1, 1)
+        with pytest.raises(ValueError, match=r"in 0\.\.2"):
+            state.component(j_obj, j_anc)
 
 
 class TestEntangledBasis:
@@ -241,6 +257,18 @@ class TestBracketStates:
             BracketLabel(3, (1, 2, 3))  # too short
         with pytest.raises(ValueError):
             BracketLabel(3, (1, 2, 3, 4))  # out of range
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_slot_refuses_basis_labels_out_of_range(self, m):
+        label = measurement_label(PrimeDim(3), 1, 2)
+        assert [label.k(i) for i in range(4)] == list(label.slots)
+        with pytest.raises(ValueError, match=r"in 0\.\.3"):
+            label.k(m)  # unchecked, -1 would read slot 3
+
+    @pytest.mark.parametrize("sample_pairs", [0, -1, -40])
+    def test_sampled_check_refuses_fewer_than_one_pair(self, sample_pairs):
+        with pytest.raises(ValueError, match="sample_pairs"):
+            verify_bracket_closed_form(setup_for(2), sample_pairs=sample_pairs)
 
 
 class TestMeasurementBasis:
@@ -372,6 +400,11 @@ class TestSimulate:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate(PrimeDim(2), rounds=0)
+
+    def test_round_dicts_refuse_a_summary_without_kept_rounds(self):
+        summary = simulate(PrimeDim(3), rounds=20, seed=1)
+        with pytest.raises(ValueError, match="keep_records"):
+            list(summary.round_dicts())
 
     def test_float_backend_also_certain(self):
         summary = simulate(PrimeDim(3), rounds=300, seed=5, backend=FLOAT)
@@ -794,7 +827,7 @@ class TestArrayConstructionAgainstAmplitudes:
         prepared = maximally_entangled_by_amplitudes(posts, p, 0)
         for via_m in range(p + 1):
             reference = maximally_entangled_by_amplitudes(posts, p, via_m)
-            assert maximally_entangled_state(setup, via_m).amps == reference, via_m
+            assert maximally_entangled_state(setup).amps == reference, via_m
         for label, state in measurement_basis(setup):
             assert state.amps == bracket_state_by_amplitudes(posts, prepared, label), label.slots
         rng = random.Random(p)

@@ -66,7 +66,7 @@ PUBLIC_PARAMETERS = {
     "diagnose_composite": ["n"],
     "entangled_basis": ["setup"],
     "exact_overlap": ["bra", "ket"],
-    "maximally_entangled_state": ["setup", "via_m"],
+    "maximally_entangled_state": ["setup"],
     "measurement_basis": ["setup"],
     "measurement_label": ["dim", "k0", "k1"],
     "post_measurement_state": ["setup", "m", "k"],

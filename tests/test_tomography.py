@@ -68,6 +68,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(PrimeDim(2), np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # unchecked, a NaN off-diagonal pair would pass: every comparison with NaN is false
+        mat = np.eye(3, dtype=complex) / 3
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(PrimeDim(3), mat)
+
     def test_mean_of_many_samples_approaches_maximally_mixed(self):
         dim = PrimeDim(2)
         mean = np.zeros((2, 2), dtype=complex)
@@ -120,6 +128,13 @@ class TestProbabilityTable:
         with pytest.raises(ValueError, match="shape"):
             ProbabilityTable(PrimeDim(p), np.array([[0.5, 0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        table = np.full((3, 2), 0.5)
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityTable(PrimeDim(2), table)
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("p", TOMO_PRIMES)
@@ -163,6 +178,11 @@ class TestReconstruction:
                     ProbabilityTable(PrimeDim(p), damaged), fam
                 )
                 assert np.linalg.norm(partial - full) > 1e-6, (p, m)
+
+    def test_all_nan_table_is_refused_before_any_arithmetic(self):
+        # unchecked, it would reach numpy's eigvalsh and raise LinAlgError there
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct(ProbabilityTable(PrimeDim(3), np.full((4, 3), np.nan)), family(3))
 
     def test_dimension_mismatch_rejected(self):
         rho = random_density(PrimeDim(2), 0)
