@@ -134,7 +134,7 @@ class TestPostMeasurementState:
                 state = post_measurement_state(setup, m, k)
                 assert overlap(state, state).as_fraction() == 1
 
-    @pytest.mark.parametrize("m, k", [(0, 0), (0, 4), (1, -1), (-1, 1), (4, 1)])
+    @pytest.mark.parametrize("m, k", [(1, 0), (0, 4), (0, 0), (1, -1), (-1, 1), (4, 1)])
     def test_post_refuses_labels_out_of_range(self, m, k):
         # unchecked, (0, 4) would read the row of (1, 1), and (1, 0) that of (0, 3)
         setup = setup_for(3)
