@@ -373,11 +373,13 @@ def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | Non
     """Direct bracket-state inner products against the rational closed form.
 
     Exhaustive over all (p^(p+1))^2 ordered label pairs, in row-major order,
-    when sample_pairs is None (sensible only for p = 2, 3); otherwise that many
-    random pairs.  Each block of pairs sums its rows' entrywise products.
+    when sample_pairs is None (p = 2, 3 only: p = 5 has 2.4e8 pairs); otherwise
+    that many random pairs.  Each block of pairs sums its rows' entrywise products.
     """
     p, ring = setup.dim.p, setup._ring
     if sample_pairs is None:
+        if p > 3:
+            raise ValueError(f"the exhaustive check runs only for p <= 3, got p={p}: pass sample_pairs")
         slots = np.array(list(itertools.product(range(1, p + 1), repeat=p + 1)))
         count = len(slots) ** 2
         pair = lambda index: np.divmod(index, len(slots))  # row-major, no table of pairs held

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import FLOAT, MubFamily, PrimeDim
+from .mub import MubFamily, PrimeDim
 
 ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from meanking import cli, mub
 from meanking.cli import main
+from meanking.protocol import SimulationSummary
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,34 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write --out")
+
+    def test_empty_out_path_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--p", "2", "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot write --out : No such file or directory\n"
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_out_without_a_temporary_file_fails_before_any_family_is_built(
+        self, capsys, tmp_path, monkeypatch, existed
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built before the temporary file was made")
+
+        def deny(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "build_mub_family", refuse)
+        monkeypatch.setattr(cli.tempfile, "mkstemp", deny)
+        target = tmp_path / "x.json"
+        if existed:
+            target.write_text("earlier report\n")
+        code, out, err = run_cli(capsys, "verify", "--p", "7", "--json", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {target}: Permission denied\n"
+        assert os.listdir(tmp_path) == (["x.json"] if existed else [])
+        assert (target.read_text() == "earlier report\n") if existed else not target.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -218,6 +247,25 @@ class TestSimulate:
         ):
             with pytest.raises(Started):
                 main(["simulate", "--p", "3", *argv])
+
+    def test_emit_rounds_reach_the_temporary_file_as_they_are_written(self, capsys, tmp_path, monkeypatch):
+        target, seen = tmp_path / "rounds.json", []
+        round_dicts = SimulationSummary.round_dicts
+
+        def watched(summary):
+            for i, item in enumerate(round_dicts(summary)):
+                if i == 2000:  # the file beside the target already holds nearly every earlier round
+                    (temp,) = set(tmp_path.iterdir()) - {target}
+                    seen.append(temp.read_text().count('"king_choice"'))
+                yield item
+
+        monkeypatch.setattr(SimulationSummary, "round_dicts", watched)
+        argv = ["simulate", "--p", "3", "--rounds", "3000", "--emit-rounds", "--json", "--out", str(target)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == ""
+        assert len(seen) == 1 and 1900 <= seen[0] <= 2000
+        assert os.listdir(tmp_path) == ["rounds.json"]
+        assert len(json.loads(target.read_text())["rounds_detail"]) == 3000
 
 
 class TestBases:
@@ -434,6 +482,15 @@ def test_stdout_on_a_full_device_ends_in_one_error_line(argv):
         result = _child(argv, full)
     assert result.returncode == 2
     assert result.stderr.decode() == "error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+def test_out_to_dev_stdout_into_a_pipe_is_written_in_place():
+    # a device is opened by the path given: into a pipe, /dev/stdout resolves to pipe:[...]
+    result = _child(["verify", "--p", "2", "--json", "--out", "/dev/stdout"], subprocess.PIPE)
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_out_survives_a_write_that_fails_partway(tmp_path):

@@ -270,6 +270,18 @@ class TestBracketStates:
         with pytest.raises(ValueError, match="sample_pairs"):
             verify_bracket_closed_form(setup_for(2), sample_pairs=sample_pairs)
 
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_exhaustive_check_refuses_p5_before_any_label_row(self, monkeypatch, backend):
+        # (5^6)^2 pairs would take about 40 minutes
+        setup = setup_for(5, backend)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bracket rows built for an exhaustive check past p = 3")
+
+        monkeypatch.setattr(protocol, "_bracket_rows", refuse)
+        with pytest.raises(ValueError, match=r"p <= 3.*sample_pairs"):
+            verify_bracket_closed_form(setup)
+
 
 class TestMeasurementBasis:
     def test_labels_follow_the_linear_rule(self):
