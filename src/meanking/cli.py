@@ -231,7 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     dim = _parse_prime(args.p, FLOAT_VERIFY_MAX_P, "simulate")
     try:
-        check_simulate_args(dim.p, args.rounds, args.king_strategy)
+        check_simulate_args(dim.p, args.rounds, args.king_strategy, args.seed)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     if args.emit_rounds and args.json and args.rounds > EMIT_ROUNDS_MAX:  # text output keeps no rounds

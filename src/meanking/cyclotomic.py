@@ -351,16 +351,17 @@ def _scales(a: _RingArray) -> np.ndarray:
     return np.where(_is_zero_array(a.p, a.c), 0, a.t)
 
 
-def _lifted(a: _RingArray, top) -> np.ndarray:
+def _lifted(a: _RingArray, top, in_place: bool = False) -> np.ndarray:
     """a's coefficients at the scales `top` (broadcast against its entries): each
-    nonzero entry times p^((top - t)/2), which must be a whole power."""
+    nonzero entry times p^((top - t)/2), which must be a whole power; written
+    over a's own coefficients when `in_place`."""
     shift = np.where(_is_zero_array(a.p, a.c), 0, top - a.t)
     if (shift % 2).any():
         raise ValueError("entries mix odd and even powers of 1/sqrt(p)")
     if not shift.any():
         return a.c
     _check_int64(_absmax(a.c) * a.p ** int(shift.max() // 2))
-    return a.c * (a.p ** (shift // 2))[..., None]
+    return np.multiply(a.c, (a.p ** (shift // 2))[..., None], out=a.c if in_place else None)
 
 
 def _aligned(a: _RingArray):
@@ -459,6 +460,23 @@ class _ExactRing:
         out = np.zeros((size, self.n), dtype=np.int64)
         np.add.at(out, index, c)
         return _RingArray(self.p, _canonicalize(self.p, out), top)
+
+    def gathered_sums(self, rows: _RingArray, index, less: _RingArray) -> _RingArray:
+        """p^{-1/2} sum_m rows[index[:, m]] - less for each row of a 2-D index
+        table, as one running int64 sum with each output row at one scale, the
+        largest its terms need: each term is gathered into one buffer and lifted
+        there.  Bounded by the terms' count times their largest coefficient,
+        lifted by at most that scale."""
+        p = self.p
+        top = np.maximum(_scales(rows).max(axis=1)[index].max(axis=1) + 1, _scales(less).max(initial=0))[:, None]
+        _check_int64((index.shape[1] * _absmax(rows.c) + _absmax(less.c)) * p ** int(top.max() // 2))
+        out, term = np.zeros((2, len(index), *rows.c.shape[1:]), dtype=np.int64)
+        for column in index.T:
+            np.take(rows.c, column, axis=0, out=term)
+            out += _lifted(_RingArray(p, term, rows.t[column]), top - 1, in_place=True)
+        np.copyto(term, less.c)
+        out -= _lifted(_RingArray(p, term, less.t), top, in_place=True)
+        return _RingArray(p, out, top)
 
     def mul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         """a * b entry by entry (broadcasting): the cyclic convolution of the
@@ -566,6 +584,14 @@ class _FloatRing:
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
+
+    def gathered_sums(self, rows: np.ndarray, index, less: np.ndarray) -> np.ndarray:
+        out, term = rows[index[:, 0]], np.empty((len(index), *rows.shape[1:]), dtype=rows.dtype)
+        for column in index.T[1:]:
+            out += np.take(rows, column, axis=0, out=term)
+        out /= np.sqrt(self.p)
+        out -= less
+        return out
 
     @staticmethod
     def add_at(values: np.ndarray, index, size: int) -> np.ndarray:

@@ -159,7 +159,20 @@ class RetrodictionSetup:
 
     @functools.cached_property
     def outcome_cdfs(self) -> dict:
-        return dict(zip(self.outcome_keys, self._ring.cdfs(self.outcome_table)))
+        return dict(zip(self.outcome_keys, self._outcome_cdf_rows))
+
+    @functools.cached_property
+    def _outcome_cdf_rows(self) -> list | np.ndarray:  # row m*p + k - 1
+        return self._ring.cdfs(self.outcome_table)
+
+    @functools.cached_property
+    def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The king's CDFs and the outcome CDFs as 2-D arrays, for drawing a block
+        of rounds; None when an integer total needs more than one 32-bit word."""
+        king, outcome = self.king_cdfs, self._outcome_cdf_rows
+        if any(isinstance(row[-1], int) and row[-1] >= 2**32 for row in (*king, *outcome)):
+            return None
+        return np.asarray(king), np.asarray(outcome)
 
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
@@ -184,16 +197,12 @@ def _filled(ring, rows: int, blocks):
 
 def _bracket_rows(setup: RetrodictionSetup, slots):
     """The bracket states p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi> of a table
-    of label slots, one row each: per block of labels, a gather of post rows
-    per m, summed."""
+    of label slots, one row each: per block of labels, one running sum of the
+    post rows gathered per m."""
     p, ring = setup.dim.p, setup._ring
     index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> row of posts
-
-    def block(rows):
-        terms = (setup.posts[rows[:, m]] for m in range(p + 1))
-        return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
-
-    return _filled(ring, len(index), (block(index[rows]) for rows in _blocks(len(index))))
+    blocks = (ring.gathered_sums(setup.posts, index[rows], setup.prepared) for rows in _blocks(len(index)))
+    return _filled(ring, len(index), blocks)
 
 
 def _phase_rows(ring, p: int):
@@ -492,11 +501,207 @@ def parse_strategy(strategy: str, p: int) -> int | None:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def check_simulate_args(p: int, rounds: int, strategy: str) -> int | None:
+def check_simulate_args(p: int, rounds: int, strategy: str, seed: int) -> int | None:
     """Validate a simulation request; returns `parse_strategy`'s king choice."""
+    for name, value in (("rounds", rounds), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     return parse_strategy(strategy, p)
+
+
+# --- rounds a block at a time ---
+#
+# Round i draws from random.Random(f"{seed}:{i}"): CPython's MT19937 (Matsumoto
+# and Nishimura, ACM TOMACS 8, 1998) keyed by init_by_array.  The key schedule
+# is the same serial chain for every round but for the key words, so a block of
+# rounds runs it as uint32 columns, one ufunc call per step for the whole block.
+# Its arithmetic is mod 2^32 by MT's definition: every operand is a uint32
+# array (0-d for a constant, which numpy also takes fastest), and numpy wraps
+# arrays silently where a numpy scalar would warn.
+_MT_N, _MT_M = 624, 397
+_BLOCK_WORDS = 12  # outputs per round in a block; a round that needs more is drawn alone
+_BLOCK_ROUNDS = 2048  # rounds per block, set by peak RSS
+_BLOCK_MIN = 400  # a shorter block is drawn a round at a time: the measured crossover
+
+
+def _u32(value) -> np.ndarray:
+    return np.array(value, dtype=np.uint32)
+
+
+@functools.cache
+def _mt_steps() -> tuple[list, list]:
+    """init_genrand(19650218), the state init_by_array starts from, and the step
+    numbers 0..623, as 0-d uint32 arrays."""
+    state = [19650218]
+    for i in range(1, _MT_N):
+        state.append((1812433253 * (state[-1] ^ (state[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return [_u32(x) for x in state], [_u32(i) for i in range(_MT_N)]
+
+
+def _same_length(rounds: range):
+    """`rounds` cut where the round number gains a digit: pieces whose seed
+    strings, and so whose keys, have one length."""
+    start = rounds.start
+    while start < rounds.stop:
+        stop = min(rounds.stop, 10 ** len(str(start)))
+        yield range(start, stop)
+        start = stop
+
+
+def _key_words(seed: int, rounds: range) -> np.ndarray:
+    """init_by_array's keys for random.Random(f"{seed}:{i}"), i in `rounds` (of
+    one string length), as uint32 [word, round].  String seeding v2 reads the
+    bytes and their SHA-512 digest as one big-endian integer; the key is its
+    32-bit words, least significant first, as many as its bit length needs."""
+    head = b"%d:%d" % (seed, rounds.start)
+    size = len(head) + 64
+    assert len(b"%d:%d" % (seed, rounds.stop - 1)) + 64 == size
+    words = (8 * (size - 1) + head[0].bit_length() - 1) // 32 + 1  # the first byte is a digit or '-'
+    padded = np.zeros((len(rounds), 4 * words), dtype=np.uint8)  # each integer's bytes, zeros ahead
+    for first in range(0, len(rounds), 512):  # a chunk at a time: bytes.join holds a buffer per item
+        strings = [b"%d:%d" % (seed, i) for i in rounds[first : first + 512]]
+        digests = [random._sha512(s).digest() for s in strings]
+        for part, chunks in ((slice(-size, -64), strings), (slice(-64, None), digests)):
+            joined = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+            padded[first : first + len(chunks), part] = joined.reshape(len(chunks), -1)
+    return padded.view(">u4")[:, ::-1].T.astype(np.uint32, order="C")
+
+
+def _mt_outputs(key: np.ndarray, count: int) -> np.ndarray:
+    """MT19937's first `count` outputs after init_by_array(key), as CPython's
+    _randommodule.c computes them, for each column of a uint32 key table [word,
+    column], to each of whose words j it adds j in place.
+
+    Pass 1 runs once to find mt[623]; pass 2 then runs in lockstep with pass 1
+    again (rows `again` and `mt` of `state`), since its step i reads pass 1's
+    mt[i]: no [624, columns] state is stored.  Of pass 2 only mt[0..count] and
+    mt[397..397+count-1] are kept, which the first `count` outputs' twist reads."""
+    assert key.dtype == np.uint32 and len(key) <= _MT_N and 0 < count <= _MT_N - _MT_M
+    start, step = _mt_steps()
+    length, columns = key.shape
+    key += np.arange(length, dtype=np.uint32)[:, None]  # key[j] + j, as each step adds them
+    keyed, thirty, mult1, mult2 = list(key), _u32(30), _u32(1664525), _u32(1566083941)
+    rshift, xor, mul, add, sub = np.right_shift, np.bitwise_xor, np.multiply, np.add, np.subtract
+    # pass 1: mt[i] = (mt[i] ^ (mt[i-1] ^ mt[i-1] >> 30) * 1664525) + key[j] + j at
+    # steps i = 1..624, j = i - 1 mod the key length; step 624 wraps round to
+    # mt[1], which then holds `first`, with mt[0] = mt[623]
+    x, t = np.full(columns, start[0]), np.empty(columns, dtype=np.uint32)
+    for i in range(1, _MT_N + 1):
+        rshift(x, thirty, t)
+        xor(t, x, t)
+        mul(t, mult1, t)
+        xor(t, start[i] if i < _MT_N else first, x)
+        add(x, keyed[(i - 1) % length], x)
+        if i == 1:
+            first = x.copy()
+    # pass 2: mt[i] = (mt[i] ^ (mt[i-1] ^ mt[i-1] >> 30) * 1566083941) - i at steps
+    # i = 2..624, step 624 wrapping round to mt[1] as in pass 1; beside it pass 1
+    # runs again from `first`, giving each mt[i] that pass 2 reads
+    state, mixed = np.stack([first, x]), np.empty((2, columns), dtype=np.uint32)
+    (again, mt), (mixed_again, mixed_mt) = state, mixed
+    mult = np.stack([np.full(columns, mult1), np.full(columns, mult2)])  # full rows: faster than broadcast
+    kept = np.empty((2 * count + 1, columns), dtype=np.uint32)  # mt[0..count], then mt[397..397+count-1]
+    for i in range(2, _MT_N + 1):
+        rshift(state, thirty, mixed)
+        xor(mixed, state, mixed)
+        mul(mixed, mult, mixed)
+        xor(mixed_again, start[i] if i < _MT_N else first, again)
+        add(again, keyed[(i - 1) % length], again)
+        at = i if i < _MT_N else 1
+        xor(mixed_mt, again, mt)
+        sub(mt, step[at], mt)
+        if at <= count:
+            kept[at] = mt
+        elif 0 <= at - _MT_M < count:
+            kept[count + 1 + at - _MT_M] = mt
+    kept[0] = 0x80000000  # init_by_array's last line
+    # the twist's first `count` words, tempered, each into the row of mt[i] that
+    # only it and the word before it read
+    for i in range(count):
+        y = (kept[i] & 0x80000000) | (kept[i + 1] & 0x7FFFFFFF)
+        word = kept[count + 1 + i] ^ (y >> 1) ^ (y & 1) * 0x9908B0DF
+        word ^= word >> 11
+        word ^= word << 7 & 0x9D2C5680
+        word ^= word << 15 & 0xEFC60000
+        kept[i] = word ^ word >> 18
+    return kept[:count]
+
+
+def _first_words(seed: int, rounds: range, count: int) -> np.ndarray:
+    """The first `count` outputs of random.Random(f"{seed}:{i}") for each i in
+    `rounds` (keys of at most 624 words), as uint32 [output, round]."""
+    return np.concatenate([_mt_outputs(_key_words(seed, piece), count) for piece in _same_length(rounds)], axis=1)
+
+
+def _next_words(words: np.ndarray, used: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The next unread word of each of `columns`, counted in `used`; a column that
+    has read all its words reads 0 and is marked spilled, `used` past their count."""
+    count = len(words)
+    at = used[columns]
+    spilled = at >= count
+    used[columns] = np.where(spilled, count + 1, at + 1)
+    word = words[np.minimum(at, count - 1), columns]
+    word[spilled] = 0
+    return word
+
+
+def _below_words(words: np.ndarray, used: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`_below(n)` per column for int64 n below 2^32: getrandbits(b) for b <= 32
+    is the top b bits of one word."""
+    shift = 32 - np.frexp(n)[1]  # 32 - n.bit_length()
+    x = np.empty(len(n), dtype=np.int64)
+    todo = np.arange(len(n))
+    while len(todo):
+        x[todo] = _next_words(words, used, todo) >> shift[todo]
+        todo = todo[x[todo] >= n[todo]]
+    return x
+
+
+def _sample_words(cdfs: np.ndarray, rows: np.ndarray, words: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """`_sample_index` per column, on its row of a 2-D CDF table."""
+    totals = cdfs[rows, -1]
+    if cdfs.dtype.kind == "f":  # random(): (a >> 5) 2^26 + (b >> 6) over 2^53, from two words
+        columns = np.arange(len(rows))
+        a, b = (_next_words(words, used, columns) >> shift for shift in (5, 6))
+        x = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * totals
+    else:
+        x = _below_words(words, used, totals)
+    index = np.empty(len(rows), dtype=np.intp)
+    order = np.argsort(rows, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
+        index[group] = np.searchsorted(cdfs[rows[group[0]]], x[group], side="right")  # bisect_right
+    # a float draw can round up to the total; the last index takes it
+    return np.minimum(index, cdfs.shape[1] - 1)
+
+
+def _word_draws(setup: RetrodictionSetup, m: int | None, words: np.ndarray) -> tuple[np.ndarray, list]:
+    """`_draw`'s (m, k, label index) rows for the rounds of a block, read from
+    each round's first words, uint32 [word, round]; and the rounds that need
+    more words than that."""
+    (king, outcome), p, rounds = setup._cdf_tables, setup.dim.p, words.shape[1]
+    draws, used = np.empty((3, rounds), dtype=np.int64), np.zeros(rounds, dtype=np.int64)
+    draws[0] = _below_words(words, used, np.full(rounds, p + 1)) if m is None else m
+    draws[1] = 1 + _sample_words(king, draws[0], words, used)
+    draws[2] = _sample_words(outcome, draws[0] * p + draws[1] - 1, words, used)
+    return draws, np.flatnonzero(used > len(words)).tolist()
+
+
+def _block_draws(setup: RetrodictionSetup, m: int | None, seed: int, block: range, rng: random.Random) -> np.ndarray:
+    """The (m, k, label index) rows of a block of rounds: `_word_draws` for a block
+    of at least _BLOCK_MIN rounds whose totals are below 2^32 and whose keys are
+    at most 624 words; `_draw` on a reseeded generator for any other block and
+    for each round that needs more than _BLOCK_WORDS words."""
+    key_fits = len(f"{seed}:{block.stop - 1}") + 64 <= 4 * _MT_N
+    if len(block) >= _BLOCK_MIN and key_fits and setup._cdf_tables is not None:
+        draws, alone = _word_draws(setup, m, _first_words(seed, block, _BLOCK_WORDS))
+    else:
+        draws, alone = np.empty((3, len(block)), dtype=np.int64), range(len(block))
+    for column in alone:
+        rng.seed(f"{seed}:{block.start + column}")
+        draws[:, column] = _draw(setup, m, rng)
+    return draws
 
 
 def simulate(
@@ -507,23 +712,28 @@ def simulate(
     backend: str | None = None,
     keep_records: bool = False,
 ) -> SimulationSummary:
-    """Play many rounds, reseeding one generator with '<seed>:<round>' per round."""
+    """Play many rounds, round i drawn from random.Random(f"{seed}:{i}"), a block
+    of rounds at a time (`_block_draws`)."""
     p = dim.p
-    fixed_m = check_simulate_args(p, rounds, strategy)
+    fixed_m = check_simulate_args(p, rounds, strategy, seed)
     setup = RetrodictionSetup(dim, backend)
-    slots = [label.slots for label in setup.labels]
-    counts = [[0] * p for _ in range(p + 1)]  # [m][k-1]
+    slots = np.array([label.slots for label in setup.labels])  # [label, m]
+    counts = np.zeros((p + 1) * p, dtype=np.int64)  # [m*p + k-1]
     kept = [] if keep_records else None
     successes = 0
     rng = random.Random()
-    for i in range(rounds):
-        rng.seed(f"{seed}:{i}")
-        m, k, index = _draw(setup, fixed_m, rng)
-        counts[m][k - 1] += 1
-        successes += slots[index][m] == k
-        if kept is not None:
-            kept.append((m, k, index))
-    histogram = {m: {k: n for k, n in enumerate(row, 1) if n} for m, row in enumerate(counts) if any(row)}
+    # blocks of _BLOCK_ROUNDS, none across a change of key length
+    for piece in _same_length(range(rounds)):
+        for start in range(piece.start, piece.stop, _BLOCK_ROUNDS):
+            block = range(start, min(start + _BLOCK_ROUNDS, piece.stop))
+            m, k, index = _block_draws(setup, fixed_m, seed, block, rng)
+            counts += np.bincount(m * p + k - 1, minlength=len(counts))
+            successes += int(np.count_nonzero(slots[index, m] == k))
+            if kept is not None:
+                kept.extend(zip(m.tolist(), k.tolist(), index.tolist()))
+            del m, k, index  # released before the next block is drawn
+    rows = counts.reshape(p + 1, p).tolist()
+    histogram = {m: {k: n for k, n in enumerate(row, 1) if n} for m, row in enumerate(rows) if any(row)}
     return SimulationSummary(
         p=p,
         rounds=rounds,

@@ -1,6 +1,10 @@
-"""Every name a `meanking` module imports is used there, or re-exported through `__all__`."""
+"""Every name a `meanking` module imports is used there, or re-exported through
+`__all__`; and a run of simulate imports neither hashlib nor numpy.random."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,18 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport sys\nfrom json import dumps, loads as parse\n__all__ = ['dumps']\nsys.exit(0)\n"
     assert unused_imports(source) == ["os (line 1)", "parse (line 3)"]
+
+
+def test_simulate_loads_neither_openssl_nor_numpy_random():
+    # the rounds' SHA-512 is random's own; hashlib would load OpenSSL (3.6 MB of
+    # a child's peak RSS), and numpy.random is not needed to draw them
+    env = dict(os.environ, PYTHONPATH=str(Path(meanking.__file__).resolve().parents[1]))
+    script = (
+        "import sys; from meanking.cli import main; code = main(sys.argv[1:]); "
+        "print(*[name for name in ('hashlib', '_hashlib', 'numpy.random') if name in sys.modules], file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    argv = ["simulate", "--p", "7", "--rounds", "20000", "--json"]
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=120)
+    assert result.returncode == 0
+    assert result.stderr == b"\n"

@@ -8,15 +8,20 @@ p = 23).  On the exact backend (int64 coefficients over N and an int64 scale
 per entry, 1.41 MB at p = 11) it is two such arrays: a Gram product holds one
 float64 copy of its second operand, the posts or the measurement states, for
 the whole check, beside the blocks taken against it.
+
+The rounds of `simulate` hold at most one block's arrays above the set-up,
+however many rounds there are.
 """
 
 import tracemalloc
 
 import pytest
 
+from meanking import protocol
 from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family, verify_trace_relations, verify_unbiasedness
 from meanking.protocol import (
     RetrodictionSetup,
+    simulate,
     verify_entangled_basis,
     verify_measurement_basis,
     verify_retrodiction,
@@ -59,3 +64,16 @@ def test_no_stage_holds_a_second_full_size_array(backend):
         assert report.passed
     over = {name: f"{peak / 1e6:.2f} MB" for name, peak in peaks.items() if peak > bound}
     assert not over, f"past {bound / 1e6:.2f} MB: {over}"
+
+
+def test_rounds_hold_one_block_whatever_their_count(monkeypatch):
+    setup = RetrodictionSetup(PrimeDim(7))
+    monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+    simulate(PrimeDim(7), 2 * protocol._BLOCK_MIN)  # the CDF tables and the kernel's constants, built once
+    # a block's uint32 words per round: its key table twice, as bytes and as
+    # words (18 words for a five-digit round), the kept state mt[0..K] and
+    # mt[397..397+K-1], and the chain's eight rows
+    bound = protocol._BLOCK_ROUNDS * 4 * (2 * 18 + 2 * protocol._BLOCK_WORDS + 1 + 8)
+    peaks = {rounds: peak_above_kept(lambda: simulate(PrimeDim(7), rounds))[1] for rounds in (20000, 60000)}
+    assert max(peaks.values()) <= bound, f"past {bound / 1e6:.2f} MB: {peaks}"
+    assert abs(peaks[60000] - peaks[20000]) <= 0.01 * bound, peaks

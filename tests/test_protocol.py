@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanking import protocol
-from meanking.cyclotomic import Amplitude, CyclotomicInt, _RingArray, exact_overlap
+from meanking.cyclotomic import Amplitude, CyclotomicInt, _lifted, _RingArray, _scales, exact_overlap
 from meanking.mub import EXACT, FLOAT, CheckReport, PrimeDim, build_mub_family, verify_unbiasedness
 from meanking.protocol import (
     PRNG_NAME,
@@ -413,6 +413,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(PrimeDim(2), rounds=0)
 
+    @pytest.mark.parametrize("rounds, seed", [(True, 0), (2.0, 0), ("3", 0), (3, False), (3, 1.0), (3, "1"), (3, None)])
+    def test_rounds_and_seed_must_be_integers_before_the_set_up(self, rounds, seed, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("set-up built for a refused request")
+
+        monkeypatch.setattr(protocol, "RetrodictionSetup", refuse)
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate(PrimeDim(3), rounds, seed=seed)
+
     def test_round_dicts_refuse_a_summary_without_kept_rounds(self):
         summary = simulate(PrimeDim(3), rounds=20, seed=1)
         with pytest.raises(ValueError, match="keep_records"):
@@ -648,6 +657,33 @@ def corrupted_setups(draw, primes):
     return setup
 
 
+def bracket_rows_by_fold(setup, slots):
+    """Reference: `_bracket_rows` as it was before it kept one running sum, all
+    the labels at once, the gathered post rows summed by `_RingArray.__add__`
+    (each sum lifting both operands entry by entry) and then less |Phi>."""
+    p, ring = setup.dim.p, setup._ring
+    index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1
+    terms = (setup.posts[index[:, m]] for m in range(p + 1))
+    return ring.over_sqrt_p(sum(terms, next(terms))) - setup.prepared
+
+
+def assert_equal_rows(a, b):
+    """Two ring arrays hold the same values at the same scales, a zero at any
+    scale; two complex arrays are equal bit for bit."""
+    if not isinstance(a, _RingArray):
+        assert np.array_equal(a, b)
+        return
+    assert np.array_equal(_scales(a), _scales(b))
+    top = _scales(a)
+    assert np.array_equal(_lifted(a, top), _lifted(b, top))
+
+
+def first_words_by_generators(seed, rounds, count):
+    """Reference: the first `count` getrandbits(32) of random.Random(f"{seed}:{i}") per round."""
+    generators = (random.Random(f"{seed}:{i}") for i in rounds)
+    return np.array([[rng.getrandbits(32) for _ in range(count)] for rng in generators], dtype=np.uint32).T
+
+
 def label_slots_by_table(p):
     """Reference: measurement_label's slots for every (k0, k1) as one array, the
     set-up's vectorized copy of k_m = (m-1)k_0 + k_1, row (k0-1)p + k1-1."""
@@ -708,6 +744,33 @@ class TestAgainstReferences:
             fixed_m = parse_strategy(strategy, p)
             rounds = [run_round(setup, fixed_m, f"{seed}:{i}").to_json() for i in range(10)]
             assert rounds == want["rounds_detail"][:10], (strategy, seed)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_bracket_rows_equal_the_folded_sums(self, p, backend):
+        setup = setup_for(p, backend)
+        slots = [label.slots for label in setup.labels]
+        assert_equal_rows(protocol._bracket_rows(setup, slots), bracket_rows_by_fold(setup, slots))
+        assert_equal_rows(setup.states, bracket_rows_by_fold(setup, slots))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("corrupt", ["post_0_1_is_post_1_1", "post_1_1_is_post_0_1", "post_2_2_is_zero"])
+    def test_bracket_rows_of_corrupted_posts_equal_the_folded_sums(self, p, backend, corrupt):
+        setup = RetrodictionSetup(PrimeDim(p), backend)
+        row = {"post_0_1_is_post_1_1": (0, setup.post(1, 1)), "post_1_1_is_post_0_1": (p, setup.post(0, 1))}
+        row["post_2_2_is_zero"] = (2 * p + 1, setup.posts[2 * p + 1] - setup.posts[2 * p + 1])
+        setup.posts = replace_row(setup.posts, *row[corrupt])
+        slots = [label.slots for label in setup.labels]
+        assert_equal_rows(protocol._bracket_rows(setup, slots), bracket_rows_by_fold(setup, slots))
+
+    def test_bracket_rows_refuse_mixed_parities_as_the_fold_did(self):
+        setup = RetrodictionSetup(PrimeDim(3), EXACT)
+        setup.posts = replace_row(setup.posts, 3, setup.prepared)  # |Phi> at scale 1 among scale-2 rows
+        slots = [label.slots for label in setup.labels]
+        for build in (protocol._bracket_rows, bracket_rows_by_fold):
+            with pytest.raises(ValueError, match="odd and even powers"):
+                build(setup, slots)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
@@ -868,3 +931,72 @@ def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
     for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction):
         assert check(setup).passed, check.__name__
     assert simulate(dim, 1000).success_rate == 1.0
+
+
+class TestBlockRounds:
+    """Rounds drawn a block at a time from CPython's MT19937 as uint32 columns
+    must draw what a fresh random.Random(f"{seed}:{i}") per round draws: the
+    kernel pins string seeding v2 (bytes plus their SHA-512 digest, one
+    integer) and init_by_array against the generator itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.one_of(st.just(0), st.integers(-(2**80), -1), st.integers(2**64, 2**80)),
+        edge=st.sampled_from([10, 100, 10000]),
+        before=st.integers(1, 6),
+        after=st.integers(1, 6),
+        count=st.integers(1, 16),
+    )
+    @example(seed=0, edge=100, before=3, after=3, count=12)  # keys of 17 words, then of 18
+    @example(seed=42, edge=10, before=2, after=2, count=protocol._MT_N - protocol._MT_M)  # the most words a block keeps
+    @example(seed=-(2**64), edge=10000, before=1, after=1, count=1)
+    def test_first_words_are_the_generators_first_outputs(self, seed, edge, before, after, count):
+        rounds = range(edge - before, edge + after)
+        got = protocol._first_words(seed, rounds, count)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, first_words_by_generators(seed, rounds, count))
+
+    def test_a_block_can_straddle_a_change_of_key_length(self):
+        rounds = range(97, 103)
+        lengths = {len(protocol._key_words(0, piece)) for piece in protocol._same_length(rounds)}
+        assert lengths == {17, 18}
+        assert np.array_equal(protocol._first_words(0, rounds, 3), first_words_by_generators(0, rounds, 3))
+
+    @pytest.mark.parametrize("p, backend", [(2, EXACT), (3, EXACT), (7, EXACT), (13, EXACT), (17, FLOAT), (31, FLOAT)])
+    @pytest.mark.parametrize("words", [None, 1, 2])  # the block's words, or a budget that spills nearly every round
+    def test_simulate_draws_what_fresh_generators_drew_across_blocks(self, p, backend, words, monkeypatch):
+        setup = setup_for(p, backend)
+        monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+        monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 250)
+        monkeypatch.setattr(protocol, "_BLOCK_MIN", 40)
+        if words is not None:
+            monkeypatch.setattr(protocol, "_BLOCK_WORDS", words)
+        for strategy, seed in [("uniform", 7), (f"fixed:{p}", -(2**70))]:
+            want = simulate_by_fresh_generators(setup, 1130, strategy, seed)  # blocks from 10, 100, 350, 600, 850 and 1000
+            got = simulate(PrimeDim(p), rounds=1130, strategy=strategy, seed=seed, keep_records=True)
+            assert with_rounds(got) == want, (strategy, seed)
+
+    def test_simulate_draws_what_fresh_generators_drew_past_a_full_block(self, monkeypatch):
+        setup = setup_for(7)
+        monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+        rounds = 1000 + protocol._BLOCK_ROUNDS + protocol._BLOCK_MIN
+        got = simulate(PrimeDim(7), rounds=rounds, seed=3, keep_records=True)
+        assert with_rounds(got) == simulate_by_fresh_generators(setup, rounds, "uniform", 3)
+
+    def test_keys_past_624_words_and_totals_past_one_word_are_drawn_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block drawn from the kernel")
+
+        setup = RetrodictionSetup(PrimeDim(3), EXACT)
+        monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+        seed = 10**2500  # "<seed>:<round>" with its digest is more than 624 32-bit words
+        with monkeypatch.context() as patched:
+            patched.setattr(protocol, "_first_words", refuse)
+            got = simulate(PrimeDim(3), rounds=600, seed=seed, keep_records=True)
+        assert with_rounds(got) == simulate_by_fresh_generators(setup, 600, "uniform", seed)
+
+        setup = RetrodictionSetup(PrimeDim(3), EXACT)
+        setup.king_cdfs = [[x << 31 for x in row] for row in setup.king_cdfs]  # totals of 3 * 2^31
+        assert setup._cdf_tables is None
+        monkeypatch.setattr(protocol, "_first_words", refuse)
+        assert simulate(PrimeDim(3), rounds=600, seed=1).success_rate == 1.0
