@@ -668,12 +668,17 @@ def _sample_words(cdfs: np.ndarray, rows: np.ndarray, words: np.ndarray, used: n
         x = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * totals
     else:
         x = _below_words(words, used, totals)
-    index = np.empty(len(rows), dtype=np.intp)
-    order = np.argsort(rows, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
-        index[group] = np.searchsorted(cdfs[rows[group[0]]], x[group], side="right")  # bisect_right
+    # bisect_right on each column's row, all at once: as many halvings of
+    # [lo, hi) as a row's length needs
+    width = cdfs.shape[1]
+    flat, start = cdfs.ravel(), rows * width
+    lo, hi = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), width)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) // 2
+        right = flat[start + np.minimum(mid, width - 1)] <= x
+        lo, hi = np.where(right & (lo < hi), mid + 1, lo), np.where(right, hi, mid)
     # a float draw can round up to the total; the last index takes it
-    return np.minimum(index, cdfs.shape[1] - 1)
+    return np.minimum(lo, width - 1)
 
 
 def _word_draws(setup: RetrodictionSetup, m: int | None, words: np.ndarray) -> tuple[np.ndarray, list]:
