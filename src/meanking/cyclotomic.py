@@ -427,9 +427,6 @@ class _ExactRing:
         c[..., 0] = values
         return _RingArray(self.p, c, 0)
 
-    def stack(self, items) -> _RingArray:
-        return _RingArray(self.p, np.stack([a.c for a in items]), np.stack([a.t for a in items]))
-
     def concat(self, items, axis: int = 0) -> _RingArray:
         c, t = np.concatenate([a.c for a in items], axis), np.concatenate([a.t for a in items], axis)
         return _RingArray(self.p, c, t)
@@ -571,7 +568,6 @@ class _FloatRing:
         self.p = p
 
     rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
-    stack = staticmethod(np.array)
     concat = staticmethod(np.concatenate)
     empty_like = staticmethod(lambda block, rows: np.empty((rows, *block.shape[1:]), dtype=block.dtype))
     gram = staticmethod(lambda a, b: a.conj() @ b.T)

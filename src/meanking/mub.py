@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as a Python int, numpy integers included.  A bool, a value
+    without `__index__` (float, str, numpy.bool_) or one outside lo..hi
+    raises one ValueError that names the argument and its range."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or value is True or value is False or (lo is not None and n < lo) or (hi is not None and n > hi):
+        span = "" if lo is None else f" in {lo}..{hi}" if hi is not None else f" >= {lo}"
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class PrimeDim:
     """A validated prime dimension."""
@@ -61,8 +76,7 @@ class PrimeDim:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ValueError(f"dimension must be an integer, got {self.p!r}")
+        object.__setattr__(self, "p", _integer("dimension", self.p))
         if not _is_prime(self.p):
             raise ValueError(f"dimension must be prime, got {self.p}")
 
@@ -133,8 +147,7 @@ def build_observable(dim: PrimeDim, m: int, backend: str = EXACT):
     """
     _check_backend(backend)
     p = dim.p
-    if not 0 <= m <= p:
-        raise ValueError(f"observable label must be in 0..{p}, got {m}")
+    m = _integer("m", m, 0, p)
     phased = p == 2 and m == 1
     if backend == FLOAT:
         mat = _float_observable(p, m)
@@ -170,11 +183,7 @@ class MubFamily:
         return _ring(self.backend, self.p)
 
     def ket(self, m: int, k: int):
-        if not 0 <= m <= self.p:
-            raise ValueError(f"basis label must be in 0..{self.p}, got {m}")
-        if not 1 <= k <= self.p:
-            raise ValueError(f"ket label must be in 1..{self.p}, got {k}")
-        return self._ring.amps(self.bases[m, k - 1])
+        return self._ring.amps(self.bases[_integer("m", m, 0, self.p), _integer("k", k, 1, self.p) - 1])
 
     def _kets(self):
         return [[self.ket(m, k) for k in range(1, self.p + 1)] for m in range(self.p + 1)]
@@ -362,7 +371,7 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     for _ in range(p):
         power.append(times(power[-1], obs))
     perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
-    ents = ring.stack([pw[1] for pw in power]).swapaxes(0, 1)
+    ents = ring.concat([pw[1][:, None] for pw in power], axis=1)
 
     # period p exactly: U_m^p = 1 and no smaller power is; a monomial is the
     # identity when it fixes every row and each entry is 1
@@ -383,8 +392,8 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     u0, up = (perms[0, 1], ents[0, 1]), (perms[p, 1], ents[p, 1])
     (perm_l, left), (perm_r, right) = times(u0, up), times(up, u0)
     right = ring.phase(right, -1)
-    off = ring.deviates(ring.stack([left - right, left, right]), 0)
-    if np.where(perm_l == perm_r, off[0], off[1] | off[2]).any():
+    off = lambda x: ring.deviates(x, 0)
+    if np.where(perm_l == perm_r, off(left - right), off(left) | off(right)).any():
         report.violations.append({"kind": "commutation"})
 
     # trace table over all m, m' and r, s in 0..p-1: tr(A B) sums A_ij B_ji, so
@@ -460,25 +469,21 @@ class CompositeDiagnosis:
         }
 
 
-def check_composite(n: int) -> None:
-    """Raise ValueError unless `diagnose_composite` accepts n."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    out_of_range = ValueError(f"composite diagnosis supports 4 <= n <= {DIAGNOSE_MAX_N}")
-    if n > DIAGNOSE_MAX_N:  # before the primality test, so huge n get the range message
-        raise out_of_range
+def check_composite(n: int) -> int:
+    """n as an int, or ValueError unless `diagnose_composite` accepts n."""
+    # the range before the primality test, so huge n get the range message
+    n = _integer("composite dimension", n, 4, DIAGNOSE_MAX_N)
     if _is_prime(n):
         raise ValueError(
             f"{n} is prime; the construction succeeds there, so there is nothing to diagnose"
         )
-    if n < 4:
-        raise out_of_range
+    return n
 
 
 def diagnose_composite(n: int) -> CompositeDiagnosis:
     """Run the construction at composite n with primality enforcement bypassed
     and report every invariant that breaks, with concrete witnesses."""
-    check_composite(n)
+    n = check_composite(n)
     witnesses = []
 
     obs = [_float_observable(n, m) for m in range(n + 1)]

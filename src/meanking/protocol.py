@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, _blocks, _gram_blocks, _hermitian_deviations, _pair_overlaps, _ring
-from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend
+from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend, _integer
 
 # largest p for which sampling probabilities are computed in exact rationals
 SAMPLING_EXACT_MAX_P = 13
@@ -52,15 +52,13 @@ class BracketLabel:
     slots: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.slots) != self.p + 1:
-            raise ValueError(f"need {self.p + 1} slots, got {len(self.slots)}")
-        if not all(1 <= k <= self.p for k in self.slots):
-            raise ValueError(f"slots must lie in 1..{self.p}: {self.slots}")
+        p = self.p
+        if len(self.slots) != p + 1:
+            raise ValueError(f"need {p + 1} slots, got {len(self.slots)}")
+        object.__setattr__(self, "slots", tuple([_integer("slot", k, 1, p) for k in self.slots]))
 
     def k(self, m: int) -> int:
-        if not 0 <= m <= self.p:
-            raise ValueError(f"basis label must be in 0..{self.p}, got {m}")
-        return self.slots[m]
+        return self.slots[_integer("m", m, 0, self.p)]
 
     def agreements(self, other: "BracketLabel") -> int:
         if self.p != other.p:
@@ -74,8 +72,7 @@ class BracketLabel:
 def measurement_label(dim: PrimeDim, k0: int, k1: int) -> BracketLabel:
     """The basis label with k_m = (m-1)k_0 + k_1 mod p for m >= 2."""
     p = dim.p
-    if not (1 <= k0 <= p and 1 <= k1 <= p):
-        raise ValueError("k0 and k1 must lie in 1..p")
+    k0, k1 = _integer("k0", k0, 1, p), _integer("k1", k1, 1, p)
     slots = [k0, k1] + [residue_label(p, (m - 1) * k0 + k1) for m in range(2, p + 1)]
     return BracketLabel(p=p, slots=tuple(slots))
 
@@ -102,9 +99,8 @@ class BipartiteState:
     amps: tuple | np.ndarray
 
     def component(self, j_obj: int, j_anc: int):
-        if not (0 <= j_obj < self.p and 0 <= j_anc < self.p):
-            raise ValueError(f"component indices must be in 0..{self.p - 1}, got ({j_obj}, {j_anc})")
-        return self.amps[j_obj * self.p + j_anc]
+        p = self.p
+        return self.amps[_integer("j_obj", j_obj, 0, p - 1) * p + _integer("j_anc", j_anc, 0, p - 1)]
 
 
 class RetrodictionSetup:
@@ -177,9 +173,7 @@ class RetrodictionSetup:
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
         p = self.dim.p
-        if not (0 <= m <= p and 1 <= k <= p):
-            raise ValueError(f"need 0 <= m <= {p} and 1 <= k <= {p}, got m={m}, k={k}")
-        return self.posts[m * p + k - 1]
+        return self.posts[_integer("m", m, 0, p) * p + _integer("k", k, 1, p) - 1]
 
 
 def _filled(ring, rows: int, blocks):
@@ -219,25 +213,26 @@ def _entangled_bases(p: int) -> list[slice | None]:
     return [None, *_blocks(p + 1, 2 * p)]
 
 
-def _entangled_block(setup: RetrodictionSetup, bases: slice | None):
+def _entangled_block(setup: RetrodictionSetup, bases: slice | None, phases):
     """|Phi> as a block for None; else the entangled rows of the bases m in
     `bases`, row j of each p^{-1/2} sum_k q^{-jk} |m_k m-bar_k>, j = 1..p-1: the
-    Gram of the phase rows q^{jk} (the Gram conjugates them) against the posts
-    as rows [(m, entry), k-1]."""
+    Gram of the phase rows q^{jk} (`_phase_rows`; the Gram conjugates them)
+    against the posts as rows [(m, entry), k-1]."""
     if bases is None:
         return setup.prepared[None]
     p, ring = setup.dim.p, setup._ring
     count = bases.stop - bases.start
     by_k = setup.posts[bases.start * p : bases.stop * p].reshape(count, p, p * p).swapaxes(1, 2)
-    sums = ring.gram(_phase_rows(ring, p), by_k.reshape(count * p * p, p))  # [j-1, (m, entry)]
+    sums = ring.gram(phases, by_k.reshape(count * p * p, p))  # [j-1, (m, entry)]
     return ring.over_sqrt_p(sums.reshape(p - 1, count, p * p).swapaxes(0, 1).reshape(count * (p - 1), p * p))
 
 
 def _entangled_rows(setup: RetrodictionSetup):
     """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
     p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
-    p = setup.dim.p
-    return _filled(setup._ring, p * p, (_entangled_block(setup, bases) for bases in _entangled_bases(p)))
+    p, ring = setup.dim.p, setup._ring
+    phases = _phase_rows(ring, p)
+    return _filled(ring, p * p, (_entangled_block(setup, bases, phases) for bases in _entangled_bases(p)))
 
 
 def _entangled_grams(setup: RetrodictionSetup):
@@ -255,7 +250,7 @@ def _entangled_grams(setup: RetrodictionSetup):
         # one expression, so that no step's input outlives the step: the rows go
         # once taken against the posts, that product [(row, m'), k-1] once
         # prepared as the phase sums' operand
-        sums = ring.gram_against(against(_entangled_block(setup, bases), first).reshape(-1, p))(phases)
+        sums = ring.gram_against(against(_entangled_block(setup, bases, phases), first).reshape(-1, p))(phases)
         gram = ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
         if bases is None:
             gram = ring.concat([ring.gram(setup.prepared[None], setup.prepared[None]), gram], axis=1)
@@ -393,8 +388,7 @@ def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | Non
         count = len(slots) ** 2
         pair = lambda index: np.divmod(index, len(slots))  # row-major, no table of pairs held
     else:
-        if sample_pairs < 1:
-            raise ValueError(f"sample_pairs must be at least 1 (or None for every pair), got {sample_pairs}")
+        sample_pairs = _integer("sample_pairs", sample_pairs, 1)
         rng = random.Random(seed)
         drawn = [[rng.randint(1, p) for _ in range(p + 1)] for _ in range(2 * sample_pairs)]
         slots, inverse = np.unique(np.reshape(drawn, (-1, p + 1)), axis=0, return_inverse=True)  # one row per label
@@ -435,9 +429,8 @@ def run_round(
 ) -> RoundRecord:
     """Play one round: sample the king's outcome and the physicist's outcome by
     the Born rule, announce the label slot of the measured observable."""
-    p = setup.dim.p
-    if king_choice is not None and not 0 <= king_choice <= p:
-        raise ValueError(f"king_choice must be in 0..{p}, got {king_choice}")
+    if king_choice is not None:
+        king_choice = _integer("king_choice", king_choice, 0, setup.dim.p)
     m, k, index = _draw(setup, king_choice, random.Random(str(rng_seed)))
     label = setup.labels[index]
     return RoundRecord(str(rng_seed), m, k, label, label.k(m), label.k(m) == k)
@@ -494,21 +487,14 @@ def parse_strategy(strategy: str, p: int) -> int | None:
         numeral = strategy.split(":", 1)[1]
         if not re.fullmatch("0|[1-9][0-9]*", numeral):  # int() also takes signs, spaces, '_' and non-ASCII digits
             raise ValueError(f"malformed strategy {strategy!r}")
-        m = int(numeral)
-        if not 0 <= m <= p:
-            raise ValueError(f"fixed strategy label must be in 0..{p}, got {m}")
-        return m
+        return _integer("fixed strategy label", int(numeral), 0, p)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def check_simulate_args(p: int, rounds: int, strategy: str, seed: int) -> int | None:
-    """Validate a simulation request; returns `parse_strategy`'s king choice."""
-    for name, value in (("rounds", rounds), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    return parse_strategy(strategy, p)
+def check_simulate_args(p: int, rounds: int, strategy: str, seed: int) -> tuple[int, int, int | None]:
+    """Validate a simulation request: rounds and seed as ints, and
+    `parse_strategy`'s king choice."""
+    return _integer("rounds", rounds, 1), _integer("seed", seed), parse_strategy(strategy, p)
 
 
 # --- rounds a block at a time ---
@@ -720,7 +706,7 @@ def simulate(
     """Play many rounds, round i drawn from random.Random(f"{seed}:{i}"), a block
     of rounds at a time (`_block_draws`)."""
     p = dim.p
-    fixed_m = check_simulate_args(p, rounds, strategy, seed)
+    rounds, seed, fixed_m = check_simulate_args(p, rounds, strategy, seed)
     setup = RetrodictionSetup(dim, backend)
     slots = np.array([label.slots for label in setup.labels])  # [label, m]
     counts = np.zeros((p + 1) * p, dtype=np.int64)  # [m*p + k-1]

@@ -38,6 +38,8 @@ CASES = {
         "simulate", "--p", "31", "--rounds", "2000", "--seed", "8", "--king-strategy", "fixed:31", "--json",
     ],
     "bases_p2.json": ["bases", "--p", "2", "--format", "json"],
+    # an odd prime's exact family, captured before families were emitted from their arrays
+    "bases_p5.json": ["bases", "--p", "5", "--format", "json"],
     "bases_p5_float_ancilla.json": [
         "bases", "--p", "5", "--backend", "float", "--side", "ancilla", "--format", "json",
     ],

@@ -211,7 +211,7 @@ def trace_relations_by_dense_grams(dim, backend=EXACT):
     for _ in range(p):
         power.append(times(power[-1], obs))
     perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
-    ents = ring.stack([pw[1] for pw in power]).swapaxes(0, 1)
+    ents = ring.concat([pw[1][:, None] for pw in power], axis=1)
     powers = vec(perms, ents)
 
     # period p exactly: U_m^p = 1 and no smaller power is
