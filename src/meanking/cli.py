@@ -30,6 +30,7 @@ from .mub import (
     diagnose_composite,
     verify_trace_relations,
     verify_unbiasedness,
+    _integer,
 )
 from .protocol import (
     RetrodictionSetup,
@@ -275,8 +276,10 @@ def cmd_bases(args) -> int:
 
 def cmd_tomography(args) -> int:
     dim = _parse_prime(args.p, TOMOGRAPHY_MAX_P, "tomography")
-    if args.seed < 0:  # numpy's generator takes only non-negative seeds
-        raise InvalidInput(f"seed must be non-negative, got {args.seed}")
+    try:
+        _integer("seed", args.seed, 0)  # numpy's generator takes only non-negative seeds
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
     with _output(args.out) as out:
         fam = build_mub_family(dim, "object", FLOAT)
         rho = random_density(dim, args.seed)
@@ -382,8 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or help (0), returned as every exit code is
+        return exc.code
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -20,7 +20,6 @@ denominator, a power of p) where the exact backend is in play, floats otherwise.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import random
@@ -162,13 +161,11 @@ class RetrodictionSetup:
         return self._ring.cdfs(self.outcome_table)
 
     @functools.cached_property
-    def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The king's CDFs and the outcome CDFs as 2-D arrays, for drawing a block
-        of rounds; None when an integer total needs more than one 32-bit word."""
-        king, outcome = self.king_cdfs, self._outcome_cdf_rows
-        if any(isinstance(row[-1], int) and row[-1] >= 2**32 for row in (*king, *outcome)):
-            return None
-        return np.asarray(king), np.asarray(outcome)
+    def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The king's CDFs and the outcome CDFs as the 2-D arrays `_word_draws` reads."""
+        tables = np.asarray(self.king_cdfs), np.asarray(self._outcome_cdf_rows)
+        assert all(table.dtype in (np.int64, np.float64) for table in tables)  # integer totals below 2^63
+        return tables
 
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
@@ -262,31 +259,6 @@ def _entangled_grams(setup: RetrodictionSetup):
 def _state(setup: RetrodictionSetup, row) -> BipartiteState:
     """One row of the setup's arrays as a state: Amplitudes on the exact backend."""
     return BipartiteState(p=setup.dim.p, backend=setup.backend, amps=setup._ring.amps(row))
-
-
-def _below(n: int, rng: random.Random) -> int:
-    """rng.randrange(n) by its CPython 3.10-3.13 rule, without its frames: getrandbits(n.bit_length()) until below n."""
-    bits = n.bit_length()
-    x = rng.getrandbits(bits)
-    while x >= n:
-        x = rng.getrandbits(bits)
-    return x
-
-
-def _sample_index(cdf, rng: random.Random) -> int:
-    """Inverse-CDF draw: one draw below an integer CDF's total, one random() over a float one."""
-    total = cdf[-1]
-    x = _below(total, rng) if isinstance(total, int) else rng.random() * total
-    # a float draw can round up to the total; the last index takes it
-    return min(bisect.bisect_right(cdf, x), len(cdf) - 1)
-
-
-def _draw(setup: RetrodictionSetup, m: int | None, rng: random.Random) -> tuple[int, int, int]:
-    """One round's (m, k, label index) from a seeded generator; m is drawn unless given."""
-    if m is None:
-        m = _below(setup.dim.p + 1, rng)
-    k = 1 + _sample_index(setup.king_cdfs[m], rng)
-    return m, k, _sample_index(setup.outcome_cdfs[m, k], rng)
 
 
 def post_measurement_state(setup: RetrodictionSetup, m: int, k: int) -> BipartiteState:
@@ -389,7 +361,7 @@ def verify_bracket_closed_form(setup: RetrodictionSetup, sample_pairs: int | Non
         pair = lambda index: np.divmod(index, len(slots))  # row-major, no table of pairs held
     else:
         sample_pairs = _integer("sample_pairs", sample_pairs, 1)
-        rng = random.Random(seed)
+        rng = random.Random(_integer("seed", seed))
         drawn = [[rng.randint(1, p) for _ in range(p + 1)] for _ in range(2 * sample_pairs)]
         slots, inverse = np.unique(np.reshape(drawn, (-1, p + 1)), axis=0, return_inverse=True)  # one row per label
         pairs = inverse.reshape(-1, 2)  # (drawn[2i], drawn[2i+1])
@@ -431,9 +403,10 @@ def run_round(
     the Born rule, announce the label slot of the measured observable."""
     if king_choice is not None:
         king_choice = _integer("king_choice", king_choice, 0, setup.dim.p)
-    m, k, index = _draw(setup, king_choice, random.Random(str(rng_seed)))
+    seed = rng_seed if isinstance(rng_seed, str) else str(_integer("rng_seed", rng_seed))
+    m, k, index = _generator_draws(setup, king_choice, [seed], _BLOCK_WORDS)[:, 0].tolist()
     label = setup.labels[index]
-    return RoundRecord(str(rng_seed), m, k, label, label.k(m), label.k(m) == k)
+    return RoundRecord(seed, m, k, label, label.k(m), label.k(m) == k)
 
 
 @dataclass
@@ -497,19 +470,20 @@ def check_simulate_args(p: int, rounds: int, strategy: str, seed: int) -> tuple[
     return _integer("rounds", rounds, 1), _integer("seed", seed), parse_strategy(strategy, p)
 
 
-# --- rounds a block at a time ---
+# --- drawing rounds ---
 #
 # Round i draws from random.Random(f"{seed}:{i}"): CPython's MT19937 (Matsumoto
-# and Nishimura, ACM TOMACS 8, 1998) keyed by init_by_array.  The key schedule
-# is the same serial chain for every round but for the key words, so a block of
-# rounds runs it as uint32 columns, one ufunc call per step for the whole block.
+# and Nishimura, ACM TOMACS 8, 1998) keyed by init_by_array.  `_word_draws`
+# draws every round from that generator's first outputs, taken from it or from
+# a block's key schedule: the same serial chain for every round but for the key
+# words, which a block runs as uint32 columns, one ufunc call per step.
 # Its arithmetic is mod 2^32 by MT's definition: every operand is a uint32
 # array (0-d for a constant, which numpy also takes fastest), and numpy wraps
 # arrays silently where a numpy scalar would warn.
 _MT_N, _MT_M = 624, 397
-_BLOCK_WORDS = 12  # outputs per round in a block; a round that needs more is drawn alone
+_BLOCK_WORDS = 12  # outputs a round is first drawn from; a round that reads past them is drawn again
 _BLOCK_ROUNDS = 2048  # rounds per block, set by peak RSS
-_BLOCK_MIN = 400  # a shorter block is drawn a round at a time: the measured crossover
+_BLOCK_MIN = 500  # a shorter block takes its words from a generator per round: the measured crossover
 
 
 def _u32(value) -> np.ndarray:
@@ -634,19 +608,25 @@ def _next_words(words: np.ndarray, used: np.ndarray, columns: np.ndarray) -> np.
 
 
 def _below_words(words: np.ndarray, used: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """`_below(n)` per column for int64 n below 2^32: getrandbits(b) for b <= 32
-    is the top b bits of one word."""
-    shift = 32 - np.frexp(n)[1]  # 32 - n.bit_length()
+    """randrange(n) per column for int64 n, by CPython 3.10-3.13's rule of
+    getrandbits(n.bit_length()) until below n.  getrandbits(b) is a word's top b
+    bits for b <= 32; for b of 33..63, a word with the next word's top b - 32 bits above it."""
+    bits = np.frexp(n)[1]  # n.bit_length(), or one more where n rounds up to a power of two
+    bits -= (n >> (bits - 1)) == 0
+    wide = bits.max() > 32
     x = np.empty(len(n), dtype=np.int64)
     todo = np.arange(len(n))
     while len(todo):
-        x[todo] = _next_words(words, used, todo) >> shift[todo]
+        x[todo] = _next_words(words, used, todo) >> np.maximum(32 - bits[todo], 0)
+        if wide:
+            high = todo[bits[todo] > 32]
+            x[high] |= (_next_words(words, used, high) >> (64 - bits[high])).astype(np.int64) << 32
         todo = todo[x[todo] >= n[todo]]
     return x
 
 
 def _sample_words(cdfs: np.ndarray, rows: np.ndarray, words: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """`_sample_index` per column, on its row of a 2-D CDF table."""
+    """The inverse-CDF draw per column on its row of a 2-D CDF table."""
     totals = cdfs[rows, -1]
     if cdfs.dtype.kind == "f":  # random(): (a >> 5) 2^26 + (b >> 6) over 2^53, from two words
         columns = np.arange(len(rows))
@@ -668,9 +648,9 @@ def _sample_words(cdfs: np.ndarray, rows: np.ndarray, words: np.ndarray, used: n
 
 
 def _word_draws(setup: RetrodictionSetup, m: int | None, words: np.ndarray) -> tuple[np.ndarray, list]:
-    """`_draw`'s (m, k, label index) rows for the rounds of a block, read from
-    each round's first words, uint32 [word, round]; and the rounds that need
-    more words than that."""
+    """The (m, k, label index) rows of rounds drawn from their first words,
+    uint32 [word, round], read in order (m is drawn unless given); and the
+    rounds that read past them."""
     (king, outcome), p, rounds = setup._cdf_tables, setup.dim.p, words.shape[1]
     draws, used = np.empty((3, rounds), dtype=np.int64), np.zeros(rounds, dtype=np.int64)
     draws[0] = _below_words(words, used, np.full(rounds, p + 1)) if m is None else m
@@ -679,19 +659,32 @@ def _word_draws(setup: RetrodictionSetup, m: int | None, words: np.ndarray) -> t
     return draws, np.flatnonzero(used > len(words)).tolist()
 
 
-def _block_draws(setup: RetrodictionSetup, m: int | None, seed: int, block: range, rng: random.Random) -> np.ndarray:
-    """The (m, k, label index) rows of a block of rounds: `_word_draws` for a block
-    of at least _BLOCK_MIN rounds whose totals are below 2^32 and whose keys are
-    at most 624 words; `_draw` on a reseeded generator for any other block and
-    for each round that needs more than _BLOCK_WORDS words."""
-    key_fits = len(f"{seed}:{block.stop - 1}") + 64 <= 4 * _MT_N
-    if len(block) >= _BLOCK_MIN and key_fits and setup._cdf_tables is not None:
-        draws, alone = _word_draws(setup, m, _first_words(seed, block, _BLOCK_WORDS))
-    else:
-        draws, alone = np.empty((3, len(block)), dtype=np.int64), range(len(block))
-    for column in alone:
-        rng.seed(f"{seed}:{block.start + column}")
-        draws[:, column] = _draw(setup, m, rng)
+def _generator_words(seeds: list[str], count: int) -> np.ndarray:
+    """The first `count` outputs of random.Random(s), s in `seeds`, as uint32
+    [output, round]: getrandbits(32 count) holds them from its lowest bits up."""
+    data = b"".join(random.Random(s).getrandbits(32 * count).to_bytes(4 * count, "little") for s in seeds)
+    return np.frombuffer(data, dtype="<u4").reshape(len(seeds), count).T.astype(np.uint32)
+
+
+def _generator_draws(setup: RetrodictionSetup, m: int | None, seeds: list[str], count: int) -> np.ndarray:
+    """`_word_draws` on `count` words of random.Random(s), s in `seeds`; the
+    rounds that read past them are drawn again together, on twice as many."""
+    draws, spilled = _word_draws(setup, m, _generator_words(seeds, count))
+    if spilled:
+        draws[:, spilled] = _generator_draws(setup, m, [seeds[i] for i in spilled], 2 * count)
+    return draws
+
+
+def _block_draws(setup: RetrodictionSetup, m: int | None, seed: int, block: range) -> np.ndarray:
+    """The (m, k, label index) rows of a block of rounds, round i drawn from
+    random.Random(f"{seed}:{i}")'s outputs: from the kernel's (`_first_words`)
+    for a block of _BLOCK_MIN rounds or more and keys of at most 624 words, and
+    a generator only for a round that reads past them; else a generator each."""
+    if len(block) < _BLOCK_MIN or len(f"{seed}:{block.stop - 1}") + 64 > 4 * _MT_N:
+        return _generator_draws(setup, m, [f"{seed}:{i}" for i in block], _BLOCK_WORDS)
+    draws, spilled = _word_draws(setup, m, _first_words(seed, block, _BLOCK_WORDS))
+    if spilled:  # seed strings only for these rounds
+        draws[:, spilled] = _generator_draws(setup, m, [f"{seed}:{block[i]}" for i in spilled], 2 * _BLOCK_WORDS)
     return draws
 
 
@@ -712,12 +705,11 @@ def simulate(
     counts = np.zeros((p + 1) * p, dtype=np.int64)  # [m*p + k-1]
     kept = [] if keep_records else None
     successes = 0
-    rng = random.Random()
     # blocks of _BLOCK_ROUNDS, none across a change of key length
     for piece in _same_length(range(rounds)):
         for start in range(piece.start, piece.stop, _BLOCK_ROUNDS):
             block = range(start, min(start + _BLOCK_ROUNDS, piece.stop))
-            m, k, index = _block_draws(setup, fixed_m, seed, block, rng)
+            m, k, index = _block_draws(setup, fixed_m, seed, block)
             counts += np.bincount(m * p + k - 1, minlength=len(counts))
             successes += int(np.count_nonzero(slots[index, m] == k))
             if kept is not None:

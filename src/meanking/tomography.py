@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import MubFamily, PrimeDim
+from .mub import MubFamily, PrimeDim, _integer
 
 ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -109,7 +109,7 @@ def reconstruct(table: ProbabilityTable, fam: MubFamily) -> DensityMatrix:
 
 def random_density(dim: PrimeDim, rng_seed: int) -> DensityMatrix:
     """A seeded random density operator rho = G G-dagger / tr(G G-dagger)."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_integer("seed", rng_seed, 0))
     p = dim.p
     g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     gg = g @ g.conj().T

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -372,9 +374,7 @@ def test_huge_prime_is_refused_before_any_primality_test(capsys, monkeypatch, co
 
 
 def test_help_names_every_ceiling(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
-    assert exit_info.value.code == 0
+    assert main(["--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert f"exact backend up to p={cli.EXACT_VERIFY_MAX_P}" in text
     assert f"float up to p={cli.FLOAT_VERIFY_MAX_P}" in text
@@ -384,8 +384,7 @@ def test_help_names_every_ceiling(capsys):
 
 
 def test_simulate_help_names_the_emit_rounds_ceiling(capsys):
-    with pytest.raises(SystemExit):
-        main(["simulate", "--help"])
+    assert main(["simulate", "--help"]) == 0
     assert f"--rounds up to {cli.EMIT_ROUNDS_MAX}" in capsys.readouterr().out
 
 
@@ -531,6 +530,56 @@ CLI_FLAGS = {
     "tomography": ["--help", "--json", "--out", "--p", "--seed", "-h"],
     "diagnose": ["--help", "--json", "--out", "--p", "-h"],
 }
+
+
+# values for every flag, at p <= 7 and at most 200 rounds: ones some
+# subcommand takes, then bad ones; None for a flag that takes no value
+ARGV_VALUES = {
+    "--p": (["2", "3", "4", "5", "6", "7"], ["-2", "0", "1", "x", "", "2.5", "1000000000000000003"]),
+    "--rounds": (st.integers(1, 200).map(str), ["-2", "0", "x", ""]),
+    "--seed": (st.integers(-(2**70), 2**70).map(str) | st.just("7" * 2500), ["x", "1.5", ""]),
+    "--king-strategy": (["uniform", "fixed:0", "fixed:2"], ["fixed:7", "fixed:-1", "fixed: 1", "fixed:", "other"]),
+    "--backend": (["exact", "float"], ["other"]),
+    "--side": (["object", "ancilla"], ["other"]),
+    "--format": (["json", "text"], ["other"]),
+    "--out": (["x.json"], ["", "missing/x.json"]),  # in a fresh directory, but ""
+    "--json": ([None], [None]),
+    "--emit-rounds": ([None], [None]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or an unknown one) with --p in most, its own flags and now
+    and then another's, each flag's value good three times in four."""
+    command = draw(st.sampled_from([*CLI_FLAGS, "other"]))
+    own = sorted(ARGV_VALUES.keys() & set(CLI_FLAGS.get(command, ARGV_VALUES)))
+    flags = draw(st.lists(st.sampled_from(own), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(ARGV_VALUES))))
+    flags = ["--p"] * (draw(st.integers(0, 3)) > 0) + draw(st.permutations(flags))
+    argv = [command]
+    for flag in flags:
+        values = ARGV_VALUES[flag][draw(st.integers(0, 3)) == 0]
+        argv.append((flag, draw(st.sampled_from(values) if type(values) is list else values)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_defined_exit_code(drawn):
+    command, *flags = drawn
+    with tempfile.TemporaryDirectory() as directory:
+        argv = [command]
+        for flag, value in flags:
+            value = os.path.join(directory, value) if flag == "--out" and value else value
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
 
 
 def test_cli_flags_are_pinned():

@@ -25,6 +25,7 @@ from meanking.protocol import (
     simulate,
     verify_bracket_closed_form,
 )
+from meanking.tomography import random_density
 
 DIM = PrimeDim(3)
 SETUP = RetrodictionSetup(DIM, EXACT)
@@ -38,8 +39,10 @@ state_amps = lambda state: amps(state.amps)
 
 # one row per argument: the call given the value, the name and range its
 # message states, a value it takes, one past its range (None where the range
-# is not an interval), and the JSON-able values it stores or returns
-Site = namedtuple("Site", "call name span good far stored refuses_types", defaults=[True])
+# is not an interval), the JSON-able values it stores or returns, and the
+# values of other types it refuses
+NOT_INTEGERS = (True, np.True_, 1.0, 1.5, "1")
+Site = namedtuple("Site", "call name span good far stored refused", defaults=[NOT_INTEGERS])
 SITES = {
     "PrimeDim": Site(PrimeDim, "dimension", "", 3, None, lambda dim: dim.p),
     "check_composite": Site(check_composite, "composite dimension", " in 4..16", 6, 17, same),
@@ -55,21 +58,26 @@ SITES = {
     "post.m": Site(lambda m: post_measurement_state(SETUP, m, 1), "m", " in 0..3", 2, 4, state_amps),
     "post.k": Site(lambda k: post_measurement_state(SETUP, 1, k), "k", " in 1..3", 2, 4, state_amps),
     "run_round": Site(lambda m: run_round(SETUP, m, 5), "king_choice", " in 0..3", 2, 4, to_json),
+    # a string seed is taken as given
+    "run_round.rng_seed": Site(lambda seed: run_round(SETUP, 1, seed), "rng_seed", "", -9, None, to_json, NOT_INTEGERS[:-1]),
     # the label is read from the strategy's numeral, so only its range can miss
-    "parse_strategy": Site(lambda m: parse_strategy(f"fixed:{m}", 3), "fixed strategy label", " in 0..3", 2, 4, same, False),
+    "parse_strategy": Site(lambda m: parse_strategy(f"fixed:{m}", 3), "fixed strategy label", " in 0..3", 2, 4, same, ()),
     "simulate.rounds": Site(lambda n: simulate(DIM, n, seed=1), "rounds", " >= 1", 20, 0, to_json),
     "simulate.seed": Site(lambda seed: simulate(DIM, 20, seed=seed), "seed", "", -9, None, to_json),
     "verify_bracket_closed_form": Site(
         lambda n: verify_bracket_closed_form(SETUP, sample_pairs=n), "sample_pairs", " >= 1", 3, 0, to_json
     ),
+    "verify_bracket_closed_form.seed": Site(
+        lambda seed: verify_bracket_closed_form(SETUP, sample_pairs=3, seed=seed), "seed", "", -9, None, to_json
+    ),
+    "random_density": Site(lambda seed: random_density(DIM, seed), "seed", " >= 0", 7, -1, to_json),
 }
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_one_check_decides_every_integer_argument(site):
     row = SITES[site]
     wording = re.escape(f"{row.name} must be an integer{row.span}, got ")
-    refused = [True, np.True_, 1.0, 1.5, "1"] if row.refuses_types else []
-    for value in refused + ([row.far] if row.far is not None else []):
+    for value in [*row.refused] + ([row.far] if row.far is not None else []):
         with pytest.raises(ValueError, match=wording):
             row.call(value)
     # a numpy integer is taken as its int: json.dumps refuses numpy scalars

@@ -20,8 +20,6 @@ from meanking.protocol import (
     PRNG_NAME,
     BracketLabel,
     RetrodictionSetup,
-    _below,
-    _sample_index,
     bracket_overlap_closed_form,
     bracket_state,
     entangled_basis,
@@ -527,15 +525,19 @@ def cdf_by_lcm(weights):
     return list(itertools.accumulate(int(w * denom) for w in weights))
 
 
-def simulate_by_fresh_generators(setup, rounds, strategy, seed):
+def simulate_by_fresh_generators(setup, rounds, strategy, seed, planted=False):
     """Reference: `with_rounds(simulate(..., keep_records=True))` as the
     rounds were once played, a fresh random.Random(f"{seed}:{i}") per round,
     randrange for the king's choice and for each integer CDF, and the CDFs
-    rebuilt from the Fraction weights through math.lcm."""
+    rebuilt from the Fraction weights through math.lcm (with `planted`, the
+    set-up's own CDFs as they were planted)."""
     p = setup.dim.p
     fixed_m = parse_strategy(strategy, p)
-    king = {m: cdf_by_lcm(w) for m, w in setup.king_weights.items()}
-    outcome = {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
+    if planted:
+        king, outcome = dict(enumerate(setup.king_cdfs)), setup.outcome_cdfs
+    else:
+        king = {m: cdf_by_lcm(w) for m, w in setup.king_weights.items()}
+        outcome = {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
 
     def sample(cdf, rng):
         total = cdf[-1]
@@ -685,6 +687,14 @@ def first_words_by_generators(seed, rounds, count):
     return np.array([[rng.getrandbits(32) for _ in range(count)] for rng in generators], dtype=np.uint32).T
 
 
+def advanced(seed, words):
+    """Reference: random.Random(seed) after `words` calls of getrandbits(32)."""
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    return rng
+
+
 def label_slots_by_table(p):
     """Reference: measurement_label's slots for every (k0, k1) as one array, the
     set-up's vectorized copy of k_m = (m-1)k_0 + k_1, row (k0-1)p + k1-1."""
@@ -723,14 +733,21 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_bisect_sampler_draws_what_the_lcm_loop_drew(self, backend):
+        # one column per draw, on the words of its own generator, as many as no
+        # draw here reads past
         setup = setup_for(5, backend)
-        tables = [(setup.king_weights[m], setup.king_cdfs[m]) for m in range(6)]
-        tables += [(setup.outcome_weights[key], setup.outcome_cdfs[key]) for key in setup.outcome_weights]
-        for seed in range(2000):
-            weights, cdf = tables[seed % len(tables)]
-            ref_rng, rng = random.Random(f"ref:{seed}"), random.Random(f"ref:{seed}")
-            assert _sample_index(cdf, rng) == sample_index_by_lcm(weights, ref_rng), seed
-            assert rng.getstate() == ref_rng.getstate(), seed
+        king, outcome = setup._cdf_tables
+        tables = [(setup.king_weights[m], king, m) for m in range(6)]
+        tables += [(weights, outcome, row) for row, weights in enumerate(setup.outcome_weights.values())]
+        for cdfs in (king, outcome):
+            seeds = [seed for seed in range(2000) if tables[seed % len(tables)][1] is cdfs]
+            rows = np.array([tables[seed % len(tables)][2] for seed in seeds])
+            used = np.zeros(len(seeds), dtype=np.int64)
+            got = protocol._sample_words(cdfs, rows, first_words_by_generators("ref", seeds, 64), used)
+            for column, seed in enumerate(seeds):
+                ref_rng = random.Random(f"ref:{seed}")
+                assert got[column] == sample_index_by_lcm(tables[seed % len(tables)][0], ref_rng), seed
+                assert advanced(f"ref:{seed}", used[column]).getstate() == ref_rng.getstate(), seed
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_simulate_draws_what_fresh_generators_drew(self, p, monkeypatch):
@@ -881,14 +898,18 @@ def test_born_weight_readings_refuse_what_is_not_rational(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2**70), st.integers(-(2**64), 2**64))
+@given(st.integers(1, 2**63 - 1), st.integers(-(2**64), 2**64))
 @example(1, 0)
 @example(2**32, 7)
-@example(2**70, 3)
+@example(2**32 + 1, 7)
+@example(2**60 - 1, 5)  # a float rounds it up to 2^60
+@example(2**63 - 1, 3)
 def test_below_draws_what_randrange_draws(n, seed):
-    rng, ref = random.Random(seed), random.Random(seed)
-    assert _below(n, rng) == ref.randrange(n)
-    assert rng.getstate() == ref.getstate()
+    # one column on its generator's words, as many as no draw here reads past
+    rng, ref, used = random.Random(seed), random.Random(seed), np.zeros(1, dtype=np.int64)
+    words = np.array([[rng.getrandbits(32)] for _ in range(64)], dtype=np.uint32)
+    assert protocol._below_words(words, used, np.array([n])).tolist() == [ref.randrange(n)]
+    assert advanced(seed, used[0]).getstate() == ref.getstate()
 
 
 class TestArrayConstructionAgainstAmplitudes:
@@ -985,19 +1006,53 @@ class TestBlockRounds:
         assert with_rounds(got) == simulate_by_fresh_generators(setup, rounds, "uniform", 3)
 
     def test_keys_past_624_words_and_totals_past_one_word_are_drawn_alone(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a block drawn from the kernel")
-
         setup = RetrodictionSetup(PrimeDim(3), EXACT)
         monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
-        seed = 10**2500  # "<seed>:<round>" with its digest is more than 624 32-bit words
-        with monkeypatch.context() as patched:
-            patched.setattr(protocol, "_first_words", refuse)
-            got = simulate(PrimeDim(3), rounds=600, seed=seed, keep_records=True)
-        assert with_rounds(got) == simulate_by_fresh_generators(setup, 600, "uniform", seed)
+        # "<seed>:<round>" of rounds 100..999 with its digest fills 624 32-bit
+        # words at 2428 digits, which the kernel takes; one digit more, and a
+        # seed of 2500 digits, are drawn alone
+        first_words, kernel = protocol._first_words, []
+        monkeypatch.setattr(protocol, "_first_words", lambda *args: kernel.append(args) or first_words(*args))
+        for seed, keyed in [(10**2427, True), (10**2428, False), (10**2500, False)]:
+            kernel.clear()
+            got = simulate(PrimeDim(3), rounds=1000, seed=seed, keep_records=True)
+            assert bool(kernel) == keyed
+            assert with_rounds(got) == simulate_by_fresh_generators(setup, 1000, "uniform", seed)
 
+        # totals of 33 and 62 bits, drawn from the kernel (900 rounds from 100)
+        # and from a generator per round (the rest)
         setup = RetrodictionSetup(PrimeDim(3), EXACT)
         setup.king_cdfs = [[x << 31 for x in row] for row in setup.king_cdfs]  # totals of 3 * 2^31
-        assert setup._cdf_tables is None
-        monkeypatch.setattr(protocol, "_first_words", refuse)
-        assert simulate(PrimeDim(3), rounds=600, seed=1).success_rate == 1.0
+        setup._outcome_cdf_rows = [[x << 60 for x in row] for row in setup._outcome_cdf_rows]  # 3 * 2^60
+        assert {row[-1].bit_length() for row in setup.king_cdfs + setup._outcome_cdf_rows} == {33, 62}
+        got = simulate(PrimeDim(3), rounds=1200, seed=1, keep_records=True)
+        assert got.success_rate == 1.0
+        assert with_rounds(got) == simulate_by_fresh_generators(setup, 1200, "uniform", 1, planted=True)
+
+    def test_every_round_is_drawn_by_the_one_word_rule(self, monkeypatch):
+        # structural: each way a round is played reaches `_word_draws` with a
+        # column for every round, and a round that reads past its words again
+        columns, word_draws = [], protocol._word_draws
+
+        def counted(setup, m, words):
+            columns.append(words.shape[1])
+            return word_draws(setup, m, words)
+
+        setup = setup_for(3)
+        monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
+        monkeypatch.setattr(protocol, "_word_draws", counted)
+        short = protocol._BLOCK_MIN - 1
+        plays = {
+            "run_round": (lambda: run_round(setup, None, 5), 1),
+            "one round": (lambda: simulate(PrimeDim(3), 1), 1),
+            "blocks under _BLOCK_MIN": (lambda: simulate(PrimeDim(3), short), short),
+            "a seed of 2500 digits": (lambda: simulate(PrimeDim(3), 600, seed=10**2500 - 1), 600),
+        }
+        for name, (play, rounds) in plays.items():
+            columns.clear()
+            play()
+            assert sum(columns) >= rounds, name
+        monkeypatch.setattr(protocol, "_BLOCK_WORDS", 1)  # nearly every round reads past its one word
+        columns.clear()
+        simulate(PrimeDim(3), 2 * protocol._BLOCK_MIN)  # blocks of 10, 90 and 900 rounds
+        assert len(columns) > 3 and sum(columns) > 2 * protocol._BLOCK_MIN
