@@ -30,6 +30,7 @@ from .mub import (
     diagnose_composite,
     verify_trace_relations,
     verify_unbiasedness,
+    _float_basis,
     _integer,
 )
 from .protocol import (
@@ -40,14 +41,14 @@ from .protocol import (
     verify_measurement_basis,
     verify_retrodiction,
 )
-from .tomography import probabilities_of, random_density, reconstruct
+from .tomography import DensityMatrix, _probabilities, _reconstruction, random_density
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 
 # ceilings on p that keep every command interactive: the p^2 x p^2 Gram checks
 # of verify, simulate's O(p^4) set-up, the (p+1)p^2 amplitudes of bases and
-# the (p+1) x p x p arrays of tomography
+# tomography's p+1 p x p products
 EXACT_VERIFY_MAX_P = 13
 FLOAT_VERIFY_MAX_P = 31
 TOMOGRAPHY_MAX_P = 127
@@ -281,22 +282,21 @@ def cmd_tomography(args) -> int:
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     with _output(args.out) as out:
-        fam = build_mub_family(dim, "object", FLOAT)
+        bases = lambda: (_float_basis(dim.p, m) for m in range(dim.p + 1))  # one at a time, no family
         rho = random_density(dim, args.seed)
-        table = probabilities_of(rho, fam)
-        rebuilt = reconstruct(table, fam)
-        del fam  # the (p+1, p, p) family is not held while the payload is built
+        table = _probabilities(rho, bases())
+        rebuilt = DensityMatrix(dim=dim, matrix=_reconstruction(table, bases()))
         error = float(np.linalg.norm(rebuilt.matrix - rho.matrix))
-        payload = {
-            "command": "tomography",
-            "p": dim.p,
-            "seed": args.seed,
-            "rho": rho.to_json(),
-            "table": table.to_json(),
-            "reconstruction": rebuilt.to_json(),
-            "frobenius_error": error,
-        }
-        if args.json:
+        if args.json:  # text mode prints two lines and builds no payload
+            payload = {
+                "command": "tomography",
+                "p": dim.p,
+                "seed": args.seed,
+                "rho": rho.to_json(),
+                "table": table.to_json(),
+                "reconstruction": rebuilt.to_json(),
+                "frobenius_error": error,
+            }
             _emit_json(payload, out)
         else:
             out.write(

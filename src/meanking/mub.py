@@ -108,18 +108,16 @@ def _ket_exponent(p: int, m: int, j, k):
     return (j * k - m * (j * (j - 1) // 2)) % p
 
 
-def _float_bases(n: int):
-    # the computational basis, then bases 1..n from the odd-p formula, one at a
-    # time: each amplitude gathered from the n values scale * q^e, e = 0..n-1
-    arr = np.zeros((n + 1, n, n), dtype=complex)
-    arr[0] = np.eye(n)
-    scale = 1 / math.sqrt(n)
-    e = np.arange(n)
-    roots = scale * np.exp(1j * (2 * np.pi * e / n))
+def _float_basis(n: int, m: int):
+    # basis m, kets as rows: computational for m = 0, (1, +-i)/sqrt(2) for n = 2, m = 1,
+    # else the odd-p formula, each amplitude gathered from the n values scale * q^e
+    if m == 0:
+        return np.eye(n, dtype=complex)
+    if n == 2 and m == 1:
+        return np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
+    roots = (1 / math.sqrt(n)) * np.exp(1j * (2 * np.pi * np.arange(n) / n))
     j = np.arange(1, n + 1)
-    for m in range(1, n + 1):
-        arr[m] = roots[_ket_exponent(n, m, j[None, :], j[:, None])]
-    return arr
+    return roots[_ket_exponent(n, m, j[None, :], j[:, None])]
 
 
 # --- operator construction ---
@@ -207,16 +205,14 @@ def build_mub_family(dim: PrimeDim, side: str = "object", backend: str = EXACT) 
     """All p+1 bases; ancilla side is the entrywise conjugate of the object side.
 
     Each ket of bases 1..p is a monomial q^e/sqrt(p), e from `_ket_exponent`:
-    gathered from the p roots on the float backend (`_float_bases`), one
+    gathered from the p roots on the float backend (`_float_basis`), one
     coefficient at scale 1 on the exact one.  At p = 2 basis 1 is (1, +-i)/sqrt(2)."""
     _check_backend(backend)
     if side not in ("object", "ancilla"):
         raise ValueError(f"side must be 'object' or 'ancilla', got {side!r}")
     p = dim.p
     if backend == FLOAT:
-        bases = _float_bases(p)
-        if p == 2:
-            bases[1] = np.array([[1, 1j], [1, -1j]]) * (1 / math.sqrt(2))
+        bases = np.stack([_float_basis(p, m) for m in range(p + 1)])
     else:
         n = _ring(EXACT, p).n  # q = zeta_N^(N/p)
         j = np.arange(1, p + 1)
@@ -514,7 +510,7 @@ def diagnose_composite(n: int) -> CompositeDiagnosis:
         )
 
     # unbiasedness of the formula-built family, the first five witnesses kept
-    bases, flagged = _float_bases(n), 0
+    bases, flagged = [_float_basis(n, m) for m in range(n + 1)], 0
     for m1 in range(n + 1):
         for m2 in range(m1 + 1, n + 1):
             overlaps = np.abs(bases[m1].conj() @ bases[m2].T) ** 2

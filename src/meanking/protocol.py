@@ -76,13 +76,16 @@ def measurement_label(dim: PrimeDim, k0: int, k1: int) -> BracketLabel:
     return BracketLabel(p=p, slots=tuple(slots))
 
 
-def _labels(dim: PrimeDim) -> list[BracketLabel]:
-    """The p^2 measurement labels, label (k0-1)p + k1-1 at that index: the slots
-    of `measurement_label`, k_m = (m-1)k_0 + k_1 mod p, as one table."""
-    p = dim.p
+def _label_slots(p: int) -> np.ndarray:
+    """`measurement_label`'s slots as one table [(k0-1)p + k1-1, m] of ints."""
     k0, k1 = (x[:, None] + 1 for x in np.divmod(np.arange(p * p), p))
-    slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)  # [label, m]
+    slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)
     slots[:, 0] = k0[:, 0]
+    return slots
+
+
+def _labels(p: int, slots: np.ndarray) -> list[BracketLabel]:
+    """The rows of a slot table [label, m] as labels."""
     return [BracketLabel(p=p, slots=row) for row in map(tuple, slots.tolist())]
 
 
@@ -107,12 +110,13 @@ class RetrodictionSetup:
 
     It holds the object and ancilla families, the (p+1)p post-measurement
     states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
-    |Phi> (`prepared`), the labeled measurement basis (`labels`; `states`)
-    and the Born weights as ring values (`king_table`; `outcome_table`, rows
-    `outcome_keys`), from which their Fraction (float) rows and sampling CDFs
-    are built on first read.  `posts` and `states` are 2-D arrays and
-    `prepared` a 1-D one: `_RingArray`s on the exact backend, complex on the
-    float one.
+    |Phi> (`prepared`), the measurement basis (`states`, row i labeled by row i
+    of the slot table `_slots`) and the king's Born weights (`king_table`).
+    The outcome Born weights (rows `outcome_keys`) are formed a block at a
+    time for each reader (`_outcome_blocks`); their Fraction (float) rows,
+    sampling CDFs, `labels` and `outcome_table` are built on first read.
+    `posts`, `states` and `prepared` are `_RingArray`s on the exact backend,
+    complex arrays on the float one.
     """
 
     def __init__(self, dim: PrimeDim, backend: str | None = None):
@@ -132,13 +136,25 @@ class RetrodictionSetup:
         self.posts = _filled(ring, (p + 1) * p, (pair.reshape(-1, p * p) for pair in pairs))  # [m, k-1, j_obj, j_anc]
         # |Phi> = p^{-1/2} sum_k |m_k m-bar_k>, the same sum in every basis m: summed over m = 0
         self.prepared = ring.over_sqrt_p(sum(self.posts[1:p], self.posts[0]))
-        self.labels = _labels(dim)
-        self.states = _bracket_rows(self, [label.slots for label in self.labels])
+        self._slots = _label_slots(p)  # [label, m]
+        self.states = _bracket_rows(self, self._slots)
         # Born weights; rows are |m_k m-bar_k> in the second
         self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
-        grams = _gram_blocks(ring, self.posts, self.states)
-        self.outcome_table = _filled(ring, len(self.posts), map(ring.abs2, grams))  # [m*p + k - 1, label]
         self.outcome_keys = list(itertools.product(range(p + 1), range(1, p + 1)))  # (m, k) per row
+
+    @functools.cached_property
+    def labels(self) -> list[BracketLabel]:
+        return _labels(self.dim.p, self._slots)
+
+    def _outcome_blocks(self):
+        """The outcome table [m*p + k - 1, label] as (rows, block): 32 post rows'
+        Gram against `states`, squared (the Gram and its square are alive at once)."""
+        against = self._ring.gram_against(self.states)
+        return ((rows, self._ring.abs2(against(self.posts[rows]))) for rows in _blocks(len(self.posts), 2))
+
+    @functools.cached_property
+    def outcome_table(self):  # for readers of the whole table; the library streams it
+        return _filled(self._ring, len(self.posts), (block for _, block in self._outcome_blocks()))
 
     @functools.cached_property
     def king_weights(self) -> dict:  # {m: weights of k = 1..p}
@@ -146,7 +162,8 @@ class RetrodictionSetup:
 
     @functools.cached_property
     def outcome_weights(self) -> dict:  # {(m, k): weights of the p^2 labels}
-        return dict(zip(self.outcome_keys, self._ring.weights(self.outcome_table)))
+        rows = (row for _, block in self._outcome_blocks() for row in self._ring.weights(block))
+        return dict(zip(self.outcome_keys, rows))
 
     @functools.cached_property
     def king_cdfs(self) -> list | np.ndarray:  # rows of integer or float running sums
@@ -157,8 +174,11 @@ class RetrodictionSetup:
         return dict(zip(self.outcome_keys, self._outcome_cdf_rows))
 
     @functools.cached_property
-    def _outcome_cdf_rows(self) -> list | np.ndarray:  # row m*p + k - 1
-        return self._ring.cdfs(self.outcome_table)
+    def _outcome_cdf_rows(self) -> list | np.ndarray:  # row m*p + k - 1, a block of rows at a time
+        cdfs = (self._ring.cdfs(block) for _, block in self._outcome_blocks())
+        if self.backend == FLOAT:
+            return _filled(self._ring, len(self.posts), cdfs)
+        return [row for rows in cdfs for row in rows]  # `_ExactRing.cdfs` gives lists of ints
 
     @functools.cached_property
     def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -317,10 +337,10 @@ def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
 
 def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
-    ring, rows, labels = setup._ring, setup.states, setup.labels
+    ring, rows = setup._ring, setup.states
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
     for i, j in _hermitian_deviations(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True), np.equal):
-        report.violations.append({"label": labels[i].to_json(), "label2": labels[j].to_json()})
+        report.violations.append({"label": setup.labels[i].to_json(), "label2": setup.labels[j].to_json()})
     # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
     columns = rows.swapaxes(0, 1)
     for r, c in _hermitian_deviations(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True), np.equal):
@@ -331,16 +351,15 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
 def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
-    p, keys, table = setup.dim.p, setup.outcome_keys, setup.outcome_table
-    slots = np.array([label.slots for label in setup.labels], dtype=int)  # [label, m]
+    p, ring, keys, slots = setup.dim.p, setup._ring, setup.outcome_keys, setup._slots
     key_m, key_k = np.array(keys, dtype=int).T
     report = CheckReport(name="retrodiction", checks=len(keys) * len(slots))
-    for rows in _blocks(len(keys)):
+    for rows, block in setup._outcome_blocks():
         # wants over the denominator p: 1 where the label's slot k_m is k, else 0
         want = slots[:, key_m[rows]].T == key_k[rows, None]
-        for row, i in np.argwhere(setup._ring.deviates(table[rows], want, p)).tolist():
+        for row, i in np.argwhere(ring.deviates(block, want, p)).tolist():
             (m, k), label = keys[rows.start + row], setup.labels[i].to_json()
-            weight = float(setup.outcome_weights[(m, k)][i])
+            weight = float(ring.weights(block[row : row + 1, i : i + 1])[0][0])
             report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
     return report
 
@@ -426,7 +445,7 @@ class SimulationSummary:
         """The kept rounds' JSON, each round's `RoundRecord` built as it is read."""
         if self.kept_rounds is None:
             raise ValueError("no rounds were kept: simulate with keep_records=True")
-        labels = _labels(PrimeDim(self.p))
+        labels = _labels(self.p, _label_slots(self.p))
         for i, (m, k, index) in enumerate(self.kept_rounds):
             label = labels[index]
             yield RoundRecord(f"{self.seed}:{i}", m, k, label, label.k(m), label.k(m) == k).to_json()
@@ -701,7 +720,6 @@ def simulate(
     p = dim.p
     rounds, seed, fixed_m = check_simulate_args(p, rounds, strategy, seed)
     setup = RetrodictionSetup(dim, backend)
-    slots = np.array([label.slots for label in setup.labels])  # [label, m]
     counts = np.zeros((p + 1) * p, dtype=np.int64)  # [m*p + k-1]
     kept = [] if keep_records else None
     successes = 0
@@ -711,7 +729,7 @@ def simulate(
             block = range(start, min(start + _BLOCK_ROUNDS, piece.stop))
             m, k, index = _block_draws(setup, fixed_m, seed, block)
             counts += np.bincount(m * p + k - 1, minlength=len(counts))
-            successes += int(np.count_nonzero(slots[index, m] == k))
+            successes += int(np.count_nonzero(setup._slots[index, m] == k))
             if kept is not None:
                 kept.extend(zip(m.tolist(), k.tolist(), index.tolist()))
             del m, k, index  # released before the next block is drawn

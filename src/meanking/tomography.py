@@ -81,23 +81,29 @@ def probabilities_of(rho: DensityMatrix, fam: MubFamily) -> ProbabilityTable:
     """The full outcome table w[m][k] = <m_k|rho|m_k>."""
     if fam.p != rho.dim.p:
         raise ValueError(f"dimension mismatch: rho is {rho.dim.p}, family is {fam.p}")
-    kets = fam.as_float().bases
-    table = np.empty(kets.shape[:2])
-    for m, basis in enumerate(kets):  # one p x p product per basis: O(p^3), p x p temporaries
-        # row k of basis @ rho.T is rho|m_k>, so the row-wise dot with conj(basis) is <m_k|rho|m_k>
-        table[m] = np.einsum("ki,ki->k", basis.conj(), basis @ rho.matrix.T).real
-    return ProbabilityTable(dim=rho.dim, table=table)
+    return _probabilities(rho, fam.as_float().bases)
+
+
+def _probabilities(rho: DensityMatrix, bases) -> ProbabilityTable:
+    """The outcome table of any iterable of p x p bases, kets as rows, in m order."""
+    # one p x p product per basis, O(p^3): row k of basis @ rho.T is rho|m_k>, so
+    # the row-wise dot with conj(basis) is <m_k|rho|m_k>
+    table = [np.einsum("ki,ki->k", basis.conj(), basis @ rho.matrix.T).real for basis in bases]
+    return ProbabilityTable(dim=rho.dim, table=np.array(table))
 
 
 def reconstruction_matrix(table: ProbabilityTable, fam: MubFamily) -> np.ndarray:
     """The raw reconstruction sum, without density-matrix validation."""
     if fam.p != table.dim.p:
         raise ValueError("dimension mismatch between table and family")
+    return _reconstruction(table, fam.as_float().bases)
+
+
+def _reconstruction(table: ProbabilityTable, bases) -> np.ndarray:
+    """The reconstruction sum over any iterable of p x p bases, kets as rows, in m order."""
     p = table.dim.p
-    kets = fam.as_float().bases
-    weights = table.table - 1.0 / (p + 1)
     rho = np.zeros((p, p), dtype=complex)
-    for w, basis in zip(weights, kets):  # sum_k w[k] |m_k><m_k| as one p x p product, in m order
+    for w, basis in zip(table.table - 1.0 / (p + 1), bases):  # sum_k w[k] |m_k><m_k| as one p x p product
         rho += (basis.T * w) @ basis.conj()
     return rho
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from meanking import cli, mub
 from meanking.cli import main
 from meanking.protocol import SimulationSummary
+from meanking.tomography import DensityMatrix, ProbabilityTable
 
 
 def run_cli(capsys, *argv):
@@ -324,6 +325,16 @@ class TestTomography:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    def test_text_mode_builds_no_json_payload(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("text mode built a JSON payload")
+
+        monkeypatch.setattr(DensityMatrix, "to_json", refuse)
+        monkeypatch.setattr(ProbabilityTable, "to_json", refuse)
+        code, out, _ = run_cli(capsys, "tomography", "--p", "5", "--seed", "7")
+        assert code == 0
+        assert out.startswith("tomography p=5 seed=7\nfrobenius_error=")
 
     def test_ceiling_enforced(self, capsys):
         code, out, err = run_cli(capsys, "tomography", "--p", "131")

@@ -1,8 +1,9 @@
 """The working set of verify, pinned with tracemalloc (which sees numpy's buffers).
 
 Every stage of `meanking verify`, and the set-up, may add at its peak at most a
-bound above what it holds when it is done: the set-up keeps `posts`, `states`
-and `outcome_table`, and a check keeps nothing but its report.  The bound is
+bound above what it holds when it is done: the set-up keeps two arrays of p^4
+entries, `posts` and `states` (the outcome table is formed a block of rows at a
+time for each reader), and a check keeps nothing but its report.  The bound is
 one p^2 x p^2 array of the ring on the float backend (complex128, 4.48 MB at
 p = 23).  On the exact backend (int64 coefficients over N and an int64 scale
 per entry, 1.41 MB at p = 11) it is two such arrays: a Gram product holds one
@@ -10,14 +11,17 @@ float64 copy of its second operand, the posts or the measurement states, for
 the whole check, beside the blocks taken against it.
 
 The rounds of `simulate` hold at most one block's arrays above the set-up,
-however many rounds there are.
+however many rounds there are, and `tomography` holds one basis at a time.
 """
 
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from meanking import protocol
+from meanking.cli import main
 from meanking.mub import EXACT, FLOAT, PrimeDim, build_mub_family, verify_trace_relations, verify_unbiasedness
 from meanking.protocol import (
     RetrodictionSetup,
@@ -34,6 +38,11 @@ def array_bytes(p, backend):
     """The bytes of one p^2 x p^2 array of the ring."""
     entries = p**4
     return entries * 16 if backend == FLOAT else entries * (p + 1) * 8
+
+
+def ring_bytes(a):
+    """The bytes of a float array, or of an exact one's coefficients and scales."""
+    return a.nbytes if isinstance(a, np.ndarray) else a.c.nbytes + a.t.nbytes
 
 
 def peak_above_kept(stage):
@@ -77,3 +86,34 @@ def test_rounds_hold_one_block_whatever_their_count(monkeypatch):
     peaks = {rounds: peak_above_kept(lambda: simulate(PrimeDim(7), rounds))[1] for rounds in (20000, 60000)}
     assert max(peaks.values()) <= bound, f"past {bound / 1e6:.2f} MB: {peaks}"
     assert abs(peaks[60000] - peaks[20000]) <= 0.01 * bound, peaks
+
+
+@pytest.mark.parametrize("backend", sorted(CASES))
+def test_setup_keeps_no_p4_array_but_posts_and_states(backend):
+    # the allowance: the two families, which the public accessors read, and a
+    # tenth of one p^2 x p^2 array for the slot table, the outcome keys, the
+    # king's table and |Phi>; the outcome table held 1.66 MB at exact p = 11
+    p, _ = CASES[backend]
+    tracemalloc.start()
+    try:
+        setup = RetrodictionSetup(PrimeDim(p), backend)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = ring_bytes(setup.posts) + ring_bytes(setup.states)
+    allowance = sum(ring_bytes(fam.bases) for fam in setup.families) + array_bytes(p, backend) / 10
+    assert kept <= arrays + allowance, f"{kept / 1e6:.2f} MB held, past {(arrays + allowance) / 1e6:.2f} MB"
+
+
+def test_tomography_holds_one_basis_at_a_time():
+    p = 79
+    main(["tomography", "--p", "3", "--out", os.devnull])  # the parser and numpy's lazy imports, once
+    tracemalloc.start()
+    try:
+        assert main(["tomography", "--p", str(p), "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 p x p complex arrays; the (p+1) x p x p family alone is 80 of them
+    bound = 16 * p * p * 16
+    assert peak <= bound, f"{peak / 1e6:.2f} MB, past {bound / 1e6:.2f} MB"

@@ -852,7 +852,8 @@ class TestAgainstReferences:
     def test_labels_equal_the_measurement_labels(self, p):
         dim = PrimeDim(p)
         ks = range(1, p + 1)
-        assert protocol._labels(dim) == [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
+        labels = protocol._labels(p, protocol._label_slots(p))
+        assert labels == [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_labels_equal_the_slot_table(self, p):

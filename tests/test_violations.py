@@ -74,7 +74,7 @@ def measurement_row_1_is_row_0(backend, monkeypatch):
 
 def labels_0_and_1_swapped(backend, monkeypatch):
     setup = RetrodictionSetup(PrimeDim(P), backend)
-    setup.labels[0], setup.labels[1] = setup.labels[1], setup.labels[0]
+    setup._slots[[0, 1]] = setup._slots[[1, 0]]  # the slot table the check and `labels` read
     return verify_retrodiction(setup)
 
 
