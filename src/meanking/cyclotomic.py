@@ -551,14 +551,14 @@ class _ExactRing:
         x, top = self._rationals(values)
         return [[Fraction(n, self.p**d) for n in row] for row, d in zip(x.tolist(), top[:, 0].tolist())]
 
-    def cdfs(self, values: _RingArray) -> list:
-        """Rows of squared moduli as running sums over their least common
-        denominator: the lifted numerators over their gcd with p^top."""
+    def cdfs(self, values: _RingArray) -> np.ndarray:
+        """Rows of squared moduli as int64 running sums over their least common denominator:
+        the lifted numerators over their gcd with p^top, totals below 2^63 by `_rationals`."""
         x, top = self._rationals(values)
         if not x.any(axis=-1).all():
             raise ValueError("a row of Born weights is zero")
         gcd = np.gcd(np.gcd.reduce(x, axis=-1, keepdims=True), self.p**top)
-        return np.cumsum(x // gcd, axis=-1).tolist()
+        return np.cumsum(x // gcd, axis=-1)
 
 
 class _FloatRing:

@@ -13,9 +13,8 @@ Exact-backend states are int64 coefficient arrays over the cyclotomic ring
 `Amplitude` tuples only by the public accessors, and every orthogonality claim
 is a literal ring zero; the float backend runs the same construction in
 complex arithmetic.  Everything is built once per (p, backend) by
-`RetrodictionSetup`, which every check and every round takes.  Sampling
-bisects CDFs built on first use: integer ones (exact rationals over a common
-denominator, a power of p) where the exact backend is in play, floats otherwise.
+`RetrodictionSetup`, which every check and every round takes.  Rounds bisect
+its CDFs: int64 ones (exact rationals over a common power of p), or float64.
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ class RetrodictionSetup:
     states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
     |Phi> (`prepared`), the measurement basis (`states`, row i labeled by row i
     of the slot table `_slots`) and the king's Born weights (`king_table`).
-    The outcome Born weights (rows `outcome_keys`) are formed a block at a
-    time for each reader (`_outcome_blocks`); their Fraction (float) rows,
+    The outcome Born weights (row m*p + k - 1) are formed a block at a time for
+    each reader (`_outcome_blocks`); their Fraction (float) rows, int64 (float64)
     sampling CDFs, `labels` and `outcome_table` are built on first read.
     `posts`, `states` and `prepared` are `_RingArray`s on the exact backend,
     complex arrays on the float one.
@@ -140,10 +139,9 @@ class RetrodictionSetup:
         self.states = _bracket_rows(self, self._slots)
         # Born weights; rows are |m_k m-bar_k> in the second
         self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
-        self.outcome_keys = list(itertools.product(range(p + 1), range(1, p + 1)))  # (m, k) per row
 
     @functools.cached_property
-    def labels(self) -> list[BracketLabel]:
+    def labels(self) -> list[BracketLabel]:  # `_slots` as labels, for `measurement_basis` and outside readers
         return _labels(self.dim.p, self._slots)
 
     def _outcome_blocks(self):
@@ -161,31 +159,18 @@ class RetrodictionSetup:
         return dict(enumerate(self._ring.weights(self.king_table)))
 
     @functools.cached_property
-    def outcome_weights(self) -> dict:  # {(m, k): weights of the p^2 labels}
+    def outcome_weights(self) -> dict:  # {(m, k): weights of the p^2 labels}, (m, k-1) = divmod(row, p)
         rows = (row for _, block in self._outcome_blocks() for row in self._ring.weights(block))
-        return dict(zip(self.outcome_keys, rows))
-
-    @functools.cached_property
-    def king_cdfs(self) -> list | np.ndarray:  # rows of integer or float running sums
-        return self._ring.cdfs(self.king_table)
-
-    @functools.cached_property
-    def outcome_cdfs(self) -> dict:
-        return dict(zip(self.outcome_keys, self._outcome_cdf_rows))
-
-    @functools.cached_property
-    def _outcome_cdf_rows(self) -> list | np.ndarray:  # row m*p + k - 1, a block of rows at a time
-        cdfs = (self._ring.cdfs(block) for _, block in self._outcome_blocks())
-        if self.backend == FLOAT:
-            return _filled(self._ring, len(self.posts), cdfs)
-        return [row for rows in cdfs for row in rows]  # `_ExactRing.cdfs` gives lists of ints
+        return {(row // self.dim.p, row % self.dim.p + 1): weights for row, weights in enumerate(rows)}
 
     @functools.cached_property
     def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The king's CDFs and the outcome CDFs as the 2-D arrays `_word_draws` reads."""
-        tables = np.asarray(self.king_cdfs), np.asarray(self._outcome_cdf_rows)
-        assert all(table.dtype in (np.int64, np.float64) for table in tables)  # integer totals below 2^63
-        return tables
+        """The king's CDFs [m, k-1] and the outcome CDFs [m*p + k - 1, label], written a block at a time."""
+        king = self._ring.cdfs(self.king_table)
+        outcome = np.empty((len(self.posts), len(self._slots)), dtype=king.dtype)
+        for rows, block in self._outcome_blocks():
+            outcome[rows] = self._ring.cdfs(block)
+        return king, outcome
 
     def post(self, m: int, k: int):
         """The row of |m_k m-bar_k> in `posts`."""
@@ -340,7 +325,7 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     ring, rows = setup._ring, setup.states
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
     for i, j in _hermitian_deviations(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True), np.equal):
-        report.violations.append({"label": setup.labels[i].to_json(), "label2": setup.labels[j].to_json()})
+        report.violations.append({"label": setup._slots[i].tolist(), "label2": setup._slots[j].tolist()})
     # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
     columns = rows.swapaxes(0, 1)
     for r, c in _hermitian_deviations(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True), np.equal):
@@ -351,16 +336,16 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
 def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
     nonzero Born weight, and each carries exactly 1/p."""
-    p, ring, keys, slots = setup.dim.p, setup._ring, setup.outcome_keys, setup._slots
-    key_m, key_k = np.array(keys, dtype=int).T
-    report = CheckReport(name="retrodiction", checks=len(keys) * len(slots))
+    p, ring, slots = setup.dim.p, setup._ring, setup._slots
+    report = CheckReport(name="retrodiction", checks=(p + 1) * p * len(slots))
     for rows, block in setup._outcome_blocks():
+        ms, ks = np.divmod(np.arange(rows.start, rows.stop), p)  # row m*p + k - 1
         # wants over the denominator p: 1 where the label's slot k_m is k, else 0
-        want = slots[:, key_m[rows]].T == key_k[rows, None]
+        want = slots[:, ms].T == ks[:, None] + 1
         for row, i in np.argwhere(ring.deviates(block, want, p)).tolist():
-            (m, k), label = keys[rows.start + row], setup.labels[i].to_json()
+            m, k = divmod(rows.start + row, p)
             weight = float(ring.weights(block[row : row + 1, i : i + 1])[0][0])
-            report.violations.append({"m": m, "k": k, "label": label, "weight": weight})
+            report.violations.append({"m": m, "k": k + 1, "label": slots[i].tolist(), "weight": weight})
     return report
 
 
@@ -424,7 +409,7 @@ def run_round(
         king_choice = _integer("king_choice", king_choice, 0, setup.dim.p)
     seed = rng_seed if isinstance(rng_seed, str) else str(_integer("rng_seed", rng_seed))
     m, k, index = _generator_draws(setup, king_choice, [seed], _BLOCK_WORDS)[:, 0].tolist()
-    label = setup.labels[index]
+    label = BracketLabel(p=setup.dim.p, slots=tuple(setup._slots[index].tolist()))
     return RoundRecord(seed, m, k, label, label.k(m), label.k(m) == k)
 
 

@@ -91,8 +91,8 @@ def test_rounds_hold_one_block_whatever_their_count(monkeypatch):
 @pytest.mark.parametrize("backend", sorted(CASES))
 def test_setup_keeps_no_p4_array_but_posts_and_states(backend):
     # the allowance: the two families, which the public accessors read, and a
-    # tenth of one p^2 x p^2 array for the slot table, the outcome keys, the
-    # king's table and |Phi>; the outcome table held 1.66 MB at exact p = 11
+    # tenth of one p^2 x p^2 array for the slot table, the king's table and
+    # |Phi>; the outcome table held 1.66 MB at exact p = 11
     p, _ = CASES[backend]
     tracemalloc.start()
     try:
@@ -103,6 +103,21 @@ def test_setup_keeps_no_p4_array_but_posts_and_states(backend):
     arrays = ring_bytes(setup.posts) + ring_bytes(setup.states)
     allowance = sum(ring_bytes(fam.bases) for fam in setup.families) + array_bytes(p, backend) / 10
     assert kept <= arrays + allowance, f"{kept / 1e6:.2f} MB held, past {(arrays + allowance) / 1e6:.2f} MB"
+
+
+def test_cdf_tables_are_held_once():
+    # the allowance: the two arrays' headers, their tuple and the cached entry;
+    # the tables were once held a second time as lists of ints (0.26 MB for
+    # 0.13 MB of tables at p = 11)
+    setup = RetrodictionSetup(PrimeDim(11), EXACT)
+    tracemalloc.start()
+    try:
+        tables = setup._cdf_tables
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bound = sum(table.nbytes for table in tables) + 4096
+    assert kept <= bound, f"{kept / 1e6:.3f} MB held, past {bound / 1e6:.3f} MB"
 
 
 def test_tomography_holds_one_basis_at_a_time():

@@ -348,6 +348,14 @@ class TestRetrodiction:
                     assert record.correct
                     assert record.announced_answer == record.king_outcome
 
+    def test_a_round_builds_the_one_label_it_returns(self, monkeypatch):
+        # a fresh set-up: no label list is built for a round to index
+        setup, built = RetrodictionSetup(PrimeDim(13)), []
+        post_init = BracketLabel.__post_init__
+        monkeypatch.setattr(BracketLabel, "__post_init__", lambda label: built.append(label) or post_init(label))
+        record = run_round(setup, None, 5)
+        assert len(built) == 1 and built[0] is record.physicist_outcome
+
     def test_king_choice_validation(self):
         setup = RetrodictionSetup(PrimeDim(3))
         with pytest.raises(ValueError):
@@ -534,7 +542,8 @@ def simulate_by_fresh_generators(setup, rounds, strategy, seed, planted=False):
     p = setup.dim.p
     fixed_m = parse_strategy(strategy, p)
     if planted:
-        king, outcome = dict(enumerate(setup.king_cdfs)), setup.outcome_cdfs
+        (king, outcome), keys = setup._cdf_tables, itertools.product(range(p + 1), range(1, p + 1))
+        king, outcome = dict(enumerate(king.tolist())), dict(zip(keys, outcome.tolist()))
     else:
         king = {m: cdf_by_lcm(w) for m, w in setup.king_weights.items()}
         outcome = {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
@@ -868,16 +877,18 @@ class TestAgainstReferences:
             return [[amp.as_fraction() for amp in setup._ring.amps(row)] for row in table]
 
         assert setup.king_weights == dict(enumerate(by_amplitudes(setup.king_table)))
-        assert setup.outcome_weights == dict(zip(setup.outcome_keys, by_amplitudes(setup.outcome_table)))
+        keys = itertools.product(range(p + 1), range(1, p + 1))  # (m, k) of row m*p + k - 1
+        assert setup.outcome_weights == dict(zip(keys, by_amplitudes(setup.outcome_table)))
         rows = [*setup.king_weights.values(), *setup.outcome_weights.values()]
         assert all(type(w) is Fraction for row in rows for w in row)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_integer_cdfs_equal_the_lcm_cdfs(self, p):
         setup = setup_for(p)
-        assert setup.king_cdfs == [cdf_by_lcm(setup.king_weights[m]) for m in range(p + 1)]
-        assert setup.outcome_cdfs == {key: cdf_by_lcm(w) for key, w in setup.outcome_weights.items()}
-        assert all(type(x) is int for cdf in setup.outcome_cdfs.values() for x in cdf)
+        king, outcome = setup._cdf_tables
+        assert king.tolist() == [cdf_by_lcm(setup.king_weights[m]) for m in range(p + 1)]
+        assert outcome.tolist() == [cdf_by_lcm(w) for w in setup.outcome_weights.values()]
+        assert king.dtype == outcome.dtype == np.int64
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1023,9 +1034,9 @@ class TestBlockRounds:
         # totals of 33 and 62 bits, drawn from the kernel (900 rounds from 100)
         # and from a generator per round (the rest)
         setup = RetrodictionSetup(PrimeDim(3), EXACT)
-        setup.king_cdfs = [[x << 31 for x in row] for row in setup.king_cdfs]  # totals of 3 * 2^31
-        setup._outcome_cdf_rows = [[x << 60 for x in row] for row in setup._outcome_cdf_rows]  # 3 * 2^60
-        assert {row[-1].bit_length() for row in setup.king_cdfs + setup._outcome_cdf_rows} == {33, 62}
+        king, outcome = setup._cdf_tables
+        setup._cdf_tables = king << 31, outcome << 60  # totals of 3 * 2^31 and 3 * 2^60
+        assert {int(row[-1]).bit_length() for table in setup._cdf_tables for row in table} == {33, 62}
         got = simulate(PrimeDim(3), rounds=1200, seed=1, keep_records=True)
         assert got.success_rate == 1.0
         assert with_rounds(got) == simulate_by_fresh_generators(setup, 1200, "uniform", 1, planted=True)

@@ -285,6 +285,15 @@ def test_over_range_operand_raises_overflow_error():
     deep = _RingArray(3, ring.integers(np.full(3, 2**60)).c, 0)
     with pytest.raises(OverflowError):
         deep + _RingArray(3, ring.integers(np.ones(3)).c, 4)
+    # Born-weight rows whose sum, lifted to the row's largest scale, passes
+    # 2^63: refused before the int64 running sum of `cdfs` could wrap
+    flat = ring.integers(np.full((1, 3), 2**62))  # 3 * 2^62
+    lifted = _RingArray(3, ring.integers(np.full((1, 3), 2**58)).c, np.array([[0, 0, 8]]))  # 2^58 (81 + 81 + 1)
+    for table in (flat, lifted):
+        for read in (ring.cdfs, ring.weights):
+            with pytest.raises(OverflowError):
+                read(table)
+    assert ring.cdfs(ring.integers(np.full((1, 3), 2**60))).tolist() == [[2**60, 2**61, 3 * 2**60]]
 
 
 def test_nonzero_want_at_odd_scale_is_refused():
