@@ -607,13 +607,13 @@ def _blocks(n: int, per: int = 1):
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
-def _gram_blocks(ring, a, b, upper: bool = False):
-    """The Gram matrix of a's rows against b's, a block of rows of a at a time,
-    each against b's rows from the block's first row on when `upper` (the
-    blocks on and right of the diagonal).  b is prepared once."""
-    against = ring.gram_against(b)
-    for rows in _blocks(len(a)):
-        yield against(a[rows], rows.start if upper else 0)
+def _gram_blocks(ring, rows):
+    """The Gram matrix of a 2-D array's rows against themselves, a block of rows
+    at a time, each against the rows from the block's first row on (the blocks
+    on and right of the diagonal).  The rows are prepared once."""
+    against = ring.gram_against(rows)
+    for block in _blocks(len(rows)):
+        yield against(rows[block], block.start)
 
 
 def _pair_overlaps(ring, a, b):
@@ -622,21 +622,23 @@ def _pair_overlaps(ring, a, b):
     return ring.add_at(ring.mul(a.conj(), b).reshape(-1), np.arange(rows).repeat(width), rows)
 
 
-def _hermitian_deviations(ring, n: int, blocks, want, denom: int = 1) -> list[tuple[int, int]]:
-    """(i, j) in row-major order wherever entry (i, j) of an n x n Hermitian
-    table is not want(i, j) / denom, the table given as `blocks` of consecutive
-    rows, each from its own first row on: each pair once.  A deviation right of
-    its block is mirrored, for a real symmetric want: |conj z - d| = |z - d|."""
+def _hermitian_deviations(ring, blocks, want, denom: int = 1) -> list[tuple]:
+    """(i, j, entry) in row-major order wherever entry (i, j) of a Hermitian table
+    is not want(i, j) / denom, the table given as `blocks` of consecutive rows,
+    each from its own first row to its last column: each pair once.  A deviation
+    right of its block is mirrored as conj(entry): |conj z - d| = |z - d| for a real symmetric want."""
     found, stop = [], 0
     for block in blocks:
         start, stop = stop, stop + len(block)
-        rows, cols = np.arange(start, stop)[:, None], np.arange(start, n)
-        for i, j in np.argwhere(ring.deviates(block, want(rows, cols), denom)).tolist():
-            found.append((start + i, start + j))
-            if start + j >= stop:
-                found.append((start + j, start + i))
+        rows, cols = np.arange(start, stop)[:, None], np.arange(start, start + block.shape[1])
+        hits = np.argwhere(ring.deviates(block, want(rows, cols), denom))
+        entries = block[hits[:, 0], hits[:, 1]]  # a copy: no view keeps the block alive
         del block  # released before the next block is formed
-    return sorted(found)
+        for v, (i, j) in enumerate(hits.tolist()):
+            found.append((start + i, start + j, entries[v]))
+            if start + j >= stop:
+                found.append((start + j, start + i, entries[v].conj()))
+    return sorted(found, key=lambda hit: hit[:2])
 
 
 def _ring(backend: str, p: int):

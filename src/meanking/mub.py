@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
-from .cyclotomic import _blocks, _gram_blocks, _hermitian_deviations, _pair_overlaps
+from .cyclotomic import _gram_blocks, _hermitian_deviations
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -252,21 +252,16 @@ class CheckReport:
 
 def verify_unbiasedness(fam: MubFamily) -> CheckReport:
     """Check every squared overlap: delta within a basis, exactly 1/p across bases.
-    The symmetric table is walked as Hermitian; `actual` is recomputed per pair."""
+    The symmetric table is walked as Hermitian; `actual` is the walked entry."""
     p, ring = fam.p, fam._ring
     flat = fam.bases.reshape((p + 1) * p, p)
-    n = len(flat)
-    report = CheckReport(name="unbiasedness", checks=n * n)
-    squares = map(ring.abs2, _gram_blocks(ring, flat, flat, upper=True))
+    report = CheckReport(name="unbiasedness", checks=len(flat) ** 2)
+    squares = map(ring.abs2, _gram_blocks(ring, flat))
     # wants over the denominator p: p * delta within a basis, 1 across bases
     want = lambda rows, cols: np.where(rows // p == cols // p, p * (rows == cols), 1)
-    pairs = _hermitian_deviations(ring, n, squares, want, p)
-    for block in _blocks(len(pairs)):
-        i, j = np.array(pairs[block]).T
-        actual = ring.abs2(_pair_overlaps(ring, flat[i], flat[j]))
-        for v, (row, col) in enumerate(pairs[block]):
-            (m, k), (m2, k2) = divmod(row, p), divmod(col, p)
-            report.violations.append({"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(actual[v])})
+    for row, col, entry in _hermitian_deviations(ring, squares, want, p):
+        (m, k), (m2, k2) = divmod(row, p), divmod(col, p)
+        report.violations.append({"m": m, "k": k + 1, "m2": m2, "k2": k2 + 1, "actual": ring.actual(entry)})
     return report
 
 

@@ -83,11 +83,6 @@ def _label_slots(p: int) -> np.ndarray:
     return slots
 
 
-def _labels(p: int, slots: np.ndarray) -> list[BracketLabel]:
-    """The rows of a slot table [label, m] as labels."""
-    return [BracketLabel(p=p, slots=row) for row in map(tuple, slots.tolist())]
-
-
 @dataclass(frozen=True)
 class BipartiteState:
     """A p^2-component object-ancilla state in the computational product basis.
@@ -142,7 +137,7 @@ class RetrodictionSetup:
 
     @functools.cached_property
     def labels(self) -> list[BracketLabel]:  # `_slots` as labels, for `measurement_basis` and outside readers
-        return _labels(self.dim.p, self._slots)
+        return [BracketLabel(p=self.dim.p, slots=tuple(row)) for row in self._slots.tolist()]
 
     def _outcome_blocks(self):
         """The outcome table [m*p + k - 1, label] as (rows, block): 32 post rows'
@@ -315,7 +310,7 @@ def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the p^2 x p^2 Gram matrix of the entangled basis is the identity."""
     n = setup.dim.p**2
     report = CheckReport(name="entangled_basis", checks=n * n)
-    for i, j in _hermitian_deviations(setup._ring, n, _entangled_grams(setup), np.equal):
+    for i, j, _ in _hermitian_deviations(setup._ring, _entangled_grams(setup), np.equal):
         report.violations.append({"n": i, "n2": j})
     return report
 
@@ -324,11 +319,10 @@ def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
     """Check the labeled basis is orthonormal and resolves the identity."""
     ring, rows = setup._ring, setup.states
     report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
-    for i, j in _hermitian_deviations(ring, len(rows), _gram_blocks(ring, rows, rows, upper=True), np.equal):
+    for i, j, _ in _hermitian_deviations(ring, _gram_blocks(ring, rows), np.equal):
         report.violations.append({"label": setup._slots[i].tolist(), "label2": setup._slots[j].tolist()})
     # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
-    columns = rows.swapaxes(0, 1)
-    for r, c in _hermitian_deviations(ring, len(columns), _gram_blocks(ring, columns, columns, upper=True), np.equal):
+    for r, c, _ in _hermitian_deviations(ring, _gram_blocks(ring, rows.swapaxes(0, 1)), np.equal):
         report.violations.append({"kind": "completeness", "row": r, "col": c})
     return report
 
@@ -430,9 +424,10 @@ class SimulationSummary:
         """The kept rounds' JSON, each round's `RoundRecord` built as it is read."""
         if self.kept_rounds is None:
             raise ValueError("no rounds were kept: simulate with keep_records=True")
-        labels = _labels(self.p, _label_slots(self.p))
+        slots = _label_slots(self.p)
+        labels = functools.cache(lambda index: BracketLabel(p=self.p, slots=tuple(slots[index].tolist())))
         for i, (m, k, index) in enumerate(self.kept_rounds):
-            label = labels[index]
+            label = labels(index)
             yield RoundRecord(f"{self.seed}:{i}", m, k, label, label.k(m), label.k(m) == k).to_json()
 
     @property

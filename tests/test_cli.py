@@ -48,6 +48,14 @@ class TestVerify:
         ]
         assert all(c["passed"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("passed, word, code", [(True, "PASS", "32"), (False, "FAIL", "31")])
+    def test_status_is_coloured_on_a_terminal_unless_no_color(self, passed, word, code, monkeypatch):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        assert cli._status(passed) == f"\x1b[{code}m{word}\x1b[0m"
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert cli._status(passed) == word
+
     def test_composite_p_exits_2_and_mentions_diagnose(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--p", "6")
         assert code == 2

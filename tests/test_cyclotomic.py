@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanking.cyclotomic import Amplitude, CyclotomicInt, exact_overlap
+from meanking.cyclotomic import Amplitude, CyclotomicInt, _ExactRing, exact_overlap
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -91,6 +91,33 @@ def test_modulus_mismatch_rejected():
         a + b
     with pytest.raises(ValueError):
         a * b
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: CyclotomicInt(1, [0]), "at least 2"),
+        (lambda: CyclotomicInt(3, [1, 2]), "need 3 coefficients, got 2"),
+        (lambda: CyclotomicInt.one(3) - CyclotomicInt.one(5), "modulus mismatch"),
+        (lambda: CyclotomicInt(3, [1, 3, 0]).divide_by_modulus(), "not divisible by the modulus"),
+        (lambda: CyclotomicInt.imaginary_unit().as_int(), "imaginary part"),
+        (lambda: CyclotomicInt.root_power(5, 1).as_int(), "not a rational integer"),
+        (lambda: Amplitude(CyclotomicInt.one(3), -1), "non-negative"),
+        (lambda: Amplitude.one(3) * CyclotomicInt.one(5), "modulus mismatch"),
+        (lambda: Amplitude(CyclotomicInt.one(3), 1).as_fraction(), "odd power"),
+        (lambda: exact_overlap([Amplitude.one(3)], [Amplitude.one(3)] * 2), "length mismatch"),
+        (lambda: _ExactRing(3).cdfs(_ExactRing(3).integers([[1, 0], [0, 0]])), "row of Born weights is zero"),
+    ],
+)
+def test_refusals_name_their_cause(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_subtraction_and_amplitude_times_ring_element():
+    q = CyclotomicInt.root_power(3, 1)
+    assert CyclotomicInt(3, [1, 2, 0]) - CyclotomicInt(3, [0, 1, 1]) == CyclotomicInt(3, [1, 1, -1])
+    assert Amplitude(q, 1) * q == Amplitude(q * q, 1)
 
 
 @given(ring_and_elements)

@@ -394,6 +394,26 @@ def test_observables_have_period_p(p):
             assert not exact_mat_equal(exact_mat_pow(u, r), eye), (m, r)
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: build_mub_family(PrimeDim(3), "object", "sympy"), "unknown backend 'sympy'"),
+        (lambda: build_weyl_pair(PrimeDim(3), "sympy"), "unknown backend 'sympy'"),
+        (lambda: build_mub_family(PrimeDim(3), "both"), "side must be 'object' or 'ancilla'"),
+    ],
+)
+def test_refusals_name_their_cause(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_float_weyl_pair_is_observables_0_and_p(p):
+    u0, up = build_weyl_pair(PrimeDim(p), FLOAT)
+    assert np.array_equal(u0, build_observable(PrimeDim(p), 0, FLOAT))
+    assert np.allclose(up, build_observable(PrimeDim(p), p, FLOAT), rtol=0, atol=1e-12)  # U_0^p U_p
+
+
 def test_observable_label_out_of_range():
     with pytest.raises(ValueError):
         build_observable(PrimeDim(3), 4)
@@ -500,7 +520,7 @@ def test_corrupted_family_is_reported_with_the_quadruple():
 
 def assert_unbiasedness_equals_full_square(fam):
     got, want = verify_unbiasedness(fam).to_json(), unbiasedness_by_full_square(fam).to_json()
-    if fam.backend == FLOAT:  # a pair's own product may differ from its block's in the last bits
+    if fam.backend == FLOAT:  # a walked block's product may differ from the full square's in the last bits
         for v, w in zip(got["violations"], want["violations"]):
             assert abs(v.pop("actual") - w.pop("actual")) <= 1e-12, (v, w)
     assert got == want
@@ -524,6 +544,23 @@ def test_walked_unbiasedness_over_blocks_reports_what_the_full_square_reported(p
         broken = corrupted_family(fam, edits)
         assert not verify_unbiasedness(broken).passed
         assert_unbiasedness_equals_full_square(broken)
+
+
+def squared_overlap_by_kets(fam, m, k, m2, k2):
+    """Reference: |<m_k|m2_k2>|^2 of two kets read from the family, summed entry
+    by entry: `exact_overlap`'s loop on Amplitudes, or numpy's vdot."""
+    a, b = fam.ket(m, k), fam.ket(m2, k2)
+    if fam.backend == EXACT:
+        return exact_overlap(a, b).squared_modulus().to_json()
+    return abs(np.vdot(a, b)) ** 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_families([2, 3, 5]))
+def test_each_reported_actual_is_the_squared_overlap_of_its_kets(fam):
+    for v in verify_unbiasedness(fam).violations:
+        want = squared_overlap_by_kets(fam, v["m"], v["k"], v["m2"], v["k2"])
+        assert v["actual"] == want if fam.backend == EXACT else abs(v["actual"] - want) <= 1e-12, (v, want)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

@@ -283,6 +283,17 @@ class TestBracketStates:
 
 
 class TestMeasurementBasis:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda label: measurement_label(PrimeDim(3), 1, 1).agreements(label),
+            lambda label: bracket_state(setup_for(3), label),
+        ],
+    )
+    def test_labels_of_another_p_are_refused(self, call):
+        with pytest.raises(ValueError, match="label dimension mismatch"):
+            call(measurement_label(PrimeDim(2), 1, 1))
+
     def test_labels_follow_the_linear_rule(self):
         dim = PrimeDim(2)
         label = measurement_label(dim, 1, 1)
@@ -428,6 +439,17 @@ class TestSimulate:
         monkeypatch.setattr(protocol, "RetrodictionSetup", refuse)
         with pytest.raises(ValueError, match="must be an integer"):
             simulate(PrimeDim(3), rounds, seed=seed)
+
+    def test_round_dicts_build_each_label_they_list_once(self, monkeypatch):
+        built, post_init = [], BracketLabel.__post_init__
+        monkeypatch.setattr(BracketLabel, "__post_init__", lambda label: built.append(label) or post_init(label))
+        one = protocol.SimulationSummary(31, 1, 1, 0, "uniform", FLOAT, kept_rounds=[(5, 3, 700)])
+        assert [r["physicist_outcome"] for r in one.round_dicts()] == [protocol._label_slots(31)[700].tolist()]
+        assert len(built) == 1  # of the 961 labels at p = 31
+        summary = simulate(PrimeDim(3), rounds=300, seed=4, keep_records=True)
+        built.clear()
+        assert len(list(summary.round_dicts())) == 300
+        assert len(built) == len({index for _, _, index in summary.kept_rounds}) <= 9
 
     def test_round_dicts_refuse_a_summary_without_kept_rounds(self):
         summary = simulate(PrimeDim(3), rounds=20, seed=1)
@@ -861,7 +883,7 @@ class TestAgainstReferences:
     def test_labels_equal_the_measurement_labels(self, p):
         dim = PrimeDim(p)
         ks = range(1, p + 1)
-        labels = protocol._labels(p, protocol._label_slots(p))
+        labels = [BracketLabel(p, tuple(row)) for row in protocol._label_slots(p).tolist()]
         assert labels == [measurement_label(dim, k0, k1) for k0 in ks for k1 in ks]
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)

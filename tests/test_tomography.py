@@ -184,6 +184,21 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="finite"):
             reconstruct(ProbabilityTable(PrimeDim(3), np.full((4, 3), np.nan)), family(3))
 
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: DensityMatrix(PrimeDim(3), np.eye(2) / 2), "expected a 3x3 matrix"),
+            (lambda: ProbabilityTable(PrimeDim(2), [[1.5, -0.5], [0.5, 0.5], [0.5, 0.5]]), r"lie in \[0, 1\]"),
+            (
+                lambda: reconstruction_matrix(ProbabilityTable(PrimeDim(2), np.full((3, 2), 0.5)), family(3)),
+                "dimension mismatch between table and family",
+            ),
+        ],
+    )
+    def test_refusals_name_their_cause(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
     def test_dimension_mismatch_rejected(self):
         rho = random_density(PrimeDim(2), 0)
         with pytest.raises(ValueError, match="mismatch"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from meanking import mub
-from meanking.cyclotomic import _RingArray
+from meanking.cyclotomic import _ExactRing, _FloatRing, _RingArray
 from meanking.mub import (
     EXACT,
     FLOAT,
@@ -119,3 +119,20 @@ def test_float_names_the_same_violations(name, monkeypatch):
     report = CASES[name](FLOAT, monkeypatch).to_json()
     assert report["checks"] == exact["checks"]
     assert _comparable(report["violations"]) == _comparable(exact["violations"])
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_unbiasedness_reports_the_walked_entries_without_pair_sums(backend, monkeypatch):
+    # only `_pair_overlaps` and `_shared_key_sums` sum by `add_at`: each
+    # violation's `actual` is the Gram entry the walk decided on
+    def refuse(*args):
+        raise AssertionError("add_at called")
+
+    for ring in (_ExactRing, _FloatRing):
+        monkeypatch.setattr(ring, "add_at", refuse)
+    report = computational_ket_in_basis_2(backend, monkeypatch)
+    capture = VIOLATIONS / "unbiasedness_p3.json"
+    if backend == EXACT:
+        assert (json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n").encode() == capture.read_bytes()
+    else:
+        assert _comparable(report.violations) == _comparable(json.loads(capture.read_text())["violations"])
