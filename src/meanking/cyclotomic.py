@@ -458,22 +458,39 @@ class _ExactRing:
         np.add.at(out, index, c)
         return _RingArray(self.p, _canonicalize(self.p, out), top)
 
-    def gathered_sums(self, rows: _RingArray, index, less: _RingArray) -> _RingArray:
-        """p^{-1/2} sum_m rows[index[:, m]] - less for each row of a 2-D index
-        table, as one running int64 sum with each output row at one scale, the
-        largest its terms need: each term is gathered into one buffer and lifted
-        there.  Bounded by the terms' count times their largest coefficient,
-        lifted by at most that scale."""
-        p = self.p
-        top = np.maximum(_scales(rows).max(axis=1)[index].max(axis=1) + 1, _scales(less).max(initial=0))[:, None]
-        _check_int64((index.shape[1] * _absmax(rows.c) + _absmax(less.c)) * p ** int(top.max() // 2))
-        out, term = np.zeros((2, len(index), *rows.c.shape[1:]), dtype=np.int64)
-        for column in index.T:
-            np.take(rows.c, column, axis=0, out=term)
-            out += _lifted(_RingArray(p, term, rows.t[column]), top - 1, in_place=True)
-        np.copyto(term, less.c)
-        out -= _lifted(_RingArray(p, term, less.t), top, in_place=True)
-        return _RingArray(p, out, top)
+    def gathered_sums(self, blocks, index, less: _RingArray) -> _RingArray:
+        """p^{-1/2} sum_m basis_m[index[:, m]] - less for each row of a 2-D index
+        table, the p-row bases given in m order as `blocks` of whole bases, each
+        read once (`_bases`): one running int64 sum, written a block of output
+        rows at a time, each term gathered into one buffer and lifted there.  A
+        row is lifted when a term of a larger scale joins it (`less`, over
+        sqrt(p), the last), so that it ends at one scale, the largest its terms
+        need.  Bounded, as each term joins, by the sum of the terms' largest
+        coefficients lifted by at most that scale."""
+        p, top = self.p, np.zeros(len(index), dtype=np.int64)  # each output row's scale so far
+        out = np.zeros((len(index), *less.c.shape), dtype=np.int64)
+        term = np.empty((min(len(index), _GRAM_BLOCK_ROWS), *less.c.shape), dtype=np.int64)
+        peaks = []
+
+        def add(rows, columns):  # rows[columns[i]] into output row i
+            scales = _scales(rows).max(axis=1)
+            peaks.append(_absmax(rows.c))
+            _check_int64(sum(peaks) * p ** int(max(top.max(), scales.max()) // 2))
+            for block in _blocks(len(index)):
+                sums, column, was = out[block], columns[block], top[block]
+                lift = np.maximum(was, scales[column])
+                if (lift > was).any():
+                    _lifted(_RingArray(p, sums, was[:, None]), lift[:, None], in_place=True)
+                np.take(rows.c, column, axis=0, out=term[: len(column)])
+                sums += _lifted(_RingArray(p, term[: len(column)], rows.t[column]), lift[:, None], in_place=True)
+                top[block] = lift
+
+        for m, rows in _bases(p, blocks):
+            add(rows, index[:, m])
+            del rows  # a view of its block: released before the next block is formed
+        top += 1  # the sum over sqrt(p)
+        add(_RingArray(p, -less.c, less.t)[None], np.zeros(len(index), dtype=int))
+        return _RingArray(p, out, top[:, None])
 
     def mul(self, a: _RingArray, b: _RingArray) -> _RingArray:
         """a * b entry by entry (broadcasting): the cyclic convolution of the
@@ -581,10 +598,17 @@ class _FloatRing:
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
 
-    def gathered_sums(self, rows: np.ndarray, index, less: np.ndarray) -> np.ndarray:
-        out, term = rows[index[:, 0]], np.empty((len(index), *rows.shape[1:]), dtype=rows.dtype)
-        for column in index.T[1:]:
-            out += np.take(rows, column, axis=0, out=term)
+    def gathered_sums(self, blocks, index, less: np.ndarray) -> np.ndarray:
+        out = np.empty((len(index), *less.shape), dtype=less.dtype)
+        term = np.empty((min(len(index), _GRAM_BLOCK_ROWS), *less.shape), dtype=less.dtype)
+        for m, rows in _bases(self.p, blocks):
+            for block in _blocks(len(index)):
+                column, sums = index[block, m], out[block]
+                if m:
+                    sums += np.take(rows, column, axis=0, out=term[: len(column)])
+                else:
+                    np.take(rows, column, axis=0, out=sums)
+            del rows  # a view of its block: released before the next block is formed
         out /= np.sqrt(self.p)
         out -= less
         return out
@@ -605,6 +629,18 @@ def _blocks(n: int, per: int = 1):
     counting `per` rows per item (one item at least), made as they are read."""
     step = max(1, _GRAM_BLOCK_ROWS // per)
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _bases(p: int, blocks):
+    """(m, rows of basis m) from `blocks` of whole p-row bases in m order, each
+    block let go once its last basis is read: a reader that drops each basis
+    before the next holds no block while the next is formed."""
+    m = 0
+    for block in blocks:
+        for start in range(0, len(block), p):
+            yield m, block[start : start + p]
+            m += 1
+        del block  # released before the next block is formed
 
 
 def _gram_blocks(ring, rows):

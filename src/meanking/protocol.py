@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -102,14 +103,16 @@ class BipartiteState:
 class RetrodictionSetup:
     """The one construction per (p, backend) that every check and round reads.
 
-    It holds the object and ancilla families, the (p+1)p post-measurement
-    states |m_k m-bar_k> (row m*p + k - 1 of `posts`), the prepared state
-    |Phi> (`prepared`), the measurement basis (`states`, row i labeled by row i
-    of the slot table `_slots`) and the king's Born weights (`king_table`).
-    The outcome Born weights (row m*p + k - 1) are formed a block at a time for
-    each reader (`_outcome_blocks`); their Fraction (float) rows, int64 (float64)
-    sampling CDFs, `labels` and `outcome_table` are built on first read.
-    `posts`, `states` and `prepared` are `_RingArray`s on the exact backend,
+    It holds the object and ancilla families, the prepared state |Phi>
+    (`prepared`), the measurement basis (`states`, row i labeled by row i of the
+    slot table `_slots`) and the king's Born weights (`king_table`).  It holds no
+    table of the (p+1)p post-measurement states |m_k m-bar_k>: each is the
+    product of two kets of the families, and each reader forms the rows it needs
+    from them (`_post_rows`); `posts` forms the whole table, row m*p + k - 1, at
+    each read.  The outcome Born weights (row m*p + k - 1) are formed a block at
+    a time for each reader (`_outcome_blocks`); their Fraction (float) rows,
+    int64 (float64) sampling CDFs, `labels` and `outcome_table` are built on
+    first read.  `states` and `prepared` are `_RingArray`s on the exact backend,
     complex arrays on the float one.
     """
 
@@ -120,34 +123,53 @@ class RetrodictionSetup:
         self.dim = dim
         self.backend = backend
         p = dim.p
-        obj = build_mub_family(dim, "object", backend)
-        anc = build_mub_family(dim, "ancilla", backend)
-        self.families = (obj, anc)
+        self.families = (build_mub_family(dim, "object", backend), build_mub_family(dim, "ancilla", backend))
         self._ring = ring = _ring(backend, p)
-        # each full-size array is written a block of bases or of rows at a time,
-        # so no full-size temporary is made on the way
-        pairs = (ring.mul(obj.bases[ms, :, :, None], anc.bases[ms, :, None, :]) for ms in _blocks(p + 1, p))
-        self.posts = _filled(ring, (p + 1) * p, (pair.reshape(-1, p * p) for pair in pairs))  # [m, k-1, j_obj, j_anc]
         # |Phi> = p^{-1/2} sum_k |m_k m-bar_k>, the same sum in every basis m: summed over m = 0
-        self.prepared = ring.over_sqrt_p(sum(self.posts[1:p], self.posts[0]))
+        self.prepared = ring.over_sqrt_p(functools.reduce(operator.add, self._post_rows(slice(0, p))))
         self._slots = _label_slots(p)  # [label, m]
-        self.states = _bracket_rows(self, self._slots)
-        # Born weights; rows are |m_k m-bar_k> in the second
-        self.king_table = ring.abs2(ring.gram(self.prepared[None], self.posts)).reshape(p + 1, p)  # [m, k-1]
+        king = []  # Born weights |<Phi|m_k m-bar_k>|^2, [(m, k-1)] a block of bases at a time
+
+        def with_king(rows):
+            king.append(ring.abs2(ring.gram(self.prepared[None], rows)))
+            return rows
+
+        # one pass over the post rows, each formed once for the king's table and the bracket states
+        self.states = ring.gathered_sums(map(with_king, self._post_blocks()), self._slots - 1, self.prepared)
+        self.king_table = ring.concat(king, axis=1).reshape(p + 1, p)  # [m, k-1]
+
+    def _post_rows(self, rows: slice):
+        """Rows `rows` of `posts`: |m_k> (x) |m-bar_k> at row m*p + k - 1, entry
+        j_obj * p + j_anc, formed from the families' kets."""
+        p = self.dim.p
+        obj, anc = (fam.bases.reshape((p + 1) * p, p)[rows] for fam in self.families)
+        return self._ring.mul(obj[:, :, None], anc[:, None, :]).reshape(-1, p * p)
+
+    def _post_blocks(self):
+        """The post rows in m order, formed a block of whole bases at a time."""
+        p = self.dim.p
+        return (self._post_rows(slice(ms.start * p, ms.stop * p)) for ms in _blocks(p + 1, p))
+
+    @property
+    def posts(self):
+        """The (p+1)p post rows, formed from the current kets at each read."""
+        return _filled(self._ring, (self.dim.p + 1) * self.dim.p, self._post_blocks())
 
     @functools.cached_property
     def labels(self) -> list[BracketLabel]:  # `_slots` as labels, for `measurement_basis` and outside readers
         return [BracketLabel(p=self.dim.p, slots=tuple(row)) for row in self._slots.tolist()]
 
     def _outcome_blocks(self):
-        """The outcome table [m*p + k - 1, label] as (rows, block): 32 post rows'
-        Gram against `states`, squared (the Gram and its square are alive at once)."""
+        """The outcome table [m*p + k - 1, label] as (rows, block): 32 post rows,
+        formed from the kets, taken against `states` and squared (the Gram and
+        its square are alive at once)."""
         against = self._ring.gram_against(self.states)
-        return ((rows, self._ring.abs2(against(self.posts[rows]))) for rows in _blocks(len(self.posts), 2))
+        blocks = _blocks((self.dim.p + 1) * self.dim.p, 2)
+        return ((rows, self._ring.abs2(against(self._post_rows(rows)))) for rows in blocks)
 
     @functools.cached_property
     def outcome_table(self):  # for readers of the whole table; the library streams it
-        return _filled(self._ring, len(self.posts), (block for _, block in self._outcome_blocks()))
+        return _filled(self._ring, (self.dim.p + 1) * self.dim.p, (block for _, block in self._outcome_blocks()))
 
     @functools.cached_property
     def king_weights(self) -> dict:  # {m: weights of k = 1..p}
@@ -162,15 +184,16 @@ class RetrodictionSetup:
     def _cdf_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The king's CDFs [m, k-1] and the outcome CDFs [m*p + k - 1, label], written a block at a time."""
         king = self._ring.cdfs(self.king_table)
-        outcome = np.empty((len(self.posts), len(self._slots)), dtype=king.dtype)
+        outcome = np.empty(((self.dim.p + 1) * self.dim.p, len(self._slots)), dtype=king.dtype)
         for rows, block in self._outcome_blocks():
             outcome[rows] = self._ring.cdfs(block)
         return king, outcome
 
     def post(self, m: int, k: int):
-        """The row of |m_k m-bar_k> in `posts`."""
+        """The row of |m_k m-bar_k> in `posts`, formed from its two kets."""
         p = self.dim.p
-        return self.posts[_integer("m", m, 0, p) * p + _integer("k", k, 1, p) - 1]
+        row = _integer("m", m, 0, p) * p + _integer("k", k, 1, p) - 1
+        return self._post_rows(slice(row, row + 1))[0]
 
 
 def _filled(ring, rows: int, blocks):
@@ -188,12 +211,11 @@ def _filled(ring, rows: int, blocks):
 
 def _bracket_rows(setup: RetrodictionSetup, slots):
     """The bracket states p^{-1/2} sum_m |m_{k_m} m-bar_{k_m}> - |Phi> of a table
-    of label slots, one row each: per block of labels, one running sum of the
-    post rows gathered per m."""
-    p, ring = setup.dim.p, setup._ring
-    index = np.arange(p + 1) * p + np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> row of posts
-    blocks = (ring.gathered_sums(setup.posts, index[rows], setup.prepared) for rows in _blocks(len(index)))
-    return _filled(ring, len(index), blocks)
+    of label slots, one row each: each post row formed once, gathered by the
+    labels' slot k_m and added, in m order, into one running sum."""
+    p = setup.dim.p
+    index = np.asarray(slots, dtype=int).reshape(-1, p + 1) - 1  # [label, m] -> k - 1
+    return setup._ring.gathered_sums(setup._post_blocks(), index, setup.prepared)
 
 
 def _phase_rows(ring, p: int):
@@ -203,55 +225,52 @@ def _phase_rows(ring, p: int):
 
 
 def _entangled_bases(p: int) -> list[slice | None]:
-    """The blocks of the entangled basis: |Phi> (None), then blocks of bases.
-    A basis counts 2p rows: `_entangled_grams` takes each of its p-1 rows
-    against up to (p+1)p posts, and holds that product and its phase sums
-    together."""
+    """The blocks of the entangled check: |Phi> (None), then blocks of bases.  A
+    basis counts 2p rows: its p rows of the posts' Gram and its p - 1 rows of
+    phase sums, each as long as the rows of the bases from its own on."""
     return [None, *_blocks(p + 1, 2 * p)]
-
-
-def _entangled_block(setup: RetrodictionSetup, bases: slice | None, phases):
-    """|Phi> as a block for None; else the entangled rows of the bases m in
-    `bases`, row j of each p^{-1/2} sum_k q^{-jk} |m_k m-bar_k>, j = 1..p-1: the
-    Gram of the phase rows q^{jk} (`_phase_rows`; the Gram conjugates them)
-    against the posts as rows [(m, entry), k-1]."""
-    if bases is None:
-        return setup.prepared[None]
-    p, ring = setup.dim.p, setup._ring
-    count = bases.stop - bases.start
-    by_k = setup.posts[bases.start * p : bases.stop * p].reshape(count, p, p * p).swapaxes(1, 2)
-    sums = ring.gram(phases, by_k.reshape(count * p * p, p))  # [j-1, (m, entry)]
-    return ring.over_sqrt_p(sums.reshape(p - 1, count, p * p).swapaxes(0, 1).reshape(count * (p - 1), p * p))
 
 
 def _entangled_rows(setup: RetrodictionSetup):
     """The entangled basis as one array: |Phi>, then row (p-1)m + j holds
-    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1."""
+    p^{-1/2} sum_k q^{-jk} |m_k m-bar_k> for m = 0..p, j = 1..p-1, a basis at a
+    time: the Gram of the phase rows q^{jk} (`_phase_rows`; the Gram conjugates
+    them) against the basis's posts as rows [entry, k-1]."""
     p, ring = setup.dim.p, setup._ring
     phases = _phase_rows(ring, p)
-    return _filled(ring, p * p, (_entangled_block(setup, bases, phases) for bases in _entangled_bases(p)))
+    rows = lambda m: ring.over_sqrt_p(ring.gram(phases, setup._post_rows(slice(m * p, (m + 1) * p)).swapaxes(0, 1)))
+    return _filled(ring, p * p, itertools.chain([setup.prepared[None]], map(rows, range(p + 1))))
 
 
 def _entangled_grams(setup: RetrodictionSetup):
     """The blocks `verify_entangled_basis` walks: each block of `_entangled_rows`
-    against the entangled rows from its own first row on, without building
-    those rows.  By linearity <x|p^{-1/2} sum_k q^{-jk} post_{m,k}> =
-    p^{-1/2} sum_k q^{-jk} <x|post_{m,k}>: the block is taken against the posts
-    of its own bases on (prepared once), and the phase sums are applied to that
-    product; |Phi> is also taken against itself."""
+    against the entangled rows from its own first row on, without forming
+    those rows; only |Phi>'s block reads post rows.  By the mixed-product rule
+    <o a|o' a'> = <o|o'><a|a'>, the posts' Gram is the entrywise product of the
+    object kets' Gram and the ancilla kets' Gram, taken of the block's bases
+    against the bases from its own on; by linearity the phase sums
+    p^{-1/2} sum_k q^{-jk} of the entangled rows are then applied to it on both
+    sides, the bra's conjugated.  |Phi> is taken against the post rows, formed a
+    block of bases at a time, and against itself."""
     p, ring = setup.dim.p, setup._ring
-    phases, against = _phase_rows(ring, p), ring.gram_against(setup.posts)
+    phases = _phase_rows(ring, p)
+    kets = [fam.bases.reshape((p + 1) * p, p) for fam in setup.families]
+
+    def ket_sums(gram):  # [row, (m', k'-1)] -> [row, (m', j'-1)]
+        rows = len(gram)
+        sums = ring.gram(phases, gram.reshape(-1, p))  # [j'-1, (row, m')]
+        return ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
 
     def block(bases):
-        rows, first = (1, 0) if bases is None else ((bases.stop - bases.start) * (p - 1), bases.start * p)
-        # one expression, so that no step's input outlives the step: the rows go
-        # once taken against the posts, that product [(row, m'), k-1] once
-        # prepared as the phase sums' operand
-        sums = ring.gram_against(against(_entangled_block(setup, bases, phases), first).reshape(-1, p))(phases)
-        gram = ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
         if bases is None:
-            gram = ring.concat([ring.gram(setup.prepared[None], setup.prepared[None]), gram], axis=1)
-        return gram
+            phi = setup.prepared[None]
+            against = ring.concat(list(map(functools.partial(ring.gram, phi), setup._post_blocks())), axis=1)
+            return ring.concat([ring.gram(phi, phi), ket_sums(against)], axis=1)
+        count, first, stop = bases.stop - bases.start, bases.start * p, bases.stop * p
+        posts = ring.mul(*(ring.gram(rows[first:stop], rows[first:]) for rows in kets))  # [(m, k-1), (m', k'-1)]
+        by_k = posts.reshape(count, p, -1).swapaxes(1, 2).reshape(-1, p)  # [(m, (m', k'-1)), k-1]
+        sums = ring.gram(phases.conj(), by_k)  # [j-1, (m, (m', k'-1))]
+        return ket_sums(ring.over_sqrt_p(sums.reshape(p - 1, count, -1).swapaxes(0, 1).reshape(count * (p - 1), -1)))
 
     return map(block, _entangled_bases(p))
 

@@ -11,9 +11,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meanking import cli, mub
 from meanking.cli import main
@@ -443,6 +445,22 @@ def test_json_writer_streams_an_iterator_as_its_list(items):
     out = io.StringIO()
     cli._emit_json({"payload": iter(items)}, out)
     assert out.getvalue() == json.dumps({"payload": items, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.complex128]), hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+    )
+)
+def test_json_writer_writes_an_array_as_its_list(array):
+    # tomography's matrices reach the writer as arrays, written a row at a time;
+    # NaN, the infinities and empty rows fall back to json.dumps
+    entry = (lambda z: {"im": float(z.imag), "re": float(z.real)}) if array.dtype.kind == "c" else float
+    listed = [[entry(z) for z in row] for row in array] if array.ndim == 2 else [entry(z) for z in array]
+    out = io.StringIO()
+    cli._emit_json({"payload": array}, out)
+    assert out.getvalue() == json.dumps({"payload": listed, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
 
 
 class FailingStdout(io.StringIO):

@@ -9,6 +9,7 @@ byte of any of them (a check count, a report order, a sampled round) fails
 here.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,24 @@ def test_output_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# the outputs at the benchmark's sizes, too long to commit: their stdout's
+# SHA-256, captured before the set-up stopped holding the post table and
+# tomography's JSON was written from its arrays
+DIGESTS = {
+    "tomography --p 79 --seed 5 --json": "1aafc8b5ded1de639c3981c982627c6def74e9bc70712849eb0d0c75a8b0cfb0",
+    "tomography --p 127 --seed 5 --json": "c537936c1701363359e275ebe3bf6b3d49ea5fa308d1c8b6eb4093074fd9a807",
+    "verify --p 23 --backend float --json": "048ff592baa6775906e5e3079ee1cf2fce32a27e8b23283c436004525856071a",
+    "verify --p 31 --backend float --json": "e8e2a81809679f3da9be379ab8b68ba69525ed65aee2c8e21fb4f5f7f7bc63ac",
+    "verify --p 13 --json": "6c5584383bda2857b66b0a700ef75bf4b90c01fee0e02f0ed3a83bc449947919",
+    "simulate --p 31 --rounds 1 --json": "f2fdfaba71c11d836fb9eb176c3b52e27d53a3e775fec0fda297be202242309f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_large_output_digest(argv, capsys):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]

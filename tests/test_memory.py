@@ -1,14 +1,16 @@
 """The working set of verify, pinned with tracemalloc (which sees numpy's buffers).
 
 Every stage of `meanking verify`, and the set-up, may add at its peak at most a
-bound above what it holds when it is done: the set-up keeps two arrays of p^4
-entries, `posts` and `states` (the outcome table is formed a block of rows at a
-time for each reader), and a check keeps nothing but its report.  The bound is
-one p^2 x p^2 array of the ring on the float backend (complex128, 4.48 MB at
-p = 23).  On the exact backend (int64 coefficients over N and an int64 scale
-per entry, 1.41 MB at p = 11) it is two such arrays: a Gram product holds one
-float64 copy of its second operand, the posts or the measurement states, for
-the whole check, beside the blocks taken against it.
+bound above what it holds when it is done: the set-up keeps one array of p^4
+entries, `states`.  It keeps no table of the (p+1)p post rows: each reader
+forms the rows it needs from the two families' kets (the outcome table a block
+of rows at a time), and the entangled check takes the posts' Gram as the
+entrywise product of the kets' Grams.  A check keeps nothing but its report.
+The bound is one p^2 x p^2 array of the ring on the float backend
+(complex128, 4.48 MB at p = 23).  On the exact backend (int64 coefficients
+over N and an int64 scale per entry, 1.41 MB at p = 11) it is two such arrays:
+a Gram product holds one float64 copy of its second operand, the measurement
+states, for the whole check, beside the blocks taken against it.
 
 The rounds of `simulate` hold at most one block's arrays above the set-up,
 however many rounds there are, and `tomography` holds one basis at a time.
@@ -88,11 +90,17 @@ def test_rounds_hold_one_block_whatever_their_count(monkeypatch):
     assert abs(peaks[60000] - peaks[20000]) <= 0.01 * bound, peaks
 
 
+def states_and_allowance(setup):
+    """`states`, and the allowance beside it: the two families, which the public
+    accessors read, and a tenth of one p^2 x p^2 array for the slot table, the
+    king's table and |Phi>.  The post table, (p+1)/p of one such array, does not fit."""
+    allowance = sum(ring_bytes(fam.bases) for fam in setup.families) + array_bytes(setup.dim.p, setup.backend) / 10
+    return ring_bytes(setup.states) + allowance
+
+
 @pytest.mark.parametrize("backend", sorted(CASES))
-def test_setup_keeps_no_p4_array_but_posts_and_states(backend):
-    # the allowance: the two families, which the public accessors read, and a
-    # tenth of one p^2 x p^2 array for the slot table, the king's table and
-    # |Phi>; the outcome table held 1.66 MB at exact p = 11
+def test_setup_keeps_no_p4_array_but_states(backend):
+    # the outcome table held 1.66 MB at exact p = 11, the post table 1.53 MB
     p, _ = CASES[backend]
     tracemalloc.start()
     try:
@@ -100,9 +108,28 @@ def test_setup_keeps_no_p4_array_but_posts_and_states(backend):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    arrays = ring_bytes(setup.posts) + ring_bytes(setup.states)
-    allowance = sum(ring_bytes(fam.bases) for fam in setup.families) + array_bytes(p, backend) / 10
-    assert kept <= arrays + allowance, f"{kept / 1e6:.2f} MB held, past {(arrays + allowance) / 1e6:.2f} MB"
+    bound = states_and_allowance(setup)
+    assert kept <= bound, f"{kept / 1e6:.2f} MB held, past {bound / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("backend", sorted(CASES))
+def test_no_post_table_is_held_by_the_setup_or_after_verify(backend):
+    p, _ = CASES[backend]
+    dim = PrimeDim(p)
+    tracemalloc.start()
+    try:
+        reports = [verify_unbiasedness(build_mub_family(dim, "object", backend)), verify_trace_relations(dim, backend)]
+        setup = RetrodictionSetup(dim, backend)
+        held = {"setup": tracemalloc.get_traced_memory()[0]}
+        reports += [check(setup) for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction)]
+        held["checks"] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(report.passed for report in reports)
+    assert "posts" not in vars(setup)
+    bound = states_and_allowance(setup)
+    over = {stage: f"{kept / 1e6:.2f} MB" for stage, kept in held.items() if kept > bound}
+    assert not over, f"past {bound / 1e6:.2f} MB: {over}"
 
 
 def test_cdf_tables_are_held_once():
@@ -120,15 +147,28 @@ def test_cdf_tables_are_held_once():
     assert kept <= bound, f"{kept / 1e6:.3f} MB held, past {bound / 1e6:.3f} MB"
 
 
-def test_tomography_holds_one_basis_at_a_time():
-    p = 79
-    main(["tomography", "--p", "3", "--out", os.devnull])  # the parser and numpy's lazy imports, once
+def tomography_peak(p, *flags):
+    main(["tomography", "--p", "3", "--out", os.devnull, *flags])  # the parser and numpy's lazy imports, once
     tracemalloc.start()
     try:
-        assert main(["tomography", "--p", str(p), "--out", os.devnull]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert main(["tomography", "--p", str(p), "--out", os.devnull, *flags]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_tomography_holds_one_basis_at_a_time():
+    p = 79
+    peak = tomography_peak(p)
     # 16 p x p complex arrays; the (p+1) x p x p family alone is 80 of them
+    bound = 16 * p * p * 16
+    assert peak <= bound, f"{peak / 1e6:.2f} MB, past {bound / 1e6:.2f} MB"
+
+
+def test_tomography_json_holds_one_basis_at_a_time():
+    # the same bound as text mode: the JSON is written from the arrays a row at a
+    # time, where a dict per entry once peaked at 3.53 MB
+    p = 79
+    peak = tomography_peak(p, "--json")
     bound = 16 * p * p * 16
     assert peak <= bound, f"{peak / 1e6:.2f} MB, past {bound / 1e6:.2f} MB"

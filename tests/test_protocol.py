@@ -1,6 +1,7 @@
 """Bipartite protocol: entangled basis, bracket states, certain retrodiction."""
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import json
@@ -14,7 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanking import protocol
-from meanking.cyclotomic import Amplitude, CyclotomicInt, _lifted, _RingArray, _scales, exact_overlap
+from meanking.cyclotomic import (
+    Amplitude,
+    CyclotomicInt,
+    _hermitian_deviations,
+    _lifted,
+    _RingArray,
+    _scales,
+    exact_overlap,
+)
 from meanking.mub import EXACT, FLOAT, CheckReport, PrimeDim, build_mub_family, verify_unbiasedness
 from meanking.protocol import (
     PRNG_NAME,
@@ -652,6 +661,34 @@ def entangled_rows_by_one_concat(setup):
     return ring.concat([setup.prepared[None]] + [ring.over_sqrt_p(ring.gram(phases, by_k[m])) for m in range(p + 1)])
 
 
+def entangled_grams_against_posts(setup):
+    """Reference: `_entangled_grams` as it was while the set-up held the post
+    table.  Each block's entangled rows, formed from the posts, are taken
+    against the posts from the block's first basis on, and the phase sums are
+    applied to that product; |Phi> is also taken against itself."""
+    p, ring = setup.dim.p, setup._ring
+    posts = setup.posts
+    phases, against = protocol._phase_rows(ring, p), ring.gram_against(posts)
+
+    def entangled(bases):
+        if bases is None:
+            return setup.prepared[None]
+        count = bases.stop - bases.start
+        by_k = posts[bases.start * p : bases.stop * p].reshape(count, p, p * p).swapaxes(1, 2)
+        sums = ring.gram(phases, by_k.reshape(count * p * p, p))  # [j-1, (m, entry)]
+        return ring.over_sqrt_p(sums.reshape(p - 1, count, p * p).swapaxes(0, 1).reshape(count * (p - 1), p * p))
+
+    def block(bases):
+        rows, first = (1, 0) if bases is None else ((bases.stop - bases.start) * (p - 1), bases.start * p)
+        sums = ring.gram_against(against(entangled(bases), first).reshape(-1, p))(phases)
+        gram = ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
+        if bases is None:
+            gram = ring.concat([ring.gram(setup.prepared[None], setup.prepared[None]), gram], axis=1)
+        return gram
+
+    return map(block, protocol._entangled_bases(p))
+
+
 def non_orthonormal_by_full_rows(ring, rows):
     """Reference: `_non_orthonormal` as it was before it took the Gram matrix
     as Hermitian, every block of 64 rows against all the rows."""
@@ -672,22 +709,50 @@ def replace_row(rows, index, row):
     return rows
 
 
+SIDES = ("object", "ancilla")  # the order of `RetrodictionSetup.families`
+
+
+def family_kets(setup, side):
+    """The kets of the object (side 0) or ancilla (side 1) family as rows [m*p + k - 1, j]."""
+    p = setup.dim.p
+    return setup.families[side].bases.reshape((p + 1) * p, p)
+
+
+def replace_ket(setup, side, row, ket):
+    """Replace ket `row` (m*p + k - 1) of one family of the set-up, and so the
+    post row it is a factor of, as every reader forms the post rows from the kets."""
+    p, families = setup.dim.p, list(setup.families)
+    kets = replace_row(family_kets(setup, side), row, ket)
+    families[side] = dataclasses.replace(families[side], bases=kets.reshape(p + 1, p, p))
+    setup.families = tuple(families)
+
+
 @st.composite
-def corrupted_setups(draw, primes):
-    """A fresh set-up at one of the primes on either backend, with up to three
-    rows of `posts`, `states` or `prepared` replaced: by another row, by the
-    sum of two rows, or by a row times a power of q."""
+def corrupted_setups(draw, primes, names=(*SIDES, "states", "prepared"), corruptions=st.integers(0, 3)):
+    """A fresh set-up at one of the primes on either backend, with as many
+    `corruptions` of a row: a ket of the object or ancilla family, a row of
+    `states`, or `prepared`, replaced by another row, by the sum of two rows,
+    or by a row times a power of q.  A ket is replaced from kets of its own
+    class, basis 0 or bases 1..p, whose exact scale it shares."""
     p, backend = draw(st.sampled_from(primes)), draw(st.sampled_from([EXACT, FLOAT]))
     setup = RetrodictionSetup(PrimeDim(p), backend)
     ring = setup._ring
-    for _ in range(draw(st.integers(0, 3))):
-        name = draw(st.sampled_from(["posts", "states", "prepared"]))
-        rows = setup.prepared[None] if name == "prepared" else getattr(setup, name)
-        i, j, k = (draw(st.integers(0, len(rows) - 1)) for _ in range(3))
+    for _ in range(draw(corruptions)):
+        name = draw(st.sampled_from(names))
+        if name in SIDES:
+            rows = family_kets(setup, SIDES.index(name))
+            i = draw(st.integers(0, len(rows) - 1))
+            j, k = (draw(st.integers(*((0, p - 1) if i < p else (p, len(rows) - 1)))) for _ in range(2))
+        else:
+            rows = setup.prepared[None] if name == "prepared" else getattr(setup, name)
+            i, j, k = (draw(st.integers(0, len(rows) - 1)) for _ in range(3))
         kind = draw(st.sampled_from(["copy", "sum", "phase"]))
         row = {"copy": lambda: rows[j], "sum": lambda: rows[j] + rows[k], "phase": lambda: ring.phase(rows[i], k)}
-        rows = replace_row(rows, i, row[kind]())
-        setattr(setup, name, rows[0] if name == "prepared" else rows)
+        if name in SIDES:
+            replace_ket(setup, SIDES.index(name), i, row[kind]())
+        else:
+            rows = replace_row(rows, i, row[kind]())
+            setattr(setup, name, rows[0] if name == "prepared" else rows)
     return setup
 
 
@@ -807,15 +872,21 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("corrupt", ["post_0_1_is_post_1_1", "post_1_1_is_post_0_1", "post_2_2_is_zero"])
     def test_bracket_rows_of_corrupted_posts_equal_the_folded_sums(self, p, backend, corrupt):
         setup = RetrodictionSetup(PrimeDim(p), backend)
-        row = {"post_0_1_is_post_1_1": (0, setup.post(1, 1)), "post_1_1_is_post_0_1": (p, setup.post(0, 1))}
-        row["post_2_2_is_zero"] = (2 * p + 1, setup.posts[2 * p + 1] - setup.posts[2 * p + 1])
-        setup.posts = replace_row(setup.posts, *row[corrupt])
+        # a post row corrupted through its kets: both copied from another post's, or a zero object ket
+        if corrupt == "post_2_2_is_zero":
+            ket = family_kets(setup, 0)[2 * p + 1]
+            replace_ket(setup, 0, 2 * p + 1, ket - ket)
+        else:
+            row, source = {"post_0_1_is_post_1_1": (0, p), "post_1_1_is_post_0_1": (p, 0)}[corrupt]
+            for side in (0, 1):
+                replace_ket(setup, side, row, family_kets(setup, side)[source])
         slots = [label.slots for label in setup.labels]
         assert_equal_rows(protocol._bracket_rows(setup, slots), bracket_rows_by_fold(setup, slots))
 
     def test_bracket_rows_refuse_mixed_parities_as_the_fold_did(self):
         setup = RetrodictionSetup(PrimeDim(3), EXACT)
-        setup.posts = replace_row(setup.posts, 3, setup.prepared)  # |Phi> at scale 1 among scale-2 rows
+        # a scale-0 object ket in basis 1: its post row at scale 1 among scale-2 rows
+        replace_ket(setup, 0, 3, family_kets(setup, 0)[0])
         slots = [label.slots for label in setup.labels]
         for build in (protocol._bracket_rows, bracket_rows_by_fold):
             with pytest.raises(ValueError, match="odd and even powers"):
@@ -827,7 +898,8 @@ class TestAgainstReferences:
     def test_exhaustive_bracket_check_reports_what_blocked_grams_reported(self, p, backend, corrupt):
         setup = RetrodictionSetup(PrimeDim(p), backend)
         if corrupt:  # post_0_1_is_post_1_1 of the violation captures
-            setup.posts = setup.posts[np.r_[p, 1 : len(setup.posts)]]
+            for side in (0, 1):
+                replace_ket(setup, side, 0, family_kets(setup, side)[p])
         report = verify_bracket_closed_form(setup)
         assert report.passed != corrupt
         assert report.to_json() == bracket_closed_form_by_blocked_grams(setup).to_json()
@@ -878,6 +950,32 @@ class TestAgainstReferences:
             for r, c in non_orthonormal_by_full_rows(ring, setup.states.swapaxes(0, 1))
         ]
         assert verify_measurement_basis(setup).violations == violations
+
+    @pytest.mark.parametrize(
+        "p, backend", [*((p, EXACT) for p in [2, 3, 5, 7]), *((p, FLOAT) for p in [2, 3, 5, 7, 11, 13, 23])]
+    )
+    def test_entangled_grams_equal_the_grams_against_the_posts(self, p, backend):
+        self.check_entangled_grams(setup_for(p, backend))
+
+    # one ket corrupted alone: the Grams of the object and ancilla kets are
+    # multiplied, so either family's fault shows
+    @settings(max_examples=60, deadline=None)
+    @given(corrupted_setups([2, 3, 5], names=(*SIDES, "prepared"), corruptions=st.just(1)))
+    def test_entangled_grams_of_a_corrupted_ket_equal_the_grams_against_the_posts(self, setup):
+        self.check_entangled_grams(setup)
+
+    @staticmethod
+    def check_entangled_grams(setup):
+        ring = setup._ring
+        blocks, reference = list(protocol._entangled_grams(setup)), list(entangled_grams_against_posts(setup))
+        assert [block.shape for block in blocks] == [block.shape for block in reference]
+        for got, want in zip(blocks, reference):
+            if setup.backend == EXACT:
+                assert not ring.deviates(got - want, 0).any()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12
+        pairs = [{"n": i, "n2": j} for i, j, _ in _hermitian_deviations(ring, iter(reference), np.equal)]
+        assert verify_entangled_basis(setup).violations == pairs
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_labels_equal_the_measurement_labels(self, p):

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 from meanking.cyclotomic import (
     Amplitude,
     CyclotomicInt,
+    _blocks,
     _ExactRing,
+    _FloatRing,
+    _hermitian_deviations,
     _RingArray,
     _is_zero_array,
     exact_overlap,
@@ -175,6 +178,24 @@ def test_gram_refuses_a_bound_of_exactly_2_to_the_53():
     ring = _ExactRing(2)
     with pytest.raises(OverflowError):
         ring.gram(ring.integers([[2**25]]), ring.integers([[2**25]]))  # 2 * 1 * 4 * 2^50
+
+
+@pytest.mark.parametrize("ring", [_ExactRing(3), _FloatRing(3)], ids=[EXACT, FLOAT])
+def test_a_deviation_right_of_its_block_is_reported_mirrored_and_conjugated(ring):
+    # a Hermitian table of 70 rows in the blocks `_gram_blocks` yields: rows
+    # 0..63 from column 0 on, then rows 64..69 from column 64 on.  Entry
+    # (10, 66) = q lies right of the first block, so the walk meets (66, 10)
+    # only as its mirror; the deviation (5, 5) = 2 comes before it in the block
+    n, values = 70, [Amplitude(CyclotomicInt.integer(3, k)) for k in range(3)]
+    zero, one, two = values if isinstance(ring, _ExactRing) else range(3)
+    q = Amplitude(CyclotomicInt.root_power(3, 1))
+    q = q if isinstance(ring, _ExactRing) else q.to_complex()
+    want = {(5, 5): two, (10, 66): q, (66, 10): q.conjugate()}
+    table = ring.rows([[want.get((i, j), one if i == j else zero) for j in range(n)] for i in range(n)])
+    found = _hermitian_deviations(ring, (table[rows, rows.start :] for rows in _blocks(n)), np.equal)
+    assert [(i, j) for i, j, _ in found] == sorted(want)
+    for i, j, entry in found:
+        assert ring.amps(entry[None])[0] == want[i, j], (i, j)
 
 
 def test_zero_at_odd_scale_matches_only_a_zero_want():

@@ -80,7 +80,11 @@ def labels_0_and_1_swapped(backend, monkeypatch):
 
 def post_0_1_is_post_1_1(backend, monkeypatch):
     setup = RetrodictionSetup(PrimeDim(P), backend)
-    setup.posts = _replace_row(setup.posts, 0, setup.post(1, 1))
+    # both families' kets (0, 1) set to their kets (1, 1): the same post row
+    setup.families = tuple(
+        MubFamily(p=P, side=fam.side, backend=backend, bases=_replace_row(fam.bases, (0, 0), fam.bases[1, 0]))
+        for fam in setup.families
+    )
     return verify_bracket_closed_form(setup, sample_pairs=40, seed=3)
 
 
