@@ -438,6 +438,8 @@ class _ExactRing:
         return out
 
     gram = staticmethod(lambda a, b: exact_overlap(a, b))  # the public name, looked up per call
+    real = staticmethod(lambda rows: rows)  # a check's rows as they are: `_screened` walks it once
+    screen = property(lambda self: self)
 
     @staticmethod
     def gram_against(b: _RingArray):
@@ -481,7 +483,9 @@ class _ExactRing:
                 lift = np.maximum(was, scales[column])
                 if (lift > was).any():
                     _lifted(_RingArray(p, sums, was[:, None]), lift[:, None], in_place=True)
-                np.take(rows.c, column, axis=0, out=term[: len(column)])
+                # into `out`, mode "raise" copies through a buffer; "wrap" reads the
+                # same row for every index "raise" takes, -len..len-1
+                np.take(rows.c, column, axis=0, out=term[: len(column)], mode="wrap")
                 sums += _lifted(_RingArray(p, term[: len(column)], rows.t[column]), lift[:, None], in_place=True)
                 top[block] = lift
 
@@ -578,8 +582,15 @@ class _ExactRing:
         return np.cumsum(x // gcd, axis=-1)
 
 
+def _conj(a: np.ndarray) -> np.ndarray:
+    return a.conj() if np.iscomplexobj(a) else a  # conj copies even a real array
+
+
 class _FloatRing:
-    """`_ExactRing`'s operations on complex numpy arrays, deciding by FLOAT_ATOL."""
+    """`_ExactRing`'s operations on complex numpy arrays, deciding by `atol`:
+    FLOAT_ATOL, or a `_HermitianRing`'s narrower tolerance.  A NaN deviates."""
+
+    atol = FLOAT_ATOL
 
     def __init__(self, p: int):
         self.p = p
@@ -587,13 +598,14 @@ class _FloatRing:
     rows = integers = staticmethod(lambda nested: np.asarray(nested, dtype=complex))
     concat = staticmethod(np.concatenate)
     empty_like = staticmethod(lambda block, rows: np.empty((rows, *block.shape[1:]), dtype=block.dtype))
-    gram = staticmethod(lambda a, b: a.conj() @ b.T)
-    gram_against = staticmethod(lambda b: lambda a, start=0: a.conj() @ b[start:].T)
+    gram = staticmethod(lambda a, b: _conj(a) @ b.T)
+    gram_against = staticmethod(lambda b: lambda a, start=0: _conj(a) @ b[start:].T)
     mul = staticmethod(np.multiply)
     abs2 = staticmethod(lambda g: np.abs(g) ** 2)
     actual = staticmethod(float)
-    amps = weights = staticmethod(lambda values: values)
+    amps = weights = real = staticmethod(lambda values: values)
     cdfs = staticmethod(lambda values: np.cumsum(values, axis=-1))  # rows bisect as they are
+    screen = property(lambda self: _HermitianRing(self.p))
 
     def phase(self, a: np.ndarray, e: int) -> np.ndarray:
         return np.exp(2j * np.pi * e / self.p) * a
@@ -604,10 +616,10 @@ class _FloatRing:
         for m, rows in _bases(self.p, blocks):
             for block in _blocks(len(index)):
                 column, sums = index[block, m], out[block]
-                if m:
-                    sums += np.take(rows, column, axis=0, out=term[: len(column)])
+                if m:  # mode "wrap" as in `_ExactRing.gathered_sums`
+                    sums += np.take(rows, column, axis=0, out=term[: len(column)], mode="wrap")
                 else:
-                    np.take(rows, column, axis=0, out=sums)
+                    np.take(rows, column, axis=0, out=sums, mode="wrap")
             del rows  # a view of its block: released before the next block is formed
         out /= np.sqrt(self.p)
         out -= less
@@ -621,7 +633,56 @@ class _FloatRing:
         return a / np.sqrt(self.p)
 
     def deviates(self, values: np.ndarray, want, denom: int = 1) -> np.ndarray:
-        return np.abs(values - np.asarray(want) / denom) > FLOAT_ATOL
+        return ~(np.abs(values - np.asarray(want) / denom) <= self.atol)
+
+
+class _HermitianRing(_FloatRing):
+    """The float ring on real Hermitian coordinates: `real` takes each row, a
+    p x p matrix S, to p^2 reals, its generalized Bloch vector (Bertlmann and
+    Krammer, J. Phys. A 41, 235303, 2008): Re S_ij on and above the diagonal
+    and Im S_ij below it, those off the diagonal times sqrt(2).  For Hermitian
+    S and S' tr(S S') is their dot product, so a Gram of such rows is a
+    float64 product, a quarter of the complex one's flops.
+
+    A row is taken when it is Hermitian within eps = FLOAT_ATOL / (64 p),
+    every |Re S_ij - Re S_ji| and |Im S_ij + Im S_ji| at most eps, and of norm
+    at most 2; any other row's coordinates are NaN, which deviates from every
+    want.  A taken row is within eps p of the Hermitian matrix its
+    coordinates describe, which moves a Gram entry of rows of norm at most 2
+    by at most eps p (4 + eps p); rounding in either product adds at most
+    8 p^2 u (2 + eps p)^2, u = 2^-53, to a bound `cost`.  An entry within
+    `atol` = FLOAT_ATOL / 2 - 2 cost of its want is then within FLOAT_ATOL of
+    it on the complex rows: for a Gram of rows, a Gram of columns (the
+    unitary change to the coordinates at most doubles an entry's deviation)
+    and a squared modulus of at most 1/2 alike.  The ring is a screen:
+    `_screened` retakes a check on the complex rows at any hit."""
+
+    def __init__(self, p: int):
+        eps_p = FLOAT_ATOL / 64
+        cost = eps_p * (4 + eps_p) + 8 * p * p * 2.0**-53 * (2 + eps_p) ** 2
+        self.p, self.atol, self.eps = p, FLOAT_ATOL / 2 - 2 * cost, eps_p / p
+        # float64 positions in a row's view: the coordinates' parts, Re S_ij on
+        # and above the diagonal and Im S_ij below it, and the parts across the
+        # diagonal that must match them (Im negated)
+        i, j = (x.ravel() for x in np.indices((p, p)))
+        above = i <= j
+        self._take, self._mirror = 2 * (i * p + j) + ~above, 2 * (j * p + i) + ~above
+        self._sign, self._weight = np.where(above, 1.0, -1.0), np.where(i == j, 1, np.sqrt(2))
+
+    def real(self, rows: np.ndarray) -> np.ndarray:
+        """The coordinates of 2-D complex rows of p^2 entries, written a block of
+        rows at a time from the rows' float64 view."""
+        p, out = self.p, np.empty((len(rows), self.p**2))
+        for block in _blocks(len(rows)):
+            parts, x = rows[block].view(np.float64), out[block]
+            taken, residue = np.take(parts, self._take, axis=1), np.take(parts, self._mirror, axis=1)
+            residue *= self._sign
+            residue -= taken
+            diagonal = parts[:, 1 :: 2 * p + 2]  # Im S_ii, every (p+1)-th entry's
+            residue = np.maximum(np.abs(residue).max(axis=1), 2 * np.abs(diagonal).max(axis=1))
+            np.multiply(taken, self._weight, out=x)
+            x[~((residue <= self.eps) & (np.einsum("ij,ij->i", x, x) <= 4))] = np.nan
+        return out
 
 
 def _blocks(n: int, per: int = 1):
@@ -667,14 +728,31 @@ def _hermitian_deviations(ring, blocks, want, denom: int = 1) -> list[tuple]:
     for block in blocks:
         start, stop = stop, stop + len(block)
         rows, cols = np.arange(start, stop)[:, None], np.arange(start, start + block.shape[1])
-        hits = np.argwhere(ring.deviates(block, want(rows, cols), denom))
-        entries = block[hits[:, 0], hits[:, 1]]  # a copy: no view keeps the block alive
+        deviates = ring.deviates(block, want(rows, cols), denom)
+        if deviates.any():  # most blocks have no hit to locate
+            hits = np.argwhere(deviates)
+            entries = block[hits[:, 0], hits[:, 1]]  # a copy: no view keeps the block alive
+            for v, (i, j) in enumerate(hits.tolist()):
+                found.append((start + i, start + j, entries[v]))
+                if start + j >= stop:
+                    found.append((start + j, start + i, entries[v].conj()))
         del block  # released before the next block is formed
-        for v, (i, j) in enumerate(hits.tolist()):
-            found.append((start + i, start + j, entries[v]))
-            if start + j >= stop:
-                found.append((start + j, start + i, entries[v].conj()))
     return sorted(found, key=lambda hit: hit[:2])
+
+
+def _where(table: np.ndarray) -> list:
+    """The indices of a bool table's set entries in row-major order, as lists;
+    a table with none set is not scanned a second time."""
+    return np.argwhere(table).tolist() if table.any() else []
+
+
+def _screened(ring, walk) -> list:
+    """walk(ring), a check's list of deviations, its rows taken through
+    `ring.real`: on the float ring first walked on the rows' real Hermitian
+    coordinates (`_HermitianRing`), and on the complex rows only when that
+    walk has a hit, so every list is the complex walk's; once on the exact ring."""
+    screen = ring.screen
+    return walk(ring) if screen is ring or walk(screen) else []
 
 
 def _ring(backend: str, p: int):

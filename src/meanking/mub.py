@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, Amplitude, CyclotomicInt, _ring, _RingArray
-from .cyclotomic import _gram_blocks, _hermitian_deviations
+from .cyclotomic import _gram_blocks, _hermitian_deviations, _where
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality for every
@@ -300,29 +300,41 @@ def verify_eigen_equation(fam: MubFamily) -> CheckReport:
     return report
 
 
-def _shared_key_sums(ring, keys_a, vals_a, keys_b, vals_b, block_rows: int):
-    """Yield (start, block): rows start.. of S[i, k], the sum of vals_a[i, x] *
-    vals_b[k, y] over the entries whose keys agree, keys_a[i, x] == keys_b[k, y].
+def _classes(perm: np.ndarray):
+    """The distinct rows of a 2-D int array, in lexicographic order, and the
+    indices of the rows equal to each, in order."""
+    order = np.lexsort(perm.T[::-1])
+    ordered = perm[order]
+    starts = np.flatnonzero(np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
+    return ordered[starts], np.split(order, starts[1:])
 
-    Each row is a sparse vector (a monomial's entries, keyed by their positions
-    in its p^2-vector), so S is a Gram or trace table that touches only shared
-    positions: b's keys are sorted once, and each block of a's rows finds its
-    partners by `searchsorted` and sums their products into S by `ring.add_at`."""
-    width, n_b = keys_a.shape[1], len(keys_b)
-    order = np.argsort(keys_b, axis=None, kind="stable")
-    sorted_keys = keys_b.ravel()[order]
-    flat_a, flat_b = vals_a.reshape(-1), vals_b.reshape(-1)
-    for start in range(0, len(keys_a), block_rows):
-        keys = keys_a[start : start + block_rows].ravel()
-        lo = np.searchsorted(sorted_keys, keys, "left")
-        count = np.searchsorted(sorted_keys, keys, "right") - lo
-        a_item = np.repeat(np.arange(len(keys)), count)  # entry of the block, per match
-        first = np.repeat(lo - np.cumsum(count) + count, count)
-        b_item = order[first + np.arange(len(a_item))]  # its partner's entry in b
-        products = ring.mul(flat_a[start * width + a_item], flat_b[b_item])
-        rows = len(keys) // width
-        sums = ring.add_at(products, a_item // width * n_b + b_item // width, rows * n_b)
-        yield start, sums.reshape(rows, n_b)
+
+def _monomial_deviations(ring, monomials, want, trace: bool = False) -> np.ndarray:
+    """Where the table T[x, y] of a stack of monomials, read as (perm, entries)
+    [x, i], is not p where `want` [x, y] holds and 0 elsewhere: the Gram
+    entries <A_x|A_y>, summed over the rows i whose nonzeros share a column,
+    perm[x, i] == perm[y, i]; with `trace`, tr(A_x A_y), summed over the rows
+    i with perm[y, perm[x, i]] == i, of a[x, i] a[y, perm[x, i]].
+
+    Monomials with one permutation share every position, so the stack is
+    grouped into classes by permutation and the positions two classes share
+    are found once: a pair of classes sharing some is one ring Gram of their
+    entries there, and a pair sharing none an empty sum, a literal zero,
+    which deviates exactly where its want is p."""
+    (perm, entries), p = monomials, ring.p
+    classes, members = _classes(perm)
+    # shared[class of x, class of y, i]
+    if trace:
+        shared = np.take(classes, classes, axis=1).swapaxes(0, 1) == np.arange(perm.shape[1])
+    else:
+        shared = classes[:, None] == classes[None]
+    deviations = want.copy()
+    for k_x, k_y in np.argwhere(shared.any(axis=-1)).tolist():
+        at, rows, cols = np.flatnonzero(shared[k_x, k_y]), members[k_x][:, None], members[k_y]
+        left, right = entries[rows, at], entries[cols[:, None], classes[k_x, at] if trace else at]
+        block = ring.gram(left.conj() if trace else left, right)  # the Gram conjugates its first operand
+        deviations[rows, cols] = ring.deviates(block, p * want[rows, cols])
+    return deviations
 
 
 def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
@@ -331,8 +343,9 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     (trace-orthogonality) of both operator bases.
 
     Every U_m is a monomial matrix, read once as (perm, entries): a product is
-    a gather and an entrywise ring product, and a trace or Gram product a sum
-    over the positions two monomials share (`_shared_key_sums`)."""
+    a gather and an entrywise ring product, and a trace or Gram table a sum
+    over the positions two monomials share, one ring Gram per pair of
+    permutation classes that shares any (`_monomial_deviations`)."""
     p, ring = dim.p, _ring(backend, dim.p)
     report = CheckReport(name="trace_relations")
     rows = np.arange(p)
@@ -343,10 +356,6 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
         (perm_a, ent_a), (perm_b, ent_b) = a, b
         gather = (*np.indices(perm_a.shape, sparse=True)[:-1], perm_a)
         return np.take_along_axis(perm_b, perm_a, axis=-1), ring.mul(ent_a, ent_b[gather])
-
-    def keyed(perm, transpose=False):
-        # each entry's position in the p^2-vector of the monomial, or of its transpose
-        return perm * p + rows if transpose else rows * p + perm
 
     *obs, monomial = _read_monomial(ring, dim, backend)  # U_m as (perm, entries), batched over m
 
@@ -387,47 +396,42 @@ def verify_trace_relations(dim: PrimeDim, backend: str = EXACT) -> CheckReport:
     if np.where(perm_l == perm_r, off(left - right), off(left) | off(right)).any():
         report.violations.append({"kind": "commutation"})
 
-    # trace table over all m, m' and r, s in 0..p-1: tr(A B) sums A_ij B_ji, so
-    # A's positions meet B's transposed ones; one block of rows per m1
-    table = ents[:, :p].reshape((p + 1) * p, p)  # U_m^r, one row per (m, r)
-    row_keys, column_keys = (keyed(perms[:, :p], transpose).reshape(-1, p) for transpose in (False, True))
-    exps = np.arange(p)
-    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]  # of the clock/shift monomials below
-    r_mod, s_mod = (np.array(pairs) % p).T
-    want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
-    want_other = p * np.outer(exps == 0, exps == 0)
-    for start, block in _shared_key_sums(ring, row_keys, table, column_keys, table, p):
-        m1 = start // p
-        traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
-        if m1 == 0:
-            clock_shift = traces[p][r_mod, s_mod]  # tr(U_0^r U_p^s) per pair, a copy
-        want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
-        report.checks += want.size
-        for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
-            report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
+    # trace table over all m, m' and r, s in 0..p-1, one row per (m, r): p where
+    # m = m' and r + s = 0 mod p, or m != m' and r = s = 0, else 0; reported in
+    # (m, m', r, s) order
+    count = (p + 1) * p
+    powers = (perms[:, :p].reshape(count, p), ents[:, :p].reshape(count, p))  # U_m^r at row m*p + r
+    m, r = np.divmod(np.arange(count), p)
+    want = np.where(np.equal.outer(m, m), np.equal.outer(-r % p, r), np.logical_and.outer(r == 0, r == 0))
+    report.checks += want.size
+    traces = _monomial_deviations(ring, powers, want, trace=True)
+    for m, m2, r, s in _where(traces.reshape(p + 1, p, p + 1, p).swapaxes(1, 2)):
+        report.violations.append({"kind": "trace", "m": m, "m2": m2, "r": r, "s": s})
 
-    def trace_orthogonal(perm, entries, labels, kind):
+    def trace_orthogonal(monomials, labels, kind):
         # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
         report.checks += len(labels) ** 2
-        keys = keyed(perm)
-        for start, block in _shared_key_sums(ring, keys, entries.conj(), keys, entries, p):
-            want = p * np.eye(len(block), len(labels), start, dtype=int)
-            for i, j in np.argwhere(ring.deviates(block, want)).tolist():
-                report.violations.append({"kind": kind, "pair": [labels[start + i], labels[j]]})
+        want = np.eye(len(labels), dtype=bool)
+        for i, j in _where(_monomial_deviations(ring, monomials, want)):
+            report.violations.append({"kind": kind, "pair": [labels[i], labels[j]]})
 
     # clock/shift monomials U_0^r U_p^s: traceless except identity (their traces
     # are the trace table's block m = 0, m' = p), and trace-orthogonal
+    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]
+    r_mod, s_mod = (np.array(pairs) % p).T
     report.checks += len(pairs)
-    for i in np.flatnonzero(ring.deviates(clock_shift, p * ((r_mod == 0) & (s_mod == 0)))):
+    for i in np.flatnonzero(traces[r_mod, p * p + s_mod]):
         report.violations.append({"kind": "monomial_trace", "r": pairs[i][0], "s": pairs[i][1]})
     monomials = times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod]))
-    trace_orthogonal(*monomials, pairs, "monomial_gram")
+    trace_orthogonal(monomials, pairs, "monomial_gram")
 
     # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
     labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
     trace_orthogonal(
-        np.concatenate([perms[0, :1], perms[:, 1:p].reshape(-1, p)]),
-        ring.concat([ents[0, :1], ents[:, 1:p].reshape(len(labels) - 1, p)]),
+        (
+            np.concatenate([perms[0, :1], perms[:, 1:p].reshape(-1, p)]),
+            ring.concat([ents[0, :1], ents[:, 1:p].reshape(len(labels) - 1, p)]),
+        ),
         labels,
         "power_gram",
     )

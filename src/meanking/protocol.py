@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import EXACT, FLOAT, _blocks, _gram_blocks, _hermitian_deviations, _pair_overlaps, _ring
+from .cyclotomic import _screened, _where
 from .mub import CheckReport, PrimeDim, build_mub_family, _check_backend, _integer
 
 # largest p for which sampling probabilities are computed in exact rationals
@@ -159,13 +160,15 @@ class RetrodictionSetup:
     def labels(self) -> list[BracketLabel]:  # `_slots` as labels, for `measurement_basis` and outside readers
         return [BracketLabel(p=self.dim.p, slots=tuple(row)) for row in self._slots.tolist()]
 
-    def _outcome_blocks(self):
+    def _outcome_blocks(self, ring=None):
         """The outcome table [m*p + k - 1, label] as (rows, block): 32 post rows,
         formed from the kets, taken against `states` and squared (the Gram and
-        its square are alive at once)."""
-        against = self._ring.gram_against(self.states)
+        its square are alive at once), on the set-up's ring or on `ring`, each
+        operand taken through its `real` (`_screened`)."""
+        ring = ring or self._ring
+        against = ring.gram_against(ring.real(self.states))
         blocks = _blocks((self.dim.p + 1) * self.dim.p, 2)
-        return ((rows, self._ring.abs2(against(self._post_rows(rows)))) for rows in blocks)
+        return ((rows, ring.abs2(against(ring.real(self._post_rows(rows))))) for rows in blocks)
 
     @functools.cached_property
     def outcome_table(self):  # for readers of the whole table; the library streams it
@@ -335,30 +338,45 @@ def verify_entangled_basis(setup: RetrodictionSetup) -> CheckReport:
 
 
 def verify_measurement_basis(setup: RetrodictionSetup) -> CheckReport:
-    """Check the labeled basis is orthonormal and resolves the identity."""
-    ring, rows = setup._ring, setup.states
-    report = CheckReport(name="measurement_basis", checks=2 * len(rows) ** 2)
-    for i, j, _ in _hermitian_deviations(ring, _gram_blocks(ring, rows), np.equal):
-        report.violations.append({"label": setup._slots[i].tolist(), "label2": setup._slots[j].tolist()})
-    # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
-    for r, c, _ in _hermitian_deviations(ring, _gram_blocks(ring, rows.swapaxes(0, 1)), np.equal):
-        report.violations.append({"kind": "completeness", "row": r, "col": c})
+    """Check the labeled basis is orthonormal and resolves the identity.  On
+    the float backend both Grams are first taken on the rows' real Hermitian
+    coordinates (`_screened`)."""
+    report = CheckReport(name="measurement_basis", checks=2 * len(setup.states) ** 2)
+
+    def walk(ring):
+        rows, slots = ring.real(setup.states), setup._slots
+        found = [
+            {"label": slots[i].tolist(), "label2": slots[j].tolist()}
+            for i, j, _ in _hermitian_deviations(ring, _gram_blocks(ring, rows), np.equal)
+        ]
+        # completeness: sum_i |i><i| = 1 says the columns are orthonormal too
+        columns = _hermitian_deviations(ring, _gram_blocks(ring, rows.swapaxes(0, 1)), np.equal)
+        return found + [{"kind": "completeness", "row": r, "col": c} for r, c, _ in columns]
+
+    report.violations = _screened(setup._ring, walk)
     return report
 
 
 def verify_retrodiction(setup: RetrodictionSetup) -> CheckReport:
     """Static certainty: after any (m, k) outcome, only labels with k_m = k have
-    nonzero Born weight, and each carries exactly 1/p."""
-    p, ring, slots = setup.dim.p, setup._ring, setup._slots
+    nonzero Born weight, and each carries exactly 1/p.  On the float backend
+    the outcome table is first taken in real Hermitian coordinates (`_screened`)."""
+    p, slots = setup.dim.p, setup._slots
     report = CheckReport(name="retrodiction", checks=(p + 1) * p * len(slots))
-    for rows, block in setup._outcome_blocks():
-        ms, ks = np.divmod(np.arange(rows.start, rows.stop), p)  # row m*p + k - 1
-        # wants over the denominator p: 1 where the label's slot k_m is k, else 0
-        want = slots[:, ms].T == ks[:, None] + 1
-        for row, i in np.argwhere(ring.deviates(block, want, p)).tolist():
-            m, k = divmod(rows.start + row, p)
-            weight = float(ring.weights(block[row : row + 1, i : i + 1])[0][0])
-            report.violations.append({"m": m, "k": k + 1, "label": slots[i].tolist(), "weight": weight})
+
+    def walk(ring):
+        found = []
+        for rows, block in setup._outcome_blocks(ring):
+            ms, ks = np.divmod(np.arange(rows.start, rows.stop), p)  # row m*p + k - 1
+            # wants over the denominator p: 1 where the label's slot k_m is k, else 0
+            want = slots[:, ms].T == ks[:, None] + 1
+            for row, i in _where(ring.deviates(block, want, p)):
+                m, k = divmod(rows.start + row, p)
+                weight = float(ring.weights(block[row : row + 1, i : i + 1])[0][0])
+                found.append({"m": m, "k": k + 1, "label": slots[i].tolist(), "weight": weight})
+        return found
+
+    report.violations = _screened(setup._ring, walk)
     return report
 
 

@@ -266,6 +266,140 @@ def trace_relations_by_dense_grams(dim, backend=EXACT):
     return report
 
 
+# --- reference: the trace relations summed over shared positions, entry by entry ---
+
+
+def shared_key_sums(ring, keys_a, vals_a, keys_b, vals_b, block_rows: int):
+    """Yield (start, block): rows start.. of S[i, k], the sum of vals_a[i, x] *
+    vals_b[k, y] over the entries whose keys agree, keys_a[i, x] == keys_b[k, y].
+
+    Each row is a sparse vector (a monomial's entries, keyed by their positions
+    in its p^2-vector), so S is a Gram or trace table that touches only shared
+    positions: b's keys are sorted once, and each block of a's rows finds its
+    partners by `searchsorted` and sums their products into S by `ring.add_at`."""
+    width, n_b = keys_a.shape[1], len(keys_b)
+    order = np.argsort(keys_b, axis=None, kind="stable")
+    sorted_keys = keys_b.ravel()[order]
+    flat_a, flat_b = vals_a.reshape(-1), vals_b.reshape(-1)
+    for start in range(0, len(keys_a), block_rows):
+        keys = keys_a[start : start + block_rows].ravel()
+        lo = np.searchsorted(sorted_keys, keys, "left")
+        count = np.searchsorted(sorted_keys, keys, "right") - lo
+        a_item = np.repeat(np.arange(len(keys)), count)  # entry of the block, per match
+        first = np.repeat(lo - np.cumsum(count) + count, count)
+        b_item = order[first + np.arange(len(a_item))]  # its partner's entry in b
+        products = ring.mul(flat_a[start * width + a_item], flat_b[b_item])
+        rows = len(keys) // width
+        sums = ring.add_at(products, a_item // width * n_b + b_item // width, rows * n_b)
+        yield start, sums.reshape(rows, n_b)
+
+
+def trace_relations_by_shared_keys(dim, backend=EXACT):
+    """Reference: the trace-relations check as the library ran it before the
+    per-class Grams, each trace or Gram table a sum over the positions two
+    monomials share, found per entry (`shared_key_sums`)."""
+    p, ring = dim.p, _ring(backend, dim.p)
+    report = mub.CheckReport(name="trace_relations")
+    rows = np.arange(p)
+
+    def times(a, b):
+        # (perm, entries) of A B, batched over leading axes: row i of A lands on
+        # row perm_a[i] of B
+        (perm_a, ent_a), (perm_b, ent_b) = a, b
+        gather = (*np.indices(perm_a.shape, sparse=True)[:-1], perm_a)
+        return np.take_along_axis(perm_b, perm_a, axis=-1), ring.mul(ent_a, ent_b[gather])
+
+    def keyed(perm, transpose=False):
+        # each entry's position in the p^2-vector of the monomial, or of its transpose
+        return perm * p + rows if transpose else rows * p + perm
+
+    *obs, monomial = mub._read_monomial(ring, dim, backend)  # U_m as (perm, entries), batched over m
+
+    # unitarity: one nonzero per row and per column, each of modulus 1
+    off_circle = ring.deviates(ring.abs2(obs[1]), 1).any(axis=1)
+    for m in range(p + 1):
+        report.checks += 1
+        if not monomial[m] or off_circle[m]:
+            report.violations.append({"kind": "unitarity", "m": m})
+
+    shape = obs[0].shape
+    power = [(np.broadcast_to(rows, shape), ring.integers(np.ones(shape, dtype=int)))]
+    for _ in range(p):
+        power.append(times(power[-1], obs))
+    perms = np.stack([pw[0] for pw in power], axis=1)  # [m, r] = U_m^r, r = 0..p
+    ents = ring.concat([pw[1][:, None] for pw in power], axis=1)
+
+    # period p exactly: U_m^p = 1 and no smaller power is; a monomial is the
+    # identity when it fixes every row and each entry is 1
+    fixed = perms == rows
+    identity = fixed.all(axis=-1) & ~ring.deviates(ents, fixed.astype(int)).any(axis=-1)
+    for m in range(p + 1):
+        report.checks += 1
+        if not identity[m, p]:
+            report.violations.append({"kind": "period", "m": m, "r": p})
+        for r in range(1, p):
+            report.checks += 1
+            if identity[m, r]:
+                report.violations.append({"kind": "premature_period", "m": m, "r": r})
+
+    # U_0 U_p = q^{-1} U_p U_0: where the two sides share a row's position their
+    # entries must agree, and elsewhere both must be zero
+    report.checks += 1
+    u0, up = (perms[0, 1], ents[0, 1]), (perms[p, 1], ents[p, 1])
+    (perm_l, left), (perm_r, right) = times(u0, up), times(up, u0)
+    right = ring.phase(right, -1)
+    off = lambda x: ring.deviates(x, 0)
+    if np.where(perm_l == perm_r, off(left - right), off(left) | off(right)).any():
+        report.violations.append({"kind": "commutation"})
+
+    # trace table over all m, m' and r, s in 0..p-1: tr(A B) sums A_ij B_ji, so
+    # A's positions meet B's transposed ones; one block of rows per m1
+    table = ents[:, :p].reshape((p + 1) * p, p)  # U_m^r, one row per (m, r)
+    row_keys, column_keys = (keyed(perms[:, :p], transpose).reshape(-1, p) for transpose in (False, True))
+    exps = np.arange(p)
+    pairs = [[r, s] for r in range(1, p + 1) for s in range(1, p + 1)]  # of the clock/shift monomials below
+    r_mod, s_mod = (np.array(pairs) % p).T
+    want_same = p * ((exps[:, None] + exps[None, :]) % p == 0)
+    want_other = p * np.outer(exps == 0, exps == 0)
+    for start, block in shared_key_sums(ring, row_keys, table, column_keys, table, p):
+        m1 = start // p
+        traces = block.reshape(p, p + 1, p).swapaxes(0, 1)  # [m2, r, s]
+        if m1 == 0:
+            clock_shift = traces[p][r_mod, s_mod]  # tr(U_0^r U_p^s) per pair, a copy
+        want = np.where((np.arange(p + 1) == m1)[:, None, None], want_same, want_other)
+        report.checks += want.size
+        for m2, r, s in np.argwhere(ring.deviates(traces, want)).tolist():
+            report.violations.append({"kind": "trace", "m": m1, "m2": m2, "r": r, "s": s})
+
+    def trace_orthogonal(perm, entries, labels, kind):
+        # tr(A^dag B) = <vec A|vec B>, so the Gram matrix is p times identity
+        report.checks += len(labels) ** 2
+        keys = keyed(perm)
+        for start, block in shared_key_sums(ring, keys, entries.conj(), keys, entries, p):
+            want = p * np.eye(len(block), len(labels), start, dtype=int)
+            for i, j in np.argwhere(ring.deviates(block, want)).tolist():
+                report.violations.append({"kind": kind, "pair": [labels[start + i], labels[j]]})
+
+    # clock/shift monomials U_0^r U_p^s: traceless except identity (their traces
+    # are the trace table's block m = 0, m' = p), and trace-orthogonal
+    report.checks += len(pairs)
+    for i in np.flatnonzero(ring.deviates(clock_shift, p * ((r_mod == 0) & (s_mod == 0)))):
+        report.violations.append({"kind": "monomial_trace", "r": pairs[i][0], "s": pairs[i][1]})
+    monomials = times((perms[0, r_mod], ents[0, r_mod]), (perms[p, s_mod], ents[p, s_mod]))
+    trace_orthogonal(*monomials, pairs, "monomial_gram")
+
+    # the p^2-1 powers U_m^r (r = 1..p-1) plus identity: also trace-orthogonal
+    labels = [["id", 0]] + [[m, r] for m in range(p + 1) for r in range(1, p)]
+    trace_orthogonal(
+        np.concatenate([perms[0, :1], perms[:, 1:p].reshape(-1, p)]),
+        ring.concat([ents[0, :1], ents[:, 1:p].reshape(len(labels) - 1, p)]),
+        labels,
+        "power_gram",
+    )
+    return report
+
+
+
 def unbiasedness_by_full_square(fam):
     """Reference: `verify_unbiasedness` as it was before it walked the squared
     overlaps as Hermitian, every block of 64 kets against all the kets, each
@@ -682,6 +816,59 @@ def test_corrupted_trace_relations_equal_the_dense_reference(kind, p, backend, m
     reference = trace_relations_by_dense_grams(PrimeDim(p), backend)
     assert not report.passed or (kind, p) == ("1_transposed", 2)  # -sigma_y satisfies every relation
     assert (report.checks, report.violations) == (reference.checks, reference.violations)
+
+
+@pytest.mark.parametrize("backend, p", [(EXACT, p) for p in SMALL_PRIMES] + [(FLOAT, p) for p in PRIMES_TO_31])
+def test_trace_relations_equal_the_shared_key_reference(backend, p):
+    report = verify_trace_relations(PrimeDim(p), backend)
+    assert report.passed and report.to_json() == trace_relations_by_shared_keys(PrimeDim(p), backend).to_json()
+
+
+def corrupted_monomials(edits):
+    """build_observable with `edits` (kind, m, row, shift, e) applied in turn to
+    row `row` of U_m, whose first nonzero sits in column j: "phase" multiplies
+    it by q^e, "moved" moves it to column j + shift (so U_m's permutation
+    shares some positions, not all, with those of other classes), "second"
+    puts q^e in column j + shift too (a row that reads as zero)."""
+    original = mub.build_observable
+
+    def build(dim, m, backend=EXACT):
+        p, exact = dim.p, backend == EXACT
+        mat = [list(row) for row in original(dim, m, backend)] if exact else original(dim, m, backend).copy()
+        zero = Amplitude.zero(p) if exact else 0
+        for kind, m_edit, i, shift, e in edits:
+            if m_edit != m:
+                continue
+            row = mat[i]
+            j = next(c for c in range(p) if (not row[c].is_zero() if exact else abs(row[c]) > 0.5))
+            phase = Amplitude(CyclotomicInt.root_power(p, e)) if exact else np.exp(2j * np.pi * e / p)
+            if kind == "phase":
+                row[j] = row[j] * phase
+            elif kind == "moved":
+                row[(j + shift) % p], row[j] = row[j], zero
+            else:
+                row[(j + shift) % p] = phase
+        return mat
+
+    return build
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([EXACT, FLOAT]), st.data())
+def test_corrupted_monomials_equal_the_shared_key_reference(p, backend, data):
+    edit = st.tuples(
+        st.sampled_from(["phase", "moved", "second"]),
+        st.integers(0, p),
+        st.integers(0, p - 1),
+        st.integers(1, p - 1),
+        st.integers(1, p - 1),
+    )
+    edits = data.draw(st.lists(edit, min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mub, "build_observable", corrupted_monomials(edits))
+        report = verify_trace_relations(PrimeDim(p), backend)
+        reference = trace_relations_by_shared_keys(PrimeDim(p), backend)
+    assert report.to_json() == reference.to_json()  # edits can cancel: q^e q^-e, a row moved back
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,7 @@ from meanking import protocol
 from meanking.cyclotomic import (
     Amplitude,
     CyclotomicInt,
+    _FloatRing,
     _hermitian_deviations,
     _lifted,
     _RingArray,
@@ -1188,3 +1189,77 @@ class TestBlockRounds:
         columns.clear()
         simulate(PrimeDim(3), 2 * protocol._BLOCK_MIN)  # blocks of 10, 90 and 900 rounds
         assert len(columns) > 3 and sum(columns) > 2 * protocol._BLOCK_MIN
+
+
+# --- the float checks' Hermitian screen ---
+
+SCREENED = {"measurement_basis": verify_measurement_basis, "retrodiction": verify_retrodiction}
+
+
+def complex_walks(patch):
+    """The names of the checks whose complex walk `_screened` takes on the float
+    ring, one per walk, into a list filled as they run."""
+    walks, screened = [], protocol._screened
+
+    def counted(ring, walk):
+        def counting(on):
+            if on is ring and isinstance(ring, _FloatRing):
+                walks.append(walk.__qualname__.split(".")[0].removeprefix("verify_"))
+            return walk(on)
+
+        return screened(ring, counting)
+
+    patch.setattr(protocol, "_screened", counted)
+    return walks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_a_correct_float_setup_takes_no_complex_walk(p, monkeypatch):
+    walks = complex_walks(monkeypatch)
+    setup = setup_for(p, FLOAT)
+    assert all(check(setup).passed for check in SCREENED.values())
+    assert walks == []
+
+
+@pytest.mark.parametrize("entries, residue", [((1, 5), [1, -1]), ((1, 5), [1j, 1j]), ((0,), [1j])])
+@pytest.mark.parametrize("factor", [0.49, 0.51])
+def test_a_state_residue_past_eps_sends_the_checks_of_the_states_to_the_walk(entries, residue, factor, monkeypatch):
+    # an anti-Hermitian residue in state row 7 at p = 5, S_01 and S_10 or S_00:
+    # the Hermitian test reads 2 * factor * eps
+    setup = RetrodictionSetup(PrimeDim(5), FLOAT)
+    setup.states = setup.states.copy()
+    setup.states[7, list(entries)] += np.array(residue) * factor * setup._ring.screen.eps
+    walks = complex_walks(monkeypatch)
+    for name, check in SCREENED.items():
+        walks.clear()
+        assert check(setup).passed  # the residue is far below FLOAT_ATOL
+        assert walks == ([name] if factor > 0.5 else [])
+    walks.clear()
+    assert verify_entangled_basis(setup).passed and walks == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_setups([2, 3, 5]))
+def test_screened_checks_report_what_the_complex_walk_reports(setup):
+    def outcome(check):  # an exact weight of a corrupted set-up can be irrational
+        try:
+            return check(setup).to_json()
+        except ValueError as error:
+            return str(error)
+
+    reports = list(map(outcome, SCREENED.values()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_screened", lambda ring, walk: walk(ring))
+        assert list(map(outcome, SCREENED.values())) == reports
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_passing_walks_locate_no_hits(backend, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("argwhere on a table without hits")
+
+    setup = setup_for(5, backend)
+    monkeypatch.setattr(np, "argwhere", refuse)
+    for check in (verify_entangled_basis, verify_measurement_basis, verify_retrodiction):
+        assert check(setup).passed
+    assert verify_unbiasedness(setup.families[0]).passed

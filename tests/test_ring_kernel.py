@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanking.cyclotomic import (
+    FLOAT_ATOL,
     Amplitude,
     CyclotomicInt,
     _blocks,
@@ -355,3 +356,57 @@ def test_float_born_weights_match_per_pair_vdot(p):
         for k in range(1, p + 1):
             reference = [abs(np.vdot(state, setup.post(m, k))) ** 2 for state in setup.states]
             assert np.max(np.abs(setup.outcome_weights[(m, k)] - reference)) <= tol
+
+
+# --- the float ring's real Hermitian coordinates ---
+
+
+def near_hermitian_rows(p, seed, norm, residue):
+    """Four p x p rows, Hermitian of Frobenius norm `norm` plus an anti-Hermitian
+    residue each of whose |Re S_ij - Re S_ji| and |Im S_ij + Im S_ji| is at most `residue`."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(4, p, p)) + 1j * rng.normal(size=(4, p, p))
+    h += h.conj().swapaxes(1, 2)
+    h *= norm / np.linalg.norm(h, axis=(1, 2), keepdims=True)
+    a = rng.uniform(-1, 1, size=(4, p, p)) + 1j * rng.uniform(-1, 1, size=(4, p, p))
+    return (h + (a - a.conj().swapaxes(1, 2)) * (residue / 4)).reshape(4, p * p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 31]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.99), st.floats(0, 1))
+def test_coordinate_grams_are_within_the_stated_cost_of_the_complex_grams(p, seed, norm, residue):
+    screen = _FloatRing(p).screen
+    cost = (FLOAT_ATOL / 2 - screen.atol) / 2  # the narrowed tolerance is FLOAT_ATOL / 2 - 2 cost
+    assert 0 < cost < FLOAT_ATOL / 8
+    rows = near_hermitian_rows(p, seed, norm, residue * screen.eps)
+    x = screen.real(rows)
+    assert not np.isnan(x).any()
+    assert np.abs(x @ x.T - rows.conj() @ rows.T).max() <= cost
+    # the columns' Grams: the coordinate change at most doubles a deviation from the identity
+    eye = np.eye(p * p)
+    assert np.abs(rows.conj().T @ rows - eye).max() <= 2 * np.abs(x.T @ x - eye).max() + cost
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("factor, taken", [(0.49, True), (0.51, False)])
+def test_rows_past_eps_or_norm_two_have_nan_coordinates(p, factor, taken):
+    screen = _FloatRing(p).screen
+    rows, delta = near_hermitian_rows(p, 7, 1.0, 0), factor * screen.eps
+    rows[0, [1, p]] += [delta, -delta]  # |Re S_01 - Re S_10| = 2 delta
+    rows[1, [1, p]] += 1j * delta  # |Im S_01 + Im S_10| = 2 delta
+    rows[2, 0] += 1j * delta  # |Im S_00 + Im S_00| = 2 delta
+    rows[3] *= 4 * factor  # norm 1.96 or 2.04
+    assert (np.isnan(screen.real(rows)).any(axis=1) != taken).all()
+
+
+def test_float_grams_do_not_conjugate_real_operands():
+    class Unconjugable(np.ndarray):
+        def conj(self):
+            raise AssertionError("conj of a real operand")
+
+    a = np.arange(6.0).reshape(2, 3).view(Unconjugable)
+    ring = _FloatRing(3)
+    assert np.array_equal(ring.gram(a, a), a @ a.T)
+    assert np.array_equal(ring.gram_against(a)(a, 1), a @ a[1:].T)
+    b = np.asarray(a) + 1j
+    assert np.array_equal(ring.gram(b, a), (a - 1j) @ a.T)  # a complex one is conjugated

@@ -127,8 +127,8 @@ def test_float_names_the_same_violations(name, monkeypatch):
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_unbiasedness_reports_the_walked_entries_without_pair_sums(backend, monkeypatch):
-    # only `_pair_overlaps` and `_shared_key_sums` sum by `add_at`: each
-    # violation's `actual` is the Gram entry the walk decided on
+    # only `_pair_overlaps` sums by `add_at`: each violation's `actual` is
+    # the Gram entry the walk decided on
     def refuse(*args):
         raise AssertionError("add_at called")
 
