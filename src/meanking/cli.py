@@ -134,15 +134,15 @@ def _emit_json(payload: dict, out) -> None:
 def _write_json(obj, out, indent: str) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2), every line after the
     first prefixed by `indent`, a numpy array as a list (of rows), a complex
-    entry as {"im", "re"}.  Dicts with string keys, lists of lists, 2-D
-    arrays and iterators (simulate's rounds, written an item at a time) are
-    walked here; any other value, and each item of an iterator, is a leaf
+    entry as {"im", "re"}.  Dicts with string keys, lists of lists, arrays of
+    2 or more axes and iterators (simulate's rounds, written an item at a time)
+    are walked here; any other value, and each item of an iterator, is a leaf
     (`_write_leaf`)."""
     inner = indent + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         items = ((f"{json.dumps(key)}: ", value) for key, value in sorted(obj.items()))
         brackets, write = "{}", _write_json
-    elif (type(obj) is list and obj and type(obj[0]) is list) or (isinstance(obj, np.ndarray) and obj.ndim == 2):
+    elif (type(obj) is list and obj and type(obj[0]) is list) or (isinstance(obj, np.ndarray) and obj.ndim >= 2):
         brackets, write, items = "[]", _write_json, (("", value) for value in obj)
     elif hasattr(obj, "__next__"):
         # each round whole: walking 20000 rounds' scalars took 2.7 times as long
@@ -158,30 +158,25 @@ def _write_json(obj, out, indent: str) -> None:
 
 
 def _write_leaf(obj, out, indent: str) -> None:
-    """Write a value `_write_json` does not walk: a list of finite floats, or
-    of {"im", "re"} dicts of finite floats (the float bases' long lists), or a
-    1-D array of finite floats, or of complex entries as {"im", "re"} (a row of
-    tomography's arrays), formatted in bulk; any other value by json.dumps."""
-    inner = indent + "  "
+    """Write a value `_write_json` does not walk: a 1-D array of finite floats,
+    or of complex entries as {"im", "re"} (a row of the float bases' or of
+    tomography's arrays), formatted in bulk; any other value, and a row that
+    is empty or holds NaN or an infinity (which json.dumps spells its own
+    way), by json.dumps."""
     if isinstance(obj, np.ndarray):
         complex_entries = obj.dtype.kind == "c"
-        numbers = np.stack([obj.imag, obj.real], axis=-1).ravel().tolist() if complex_entries else obj.tolist()
-    else:
-        complex_entries = type(obj) is list and all(type(x) is dict and x.keys() == {"im", "re"} for x in obj)
-        numbers = [value for x in obj for value in (x["im"], x["re"])] if complex_entries else obj
-    # json.dumps spells NaN and the infinities its own way
-    floats = type(numbers) is list and numbers and set(map(type, numbers)) == {float}
-    if not floats or not all(map(math.isfinite, numbers)):
-        if isinstance(obj, np.ndarray):  # as the array's to_json lists it
-            obj = [{"im": im, "re": re} for im, re in zip(numbers[::2], numbers[1::2])] if complex_entries else numbers
-        out.write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent))
-        return
-    texts = list(map(float.__repr__, numbers))
-    if complex_entries:
-        deeper = inner + "  "
-        head, middle, tail = f'{{\n{deeper}"im": ', f',\n{deeper}"re": ', f"\n{inner}}}"
-        texts = [head + im + middle + re + tail for im, re in zip(texts[::2], texts[1::2])]
-    out.write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]")
+        numbers = (np.stack([obj.imag, obj.real], axis=-1) if complex_entries else obj).ravel().tolist()
+        if numbers and obj.dtype.kind in "fc" and all(map(math.isfinite, numbers)):
+            inner, texts = indent + "  ", list(map(float.__repr__, numbers))
+            if complex_entries:
+                deeper = inner + "  "
+                head, middle, tail = f'{{\n{deeper}"im": ', f',\n{deeper}"re": ', f"\n{inner}}}"
+                texts = [head + im + middle + re + tail for im, re in zip(texts[::2], texts[1::2])]
+            out.write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]")
+            return
+        # as the array's to_json lists it
+        obj = [{"im": im, "re": re} for im, re in zip(numbers[::2], numbers[1::2])] if complex_entries else numbers
+    out.write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
 def _parse_prime(value: int, ceiling: int, what: str, hint: str = "") -> PrimeDim:
@@ -270,8 +265,9 @@ def cmd_bases(args) -> int:
     dim = _parse_prime(args.p, FLOAT_VERIFY_MAX_P, "bases")
     with _output(args.out) as out:
         fam = build_mub_family(dim, args.side, args.backend)
-        if args.format == "json":
-            _emit_json({"command": "bases", **fam.to_json()}, out)
+        if args.format == "json":  # the float family as its array, written a row at a time
+            fields = {"p": fam.p, "side": fam.side, "backend": fam.backend, "bases": fam.bases}
+            _emit_json({"command": "bases", **(fam.to_json() if args.backend == EXACT else fields)}, out)
         else:
             float_fam = fam.as_float()
             lines = [f"bases p={dim.p} side={args.side} backend={args.backend}"]

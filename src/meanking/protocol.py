@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+try:  # SHA-512 as `random` takes it for str seeds; 3.13 binds random._sha512 only at the first
+    from _sha2 import sha512 as _sha512  # CPython 3.12 on
+except ImportError:
+    from _sha512 import sha512 as _sha512
 
 import numpy as np
 
@@ -73,15 +77,15 @@ def measurement_label(dim: PrimeDim, k0: int, k1: int) -> BracketLabel:
     """The basis label with k_m = (m-1)k_0 + k_1 mod p for m >= 2."""
     p = dim.p
     k0, k1 = _integer("k0", k0, 1, p), _integer("k1", k1, 1, p)
-    slots = [k0, k1] + [residue_label(p, (m - 1) * k0 + k1) for m in range(2, p + 1)]
-    return BracketLabel(p=p, slots=tuple(slots))
+    return BracketLabel(p=p, slots=tuple(_label_slots(p, (k0 - 1) * p + k1 - 1).tolist()))
 
 
-def _label_slots(p: int) -> np.ndarray:
-    """`measurement_label`'s slots as one table [(k0-1)p + k1-1, m] of ints."""
-    k0, k1 = (x[:, None] + 1 for x in np.divmod(np.arange(p * p), p))
+def _label_slots(p: int, labels=None) -> np.ndarray:
+    """The slots of labels (k0-1)p + k1-1, all p^2 unless given, as ints
+    [label, m]: k_0, then k_m = (m-1)k_0 + k_1 mod p for m >= 1."""
+    k0, k1 = (x[..., None] + 1 for x in np.divmod(np.arange(p * p) if labels is None else labels, p))
     slots = residue_label(p, (np.arange(p + 1) - 1) * k0 + k1)
-    slots[:, 0] = k0[:, 0]
+    slots[..., 0] = k0[..., 0]
     return slots
 
 
@@ -126,18 +130,21 @@ class RetrodictionSetup:
         p = dim.p
         self.families = (build_mub_family(dim, "object", backend), build_mub_family(dim, "ancilla", backend))
         self._ring = ring = _ring(backend, p)
-        # |Phi> = p^{-1/2} sum_k |m_k m-bar_k>, the same sum in every basis m: summed over m = 0
-        self.prepared = ring.over_sqrt_p(functools.reduce(operator.add, self._post_rows(slice(0, p))))
+        # |Phi> = p^{-1/2} sum_k |m_k m-bar_k>, the same sum in every basis m: summed over m = 0,
+        # entry [j_obj, j_anc] = p^{-1/2} sum_k <j_obj|0_k> <j_anc|0-bar_k>, the kets' product
+        obj, anc = self.families[0].bases[0].swapaxes(0, 1), self.families[1].bases[0].swapaxes(0, 1)  # [j, k-1]
+        self.prepared = ring.over_sqrt_p(ring.gram(obj.conj(), anc)).reshape(p * p)
         self._slots = _label_slots(p)  # [label, m]
-        king = []  # Born weights |<Phi|m_k m-bar_k>|^2, [(m, k-1)] a block of bases at a time
+        self.states = _bracket_rows(self, self._slots)  # the one pass over the post rows
+        self.king_table = ring.abs2(self._phi_overlaps()).reshape(p + 1, p)  # [m, k-1]
 
-        def with_king(rows):
-            king.append(ring.abs2(ring.gram(self.prepared[None], rows)))
-            return rows
-
-        # one pass over the post rows, each formed once for the king's table and the bracket states
-        self.states = ring.gathered_sums(map(with_king, self._post_blocks()), self._slots - 1, self.prepared)
-        self.king_table = ring.concat(king, axis=1).reshape(p + 1, p)  # [m, k-1]
+    def _phi_overlaps(self):
+        """<Phi|m_k m-bar_k> at m*p + k - 1 by the mixed-product rule: |Phi>'s p
+        rows [j_obj, j_anc] taken against the ancilla kets, [j_obj, (m, k-1)],
+        then summed over j_obj against each object ket (`_pair_overlaps`)."""
+        p, ring = self.dim.p, self._ring
+        obj, anc = (fam.bases.reshape((p + 1) * p, p) for fam in self.families)
+        return _pair_overlaps(ring, obj.conj(), ring.gram(self.prepared.reshape(p, p), anc).swapaxes(0, 1))
 
     def _post_rows(self, rows: slice):
         """Rows `rows` of `posts`: |m_k> (x) |m-bar_k> at row m*p + k - 1, entry
@@ -248,32 +255,32 @@ def _entangled_rows(setup: RetrodictionSetup):
 def _entangled_grams(setup: RetrodictionSetup):
     """The blocks `verify_entangled_basis` walks: each block of `_entangled_rows`
     against the entangled rows from its own first row on, without forming
-    those rows; only |Phi>'s block reads post rows.  By the mixed-product rule
+    those rows or any post row.  By the mixed-product rule
     <o a|o' a'> = <o|o'><a|a'>, the posts' Gram is the entrywise product of the
     object kets' Gram and the ancilla kets' Gram, taken of the block's bases
     against the bases from its own on; by linearity the phase sums
-    p^{-1/2} sum_k q^{-jk} of the entangled rows are then applied to it on both
-    sides, the bra's conjugated.  |Phi> is taken against the post rows, formed a
-    block of bases at a time, and against itself."""
+    p^{-1/2} sum_k q^{-jk} of the entangled rows, the phase rows scaled once,
+    are then applied to it on both sides, the bra's conjugated.  |Phi> is taken
+    against itself and, through its overlaps with the posts
+    (`_phi_overlaps`), against the entangled rows."""
     p, ring = setup.dim.p, setup._ring
-    phases = _phase_rows(ring, p)
+    phases = ring.over_sqrt_p(_phase_rows(ring, p))
     kets = [fam.bases.reshape((p + 1) * p, p) for fam in setup.families]
 
     def ket_sums(gram):  # [row, (m', k'-1)] -> [row, (m', j'-1)]
         rows = len(gram)
         sums = ring.gram(phases, gram.reshape(-1, p))  # [j'-1, (row, m')]
-        return ring.over_sqrt_p(sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1))
+        return sums.reshape(p - 1, rows, -1).swapaxes(0, 1).swapaxes(1, 2).reshape(rows, -1)
 
     def block(bases):
         if bases is None:
             phi = setup.prepared[None]
-            against = ring.concat(list(map(functools.partial(ring.gram, phi), setup._post_blocks())), axis=1)
-            return ring.concat([ring.gram(phi, phi), ket_sums(against)], axis=1)
+            return ring.concat([ring.gram(phi, phi), ket_sums(setup._phi_overlaps()[None])], axis=1)
         count, first, stop = bases.stop - bases.start, bases.start * p, bases.stop * p
         posts = ring.mul(*(ring.gram(rows[first:stop], rows[first:]) for rows in kets))  # [(m, k-1), (m', k'-1)]
         by_k = posts.reshape(count, p, -1).swapaxes(1, 2).reshape(-1, p)  # [(m, (m', k'-1)), k-1]
         sums = ring.gram(phases.conj(), by_k)  # [j-1, (m, (m', k'-1))]
-        return ket_sums(ring.over_sqrt_p(sums.reshape(p - 1, count, -1).swapaxes(0, 1).reshape(count * (p - 1), -1)))
+        return ket_sums(sums.reshape(p - 1, count, -1).swapaxes(0, 1).reshape(count * (p - 1), -1))
 
     return map(block, _entangled_bases(p))
 
@@ -439,7 +446,7 @@ def run_round(
     if king_choice is not None:
         king_choice = _integer("king_choice", king_choice, 0, setup.dim.p)
     seed = rng_seed if isinstance(rng_seed, str) else str(_integer("rng_seed", rng_seed))
-    m, k, index = _generator_draws(setup, king_choice, [seed], _BLOCK_WORDS)[:, 0].tolist()
+    m, k, index = _draws(setup, king_choice, [seed].__getitem__, _generator_words([seed], _BLOCK_WORDS))[:, 0].tolist()
     label = BracketLabel(p=setup.dim.p, slots=tuple(setup._slots[index].tolist()))
     return RoundRecord(seed, m, k, label, label.k(m), label.k(m) == k)
 
@@ -509,7 +516,7 @@ def check_simulate_args(p: int, rounds: int, strategy: str, seed: int) -> tuple[
 # --- drawing rounds ---
 #
 # Round i draws from random.Random(f"{seed}:{i}"): CPython's MT19937 (Matsumoto
-# and Nishimura, ACM TOMACS 8, 1998) keyed by init_by_array.  `_word_draws`
+# and Nishimura, ACM TOMACS 8, 1998) keyed by init_by_array.  `_draws`
 # draws every round from that generator's first outputs, taken from it or from
 # a block's key schedule: the same serial chain for every round but for the key
 # words, which a block runs as uint32 columns, one ufunc call per step.
@@ -558,7 +565,7 @@ def _key_words(seed: int, rounds: range) -> np.ndarray:
     padded = np.zeros((len(rounds), 4 * words), dtype=np.uint8)  # each integer's bytes, zeros ahead
     for first in range(0, len(rounds), 512):  # a chunk at a time: bytes.join holds a buffer per item
         strings = [b"%d:%d" % (seed, i) for i in rounds[first : first + 512]]
-        digests = [random._sha512(s).digest() for s in strings]
+        digests = [_sha512(s).digest() for s in strings]
         for part, chunks in ((slice(-size, -64), strings), (slice(-64, None), digests)):
             joined = np.frombuffer(b"".join(chunks), dtype=np.uint8)
             padded[first : first + len(chunks), part] = joined.reshape(len(chunks), -1)
@@ -683,18 +690,6 @@ def _sample_words(cdfs: np.ndarray, rows: np.ndarray, words: np.ndarray, used: n
     return np.minimum(lo, width - 1)
 
 
-def _word_draws(setup: RetrodictionSetup, m: int | None, words: np.ndarray) -> tuple[np.ndarray, list]:
-    """The (m, k, label index) rows of rounds drawn from their first words,
-    uint32 [word, round], read in order (m is drawn unless given); and the
-    rounds that read past them."""
-    (king, outcome), p, rounds = setup._cdf_tables, setup.dim.p, words.shape[1]
-    draws, used = np.empty((3, rounds), dtype=np.int64), np.zeros(rounds, dtype=np.int64)
-    draws[0] = _below_words(words, used, np.full(rounds, p + 1)) if m is None else m
-    draws[1] = 1 + _sample_words(king, draws[0], words, used)
-    draws[2] = _sample_words(outcome, draws[0] * p + draws[1] - 1, words, used)
-    return draws, np.flatnonzero(used > len(words)).tolist()
-
-
 def _generator_words(seeds: list[str], count: int) -> np.ndarray:
     """The first `count` outputs of random.Random(s), s in `seeds`, as uint32
     [output, round]: getrandbits(32 count) holds them from its lowest bits up."""
@@ -702,26 +697,32 @@ def _generator_words(seeds: list[str], count: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u4").reshape(len(seeds), count).T.astype(np.uint32)
 
 
-def _generator_draws(setup: RetrodictionSetup, m: int | None, seeds: list[str], count: int) -> np.ndarray:
-    """`_word_draws` on `count` words of random.Random(s), s in `seeds`; the
-    rounds that read past them are drawn again together, on twice as many."""
-    draws, spilled = _word_draws(setup, m, _generator_words(seeds, count))
-    if spilled:
-        draws[:, spilled] = _generator_draws(setup, m, [seeds[i] for i in spilled], 2 * count)
+def _draws(setup: RetrodictionSetup, m: int | None, seeds, words: np.ndarray) -> np.ndarray:
+    """The (m, k, label index) rows of rounds, round i drawn from the first outputs
+    of random.Random(seeds(i)), `words` uint32 [word, round], read in order (m is
+    drawn unless given).  The rounds that read past them are drawn again together,
+    on twice as many words of their generators: only their seed strings are built."""
+    (king, outcome), p, rounds = setup._cdf_tables, setup.dim.p, words.shape[1]
+    draws, used = np.empty((3, rounds), dtype=np.int64), np.zeros(rounds, dtype=np.int64)
+    draws[0] = _below_words(words, used, np.full(rounds, p + 1)) if m is None else m
+    draws[1] = 1 + _sample_words(king, draws[0], words, used)
+    draws[2] = _sample_words(outcome, draws[0] * p + draws[1] - 1, words, used)
+    spilled = np.flatnonzero(used > len(words))
+    if len(spilled):
+        again = [seeds(i) for i in spilled.tolist()]
+        draws[:, spilled] = _draws(setup, m, again.__getitem__, _generator_words(again, 2 * len(words)))
     return draws
 
 
-def _block_draws(setup: RetrodictionSetup, m: int | None, seed: int, block: range) -> np.ndarray:
-    """The (m, k, label index) rows of a block of rounds, round i drawn from
-    random.Random(f"{seed}:{i}")'s outputs: from the kernel's (`_first_words`)
-    for a block of _BLOCK_MIN rounds or more and keys of at most 624 words, and
-    a generator only for a round that reads past them; else a generator each."""
-    if len(block) < _BLOCK_MIN or len(f"{seed}:{block.stop - 1}") + 64 > 4 * _MT_N:
-        return _generator_draws(setup, m, [f"{seed}:{i}" for i in block], _BLOCK_WORDS)
-    draws, spilled = _word_draws(setup, m, _first_words(seed, block, _BLOCK_WORDS))
-    if spilled:  # seed strings only for these rounds
-        draws[:, spilled] = _generator_draws(setup, m, [f"{seed}:{block[i]}" for i in spilled], 2 * _BLOCK_WORDS)
-    return draws
+def _block_words(seed: int, block: range):
+    """`_draws`' seeds and words for a block of rounds, round i seeded by
+    f"{seed}:{i}": the kernel's words (`_first_words`) for a block of
+    _BLOCK_MIN rounds or more and keys of at most 624 words, else a generator's
+    for each round."""
+    seeds = lambda i: f"{seed}:{block[i]}"
+    if len(block) < _BLOCK_MIN or len(seeds(len(block) - 1)) + 64 > 4 * _MT_N:
+        return seeds, _generator_words(list(map(seeds, range(len(block)))), _BLOCK_WORDS)
+    return seeds, _first_words(seed, block, _BLOCK_WORDS)
 
 
 def simulate(
@@ -733,7 +734,7 @@ def simulate(
     keep_records: bool = False,
 ) -> SimulationSummary:
     """Play many rounds, round i drawn from random.Random(f"{seed}:{i}"), a block
-    of rounds at a time (`_block_draws`)."""
+    of rounds at a time (`_block_words`, `_draws`)."""
     p = dim.p
     rounds, seed, fixed_m = check_simulate_args(p, rounds, strategy, seed)
     setup = RetrodictionSetup(dim, backend)
@@ -744,7 +745,7 @@ def simulate(
     for piece in _same_length(range(rounds)):
         for start in range(piece.start, piece.stop, _BLOCK_ROUNDS):
             block = range(start, min(start + _BLOCK_ROUNDS, piece.stop))
-            m, k, index = _block_draws(setup, fixed_m, seed, block)
+            m, k, index = _draws(setup, fixed_m, *_block_words(seed, block))
             counts += np.bincount(m * p + k - 1, minlength=len(counts))
             successes += int(np.count_nonzero(setup._slots[index, m] == k))
             if kept is not None:

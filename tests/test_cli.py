@@ -429,7 +429,7 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_json_writer_equals_json_dumps(tree):
     # non-ASCII text, big ints, NaN, the infinities, -0.0, bools, None and empty
-    # containers, in and out of the float lists the writer formats in bulk
+    # containers, in and out of lists of floats and of {"im", "re"} dicts
     out = io.StringIO()
     cli._write_json(tree, out, "")
     assert out.getvalue() == json.dumps(tree, sort_keys=True, indent=2)
@@ -450,17 +450,29 @@ def test_json_writer_streams_an_iterator_as_its_list(items):
 @settings(max_examples=200, deadline=None)
 @given(
     hnp.arrays(
-        st.sampled_from([np.float64, np.complex128]), hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+        st.sampled_from([np.float64, np.complex128]), hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
     )
 )
 def test_json_writer_writes_an_array_as_its_list(array):
-    # tomography's matrices reach the writer as arrays, written a row at a time;
-    # NaN, the infinities and empty rows fall back to json.dumps
+    # tomography's matrices and the float bases reach the writer as arrays,
+    # written a row at a time; NaN, the infinities and empty rows fall back to json.dumps
     entry = (lambda z: {"im": float(z.imag), "re": float(z.real)}) if array.dtype.kind == "c" else float
-    listed = [[entry(z) for z in row] for row in array] if array.ndim == 2 else [entry(z) for z in array]
+    listed = lambda a: [listed(x) for x in a] if a.ndim > 1 else [entry(z) for z in a]
     out = io.StringIO()
     cli._emit_json({"payload": array}, out)
-    assert out.getvalue() == json.dumps({"payload": listed, "schema_version": 1}, sort_keys=True, indent=2) + "\n"
+    want = {"payload": listed(array), "schema_version": 1}
+    assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("side", ["object", "ancilla"])
+def test_float_bases_reach_the_writer_as_the_family_array(side, monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", lambda payload, out: payloads.append(payload))
+    assert main(["bases", "--p", "5", "--backend", "float", "--side", side]) == 0
+    (payload,) = payloads
+    assert type(payload["bases"]) is np.ndarray and payload["bases"].shape == (6, 5, 5)
+    assert payload["bases"].dtype == complex
+    assert {key: payload[key] for key in ("p", "side", "backend")} == {"p": 5, "side": side, "backend": "float"}
 
 
 class FailingStdout(io.StringIO):

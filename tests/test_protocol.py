@@ -1088,6 +1088,38 @@ def test_exact_setup_and_checks_do_no_per_entry_arithmetic(monkeypatch):
     assert simulate(dim, 1000).success_rate == 1.0
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_the_set_up_forms_each_post_row_once_and_the_entangled_check_none(backend, monkeypatch):
+    # structural: |Phi> and its overlaps with the posts (the king's table, the
+    # entangled check's |Phi> row) are taken from the kets, so the bracket
+    # states' pass is the only one over the post rows, with no hook on it
+    formed, post_rows = [], RetrodictionSetup._post_rows
+
+    def counted(self, rows):
+        formed.extend(range((self.dim.p + 1) * self.dim.p)[rows])
+        return post_rows(self, rows)
+
+    monkeypatch.setattr(RetrodictionSetup, "_post_rows", counted)
+    p = 7
+    setup = RetrodictionSetup(PrimeDim(p), backend)
+    assert sorted(formed) == list(range((p + 1) * p))
+    formed.clear()
+    assert verify_entangled_basis(setup).passed
+    assert formed == []
+    assert not [c for c in RetrodictionSetup.__init__.__code__.co_consts if hasattr(c, "co_code")]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_a_single_measurement_label_forms_its_own_slots_only(p, monkeypatch):
+    asked, label_slots = [], protocol._label_slots
+    monkeypatch.setattr(protocol, "_label_slots", lambda p, labels=None: asked.append(labels) or label_slots(p, labels))
+    table = label_slots(p)
+    for k0, k1 in [(1, 1), (1, p), (p, 1), (p, p), (2 % p + 1, p // 2 + 1)]:
+        asked.clear()
+        assert measurement_label(PrimeDim(p), k0, k1).slots == tuple(table[(k0 - 1) * p + k1 - 1].tolist())
+        assert asked == [(k0 - 1) * p + k1 - 1]
+
+
 class TestBlockRounds:
     """Rounds drawn a block at a time from CPython's MT19937 as uint32 columns
     must draw what a fresh random.Random(f"{seed}:{i}") per round draws: the
@@ -1110,6 +1142,13 @@ class TestBlockRounds:
         got = protocol._first_words(seed, rounds, count)
         assert got.dtype == np.uint32
         assert np.array_equal(got, first_words_by_generators(seed, rounds, count))
+
+    def test_first_words_take_sha512_before_random_binds_it(self, monkeypatch):
+        # CPython 3.13 binds random._sha512 only once some generator is seeded
+        # with a str; a process whose first draw is the kernel's must not need it
+        want = first_words_by_generators(5, range(95, 105), 3)
+        monkeypatch.setattr(random, "_sha512", None)
+        assert np.array_equal(protocol._first_words(5, range(95, 105), 3), want)
 
     def test_a_block_can_straddle_a_change_of_key_length(self):
         rounds = range(97, 103)
@@ -1163,17 +1202,17 @@ class TestBlockRounds:
         assert with_rounds(got) == simulate_by_fresh_generators(setup, 1200, "uniform", 1, planted=True)
 
     def test_every_round_is_drawn_by_the_one_word_rule(self, monkeypatch):
-        # structural: each way a round is played reaches `_word_draws` with a
+        # structural: each way a round is played reaches `_draws` with a
         # column for every round, and a round that reads past its words again
-        columns, word_draws = [], protocol._word_draws
+        columns, draws = [], protocol._draws
 
-        def counted(setup, m, words):
+        def counted(setup, m, seeds, words):
             columns.append(words.shape[1])
-            return word_draws(setup, m, words)
+            return draws(setup, m, seeds, words)
 
         setup = setup_for(3)
         monkeypatch.setattr(protocol, "RetrodictionSetup", lambda dim, backend: setup)
-        monkeypatch.setattr(protocol, "_word_draws", counted)
+        monkeypatch.setattr(protocol, "_draws", counted)
         short = protocol._BLOCK_MIN - 1
         plays = {
             "run_round": (lambda: run_round(setup, None, 5), 1),
